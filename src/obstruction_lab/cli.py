@@ -2,7 +2,8 @@
 emit canonical JSON reports, return meaningful exit codes.
 
 Exit codes: 0 verdict reached (or subcommand succeeded), 1 usage/schema
-error, 2 internal inconsistency, 3 inconclusive verdict.
+error, 2 internal inconsistency, 3 inconclusive verdict or an input that
+bounded trial division could not factor.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from fractions import Fraction
 from importlib import resources
 
 from . import elliptic
+from .exactarith import FactorizationError
 from .localsymbols import Place, hilbert_symbol, local_invariant, \
     reciprocity_defect
 from .multipoly import MultiPoly
@@ -156,8 +158,6 @@ def build_parser():
     v.add_argument("--seed", type=int, default=None)
     v.add_argument("--depth", type=int, default=None)
     v.add_argument("--bound", type=int, default=None)
-    v.add_argument("--jobs", type=int, default=1,
-                   help="worker count (output is identical for any value)")
     v.add_argument("--target", type=int, default=None,
                    help="override the instance target list with one value")
     v.add_argument("--out", default=None)
@@ -221,6 +221,9 @@ def main(argv=None):
     except InternalInconsistencyError as exc:
         print("internal inconsistency: %s" % exc, file=sys.stderr)
         return EXIT_INCONSISTENT
+    except FactorizationError as exc:
+        print("inconclusive: %s" % exc, file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

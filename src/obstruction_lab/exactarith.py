@@ -158,6 +158,18 @@ def is_kth_power(n, k):
     return r if r ** k == n else None
 
 
+def primes_up_to(n):
+    """All primes p <= n in ascending order (sieve of Eratosthenes)."""
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p in range(n + 1) if sieve[p]]
+
+
 def factor(n, bound=100000):
     """Factor |n| into primes by trial division up to ``bound``.
 
@@ -324,3 +336,29 @@ def divisors(n, bound=100000):
     for p, e in factor(n, bound).items():
         divs = [d * p ** i for d in divs for i in range(e + 1)]
     return sorted(divs)
+
+
+def divisors_up_to(n, bound, primes):
+    """Positive divisors d <= bound of n != 0, unsorted.  `primes` must hold
+    every prime <= bound, in ascending order: such a d has no other prime
+    factor, so only the part of n made of those primes is ever divided out
+    and no factoring bound applies."""
+    n = abs(n)
+    divs = [1] if bound >= 1 else []
+    for p in primes:
+        if p * p > n:
+            break
+        if n % p:
+            continue
+        new = []
+        pk = 1
+        while n % p == 0:
+            n //= p
+            pk *= p
+            new += [d * pk for d in divs if d * pk <= bound]
+        divs += new
+    # what is left has no prime factor below p, so with p * p > n it is 1
+    # or a prime; after the last prime <= bound it has no divisor <= bound
+    if 1 < n <= bound:
+        divs += [d * n for d in divs if d * n <= bound]
+    return divs

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .exactarith import (FactorizationError, factor, is_kth_power,
-                         is_probable_prime, poly_roots_mod,
-                         primitive_normalize)
+from .exactarith import (FactorizationError, divisors_up_to, factor,
+                         is_kth_power, is_probable_prime, poly_roots_mod,
+                         primes_up_to, primitive_normalize)
 from .localsymbols import (INV_HALF, INV_ZERO, Place, hilbert_symbol,
                            local_invariant)
 from .multipoly import MultiPoly
@@ -410,10 +410,20 @@ def naive_integer_search(f, target, B):
 
 def integer_search(f, target, B):
     """All primitive integer solutions of f = target in the cube [-B, B]^3,
-    enumerating two coordinates and solving exactly for the third.
+    enumerating two coordinates (u, w) and solving exactly for the third, v.
 
-    Requires a variable that appears in exactly one term of f, so that
+    Requires a variable v that appears in exactly one term of f, so that
     its pure power can be recovered by exact division and a k-th root.
+
+    Write that term c*u^a*w^b*v^k, with w an enumerated variable of positive
+    exponent when there is one.  If b > 0, w divides both the term and the
+    rest of f minus its w-free part g0(u), so every solution in row u has w
+    dividing N(u) = target - g0(u), also where c*u^a = 0 (w = 0 only when
+    N(u) = 0).  A row with N(u) != 0 therefore enumerates only w = +-d for
+    the divisors d <= B of N(u), found by dividing by the primes <= B; it
+    never calls `factor`.  Rows with N(u) = 0 enumerate the full range of
+    w, and so does every row when a = b = 0 (a pure power, such as the
+    quartic's -y^4).
     """
     i = _solve_variable(f)
     if i is None:
@@ -421,6 +431,8 @@ def integer_search(f, target, B):
     others = [j for j in range(3) if j != i]
     term = next((c, e) for c, e in f.terms if e[i] > 0)
     c_lead, exps = term
+    if exps[others[1]] == 0 and exps[others[0]] > 0:
+        others.reverse()
     k = exps[i]
     a_exps = [exps[j] for j in others]
     rest = MultiPoly((c, e) for c, e in f.terms if e[i] == 0)
@@ -439,10 +451,17 @@ def integer_search(f, target, B):
 
     sols = []
     ea, eb = a_exps
+    primes = primes_up_to(B) if eb > 0 else None
     for u in u_range:
         coeffs = [(d, sum(c * u ** eu for c, eu in w_groups[d])) for d in w_degs]
         cu = c_lead * u ** ea
-        for w in w_range_full:
+        w_range = w_range_full
+        if primes is not None:
+            n_u = target - dict(coeffs).get(0, 0)
+            if n_u != 0:
+                divs = divisors_up_to(n_u, B, primes)
+                w_range = divs if w_even else divs + [-d for d in divs]
+        for w in w_range:
             bval = 0
             for d, cc in coeffs:
                 bval += cc * w ** d

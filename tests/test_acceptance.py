@@ -161,8 +161,13 @@ def test_criterion_7_profile_spot_checks(quartic_algebra, cubic_algebra):
 
 def test_criterion_8_search_oracle(fq, fc):
     toy = MultiPoly([(1, (4, 0, 0)), (1, (0, 4, 0)), (-2, (0, 0, 4))])
+    other = MultiPoly([(1, (1, 2, 0)), (1, (0, 0, 3)), (1, (1, 0, 2)),
+                       (-3, (3, 0, 0))])
+    zero = MultiPoly([(1, (1, 2, 1)), (1, (3, 0, 0)), (-1, (0, 0, 3)),
+                      (1, (1, 0, 2))])
     cases = [(fq, 1, 30), (fq, -1, 30), (fc, 1, 30), (fc, -1, 30),
-             (toy, 0, 30), (toy, 2, 20)]
+             (toy, 0, 30), (toy, 2, 20),
+             (fc, -128, 30), (fc, -64, 30), (other, 5, 20), (zero, -1, 20)]
     ok = all(integer_search(f, t, B) == naive_integer_search(f, t, B)
              for f, t, B in cases)
     report("8 (search oracle)", ok)

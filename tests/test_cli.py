@@ -110,14 +110,6 @@ class TestVerify:
                              "--seed", "5")
         assert out1 == out2
 
-    def test_jobs_flag_does_not_change_output(self, capsys, quartic_path):
-        path, _ = quartic_path
-        _, out1, _ = run_cli(capsys, "verify", str(path), "--bound", "30",
-                             "--jobs", "1")
-        _, out2, _ = run_cli(capsys, "verify", str(path), "--bound", "30",
-                             "--jobs", "4")
-        assert out1 == out2
-
     def test_target_override(self, capsys, quartic_path):
         path, _ = quartic_path
         code, out, _ = run_cli(capsys, "verify", str(path), "--target", "-1",
@@ -200,3 +192,20 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "verify", str(path))
         assert code == 2
         assert "inconsistency" in err
+
+    def test_unfactored_reciprocity_exit_three(self, capsys):
+        # (10^9 + 7)(10^9 + 9) survives trial division and is not prime
+        code, out, err = run_cli(capsys, "reciprocity",
+                                 "1000000016000000063", "3")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("inconclusive: ") and err.count("\n") == 1
+
+    def test_unfactored_profile_exit_three(self, capsys):
+        # the first algebra entry of cubic at this point is -51944069363193,
+        # whose cofactor after trial division is composite
+        code, out, err = run_cli(capsys, "profile", "cubic",
+                                 "-P", "962,508,567")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("inconclusive: ") and err.count("\n") == 1

@@ -173,11 +173,26 @@ class TestIntegerSearch:
 
     def test_matches_naive_enumeration(self, fq, fc):
         toy = MultiPoly([(1, (4, 0, 0)), (1, (0, 4, 0)), (-2, (0, 0, 4))])
+        # solved term x*y^2: its exponent sits on x, not on z
+        other = MultiPoly([(1, (1, 2, 0)), (1, (0, 0, 3)), (1, (1, 0, 2)),
+                           (-3, (3, 0, 0))])
+        # solved term x*z*y^2 vanishes on the whole row x = 0
+        zero = MultiPoly([(1, (1, 2, 1)), (1, (3, 0, 0)), (-1, (0, 0, 3)),
+                          (1, (1, 0, 2))])
         cases = [(fq, 1, 12), (fq, -1, 12), (fq, 16, 10), (fc, 1, 8),
-                 (fc, -1, 8), (fc, 7, 8), (toy, 0, 10), (toy, 32, 8)]
+                 (fc, -1, 8), (fc, 7, 8), (toy, 0, 10), (toy, 32, 8),
+                 # (1, 1, 1) and more; t + 64x^3 = 0 on the row x = 1
+                 (fc, -128, 12), (fc, -64, 12), (fc, 64, 12),
+                 (other, 1, 10), (other, 5, 10), (zero, -1, 10),
+                 (zero, 3, 10)]
         for f, target, B in cases:
             assert integer_search(f, target, B) == \
                 naive_integer_search(f, target, B)
+
+    def test_cubic_solutions_found(self, fc):
+        assert (1, 1, 1) in integer_search(fc, -128, 1000)
+        # f(1, y, 0) = -64 for every y
+        assert (1, 1000, 0) in integer_search(fc, -64, 1000)
 
     def test_no_solvable_variable_rejected(self):
         f = MultiPoly([(1, (2, 1, 0)), (1, (1, 2, 0)), (1, (1, 0, 2)),
