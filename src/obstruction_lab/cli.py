@@ -9,6 +9,7 @@ bounded trial division could not factor.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -121,8 +122,10 @@ def load_instance(path):
 def _parse_number(text):
     """Decimal integer or fraction 'n/d'."""
     if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
+        num, den = (int(t) for t in text.split("/", 1))
+        if den == 0:
+            raise SchemaError("zero denominator in %r" % (text,))
+        return Fraction(num, den)
     return Fraction(int(text))
 
 
@@ -234,11 +237,7 @@ def _dispatch(args):
     if cmd == "verify":
         instance = load_instance(args.instance)
         if args.target is not None:
-            instance = ObstructionInstance(
-                instance.name, instance.f, (args.target,), instance.algebra,
-                instance.sieve_modulus, instance.rational_witness,
-                instance.padic_witnesses, instance.search_bound,
-                instance.sampling)
+            instance = dataclasses.replace(instance, targets=(args.target,))
         seed = args.seed if args.seed is not None else _default_seed()
         report = obstruction_verdict(instance, seed=seed, depth=args.depth,
                                      bound=args.bound)

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from functools import lru_cache
+from math import gcd, isqrt, prod
 
 
 class FactorizationError(Exception):
@@ -20,11 +21,13 @@ _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_probable_prime(n):
-    """Miller-Rabin primality test.
+    """Miller-Rabin primality test with fixed bases.
 
-    Deterministic for n < 2**64 (fixed base set); for larger n the same bases
-    plus the first primes up to 100 are used, which makes the answer
-    probabilistic but fully deterministic as a function.
+    Below 2**64 the 12 prime bases up to 37 make the answer a proof.  From
+    there on the 25 prime bases up to 97 are used; they include the first 13
+    primes, which are a proof below psi_13 = 3317044064679887385961981
+    (about 3.3e24; Sorenson and Webster, Math. Comp. 86, 2017).  Above
+    psi_13 the answer is only probable, though still a fixed function of n.
     """
     if n < 2:
         return False
@@ -74,11 +77,20 @@ def valuation(n, p):
     require_prime(p)
     if n == 0:
         return ValuationResult(0, 0, infinite=True)
+    return ValuationResult(*strip_prime(n, p))
+
+
+def strip_prime(n, p):
+    """(v, m) with n = p**v * m and p not dividing m, for n != 0.
+
+    Unlike `valuation`, p is not tested for primality: callers pass a prime
+    certified once already, such as the prime of a `Place`.
+    """
     v = 0
     while n % p == 0:
         n //= p
         v += 1
-    return ValuationResult(v, n)
+    return v, n
 
 
 def jacobi(a, n):
@@ -170,31 +182,65 @@ def primes_up_to(n):
     return [p for p in range(n + 1) if sieve[p]]
 
 
-def factor(n, bound=100000):
-    """Factor |n| into primes by trial division up to ``bound``.
+# Primes per gcd block in `factor`.  One gcd against a block costs about as
+# much as a few divisions, and a block is skipped whole when it shares no
+# prime with n; one gcd against the whole primorial would cost far more
+# than the early exit on small n.
+_FACTOR_BLOCK = 32
 
-    Returns a dict prime -> exponent.  A cofactor left after trial division is
-    accepted only if it is certified prime; otherwise FactorizationError is
-    raised (honesty over a silently incomplete factorization).
+
+@lru_cache(maxsize=32)
+def _prime_blocks(bound):
+    """The primes <= bound in ascending blocks of (p0 * p0, product, primes),
+    p0 the first prime of the block; built on the first call per bound."""
+    primes = primes_up_to(bound)
+    blocks = []
+    for i in range(0, len(primes), _FACTOR_BLOCK):
+        chunk = tuple(primes[i:i + _FACTOR_BLOCK])
+        blocks.append((chunk[0] * chunk[0], prod(chunk), chunk))
+    return tuple(blocks)
+
+
+def factor(n, bound=100000):
+    """Factor |n| into primes by trial division by every prime <= ``bound``.
+
+    The primes are taken in blocks: one gcd with the product of a block
+    decides whether any of its primes divides n, and only then are they
+    divided out one by one.  Division stops once the first prime p of a
+    block has p * p > n, which leaves 1 or a prime.
+
+    Returns a dict prime -> exponent, in ascending order of the primes.  A
+    cofactor c > 1 left after trial division is accepted when c <= bound**2
+    (it then has no room for two prime factors > bound) or when it is
+    certified prime; otherwise FactorizationError is raised (honesty over a
+    silently incomplete factorization).
     """
     n = abs(n)
     if n == 0:
         raise ValueError("cannot factor 0")
     out = {}
-    for p in (2, 3):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    d = 5
-    while d <= bound and d * d <= n:
-        for p in (d, d + 2):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-        d += 6
+    # no prime above sqrt(n) is ever tried, so a huge bound on a small n
+    # sieves only past sqrt(n), to a power of two (few distinct sieves)
+    sieve_to = min(bound, 1 << (n.bit_length() + 1) // 2)
+    for first_sq, block, primes in _prime_blocks(sieve_to):
+        if first_sq > n:
+            break
+        g = gcd(n, block)
+        if g == 1:
+            continue
+        for p in primes:
+            if g % p == 0:
+                e = 0
+                while n % p == 0:
+                    n //= p
+                    e += 1
+                out[p] = e
+                g //= p
+                if g == 1:
+                    break
     if n > 1:
-        if d * d > n or is_probable_prime(n):
-            out[n] = out.get(n, 0) + 1
+        if n <= bound * bound or is_probable_prime(n):
+            out[n] = 1
         else:
             raise FactorizationError(
                 "composite cofactor %d survived trial division to %d" % (n, bound))

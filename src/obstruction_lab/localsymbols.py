@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactarith import factor, jacobi, require_prime, valuation
+from .exactarith import factor, jacobi, require_prime, strip_prime, valuation
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,9 @@ def hilbert_symbol(a, b, place):
         return -1 if a < 0 and b < 0 else 1
     a, b = _to_square_free_pair(a, b)
     p = place.p
-    va = valuation(a, p)
-    vb = valuation(b, p)
-    alpha, u = va.valuation, va.unit_part
-    beta, v = vb.valuation, vb.unit_part
+    # p was certified prime when the Place was built
+    alpha, u = strip_prime(a, p)
+    beta, v = strip_prime(b, p)
     if p == 2:
         exponent = _eps(u) * _eps(v) + alpha * _omega(v) + beta * _omega(u)
         return -1 if exponent % 2 else 1

@@ -16,7 +16,7 @@ from math import gcd
 
 from .exactarith import (FactorizationError, divisors_up_to, factor,
                          is_kth_power, is_probable_prime, poly_roots_mod,
-                         primes_up_to, primitive_normalize)
+                         primes_up_to, primitive_normalize, strip_prime)
 from .localsymbols import (INV_HALF, INV_ZERO, Place, hilbert_symbol,
                            local_invariant)
 from .multipoly import MultiPoly
@@ -116,20 +116,14 @@ def _symbols_at_level(alg, cls, p, level):
     cap = level - 3
     if cap < 0:
         return None
+    place = Place.finite(p)
     syms = set()
     for pt in _lifts(cls, p, level):
         a, b = alg.values_at(pt)
         for v in (a, b):
-            if v == 0:
+            if v == 0 or strip_prime(v, p)[0] > cap:
                 return None
-            t = v
-            w = 0
-            while t % p == 0:
-                t //= p
-                w += 1
-            if w > cap:
-                return None
-        syms.add(hilbert_symbol(a, b, Place.finite(p)))
+        syms.add(hilbert_symbol(a, b, place))
         if len(syms) > 1:
             return None
     return syms
@@ -232,6 +226,10 @@ def odd_place_scan(f, alg, nsamples, bound, seed, factor_bound=10000):
     division bound are counted and skipped, never silently assumed split.
     """
     rng = random.Random(seed)
+    real = Place.real()
+    # p -> Place.finite(p) for p <= factor_bound, so each such prime is
+    # certified once; a larger p is a cofactor and seldom seen twice
+    places = {}
     violations = []
     checked = 0
     skipped = 0
@@ -251,9 +249,14 @@ def odd_place_scan(f, alg, nsamples, bound, seed, factor_bound=10000):
             skipped += 1
             continue
         fval = f.evaluate_int(pt)
-        total = local_invariant(a, b, Place.real())
+        total = local_invariant(a, b, real)
         for p in sorted(primes | {2}):
-            inv = local_invariant(a, b, Place.finite(p))
+            place = places.get(p)
+            if place is None:
+                place = Place.finite(p)
+                if p <= factor_bound:
+                    places[p] = place
+            inv = local_invariant(a, b, place)
             total += inv
             if p == 2 or fval % p == 0:
                 continue
@@ -425,6 +428,8 @@ def integer_search(f, target, B):
     w, and so does every row when a = b = 0 (a pure power, such as the
     quartic's -y^4).
     """
+    if B < 0:
+        raise ValueError("search bound must be >= 0, got %d" % B)
     i = _solve_variable(f)
     if i is None:
         raise ValueError("no variable of f is confined to a single term")
@@ -565,6 +570,9 @@ def obstruction_verdict(instance, seed=None, depth=None, bound=None,
     report = VerdictReport(instance.name)
     root_seed = instance.sampling.seed if seed is None else seed
     B = instance.search_bound if bound is None else bound
+    if B < 0:
+        # an empty search box is no evidence; refuse before any other work
+        raise ValueError("search bound must be >= 0, got %d" % B)
     f = instance.f
     alg = instance.algebra
 

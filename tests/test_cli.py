@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -13,13 +14,8 @@ def fast_engine(monkeypatch):
     orig = cli.obstruction_verdict
 
     def fast(instance, **kwargs):
-        small = cli.SamplingConfig(instance.sampling.seed, 50,
-                                   instance.sampling.prime_min,
-                                   instance.sampling.prime_max)
-        instance = cli.ObstructionInstance(
-            instance.name, instance.f, instance.targets, instance.algebra,
-            instance.sieve_modulus, instance.rational_witness,
-            instance.padic_witnesses, instance.search_bound, small)
+        instance = dataclasses.replace(instance, sampling=dataclasses.replace(
+            instance.sampling, trials=50))
         kwargs.setdefault("real_samples", 500)
         kwargs.setdefault("odd_samples", 100)
         return orig(instance, **kwargs)
@@ -192,6 +188,24 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "verify", str(path))
         assert code == 2
         assert "inconsistency" in err
+
+    @pytest.mark.parametrize("argv", [("hilbert", "3/0", "2", "3"),
+                                      ("reciprocity", "1/0", "3")])
+    def test_zero_denominator_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "denominator" in err
+
+    @pytest.mark.parametrize("argv", [("verify", "quartic", "--bound", "-1"),
+                                      ("search", "quartic", "-B", "-1")])
+    def test_negative_bound_is_usage_error(self, capsys, argv):
+        # an empty search box is no evidence: no report, no verdict
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_unfactored_reciprocity_exit_three(self, capsys):
         # (10^9 + 7)(10^9 + 9) survives trial division and is not prime

@@ -1,16 +1,19 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
+from math import isqrt, prod
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from obstruction_lab import exactarith
 from obstruction_lab.exactarith import (FactorizationError, divisors,
                                         divisors_up_to, factor,
                                         is_kth_power, is_probable_prime,
                                         jacobi, poly_roots_mod,
                                         primes_up_to, primitive_normalize,
-                                        sqrt_mod, valuation)
+                                        sqrt_mod, strip_prime, valuation)
 
 PRIMES_TO_100 = [p for p in range(2, 100) if is_probable_prime(p)]
 
@@ -30,6 +33,11 @@ class TestValuation:
     def test_rejects_nonprime(self):
         with pytest.raises(ValueError):
             valuation(10, 4)
+
+    def test_strip_prime_matches_valuation(self):
+        for n, p in ((48, 2), (-250, 5), (17, 3), (3 ** 40 * 7, 3)):
+            r = valuation(n, p)
+            assert strip_prime(n, p) == (r.valuation, r.unit_part)
 
     def test_reconstruction_identity(self):
         rng = random.Random(11)
@@ -146,9 +154,98 @@ class TestKthPower:
         assert is_kth_power(n * n + 1, 2) is None
 
 
+@lru_cache(maxsize=None)
+def _reference_primes(bound):
+    return [p for p in range(2, bound + 1)
+            if all(p % q for q in range(2, isqrt(p) + 1))]
+
+
+def _reference_factor(n, bound):
+    """Divide by every prime <= bound, no early exit; then the cofactor
+    rule of `factor`.  None stands for FactorizationError."""
+    n = abs(n)
+    out = {}
+    for p in _reference_primes(bound):
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    if n > 1:
+        if n > bound * bound and not is_probable_prime(n):
+            return None
+        out[n] = 1
+    return out
+
+
+# primes just above the bounds 10^4 and 10^5, so products of two of them
+# are cofactors that trial division cannot split
+_BIG_PRIMES = (10007, 10009, 10037, 100003, 100019, 100043, 1000003)
+
+
+class TestPrimality:
+    def test_small_primes(self):
+        assert PRIMES_TO_100 == [p for p in range(2, 100)
+                                 if all(p % q for q in range(2, p))]
+
+    def test_psi_13(self):
+        # the least strong pseudoprime to all of the first 13 prime bases
+        # (Sorenson and Webster); the bases 43..97 expose it
+        assert not is_probable_prime(3317044064679887385961981)
+
+    def test_large_primes(self):
+        assert is_probable_prime(2 ** 61 - 1)
+        assert is_probable_prime(2 ** 89 - 1)
+        assert not is_probable_prime((2 ** 61 - 1) * (2 ** 31 - 1))
+
+
 class TestFactor:
     def test_small(self):
         assert factor(360) == {2: 3, 3: 2, 5: 1}
+
+    @settings(deadline=None)
+    @given(st.one_of(
+               st.integers(-10 ** 25, 10 ** 25).filter(bool),
+               st.builds(lambda s, p, q: s * p * q,
+                         st.integers(1, 10 ** 8),
+                         st.sampled_from(_BIG_PRIMES + (1,)),
+                         st.sampled_from(_BIG_PRIMES + (1,))),
+               # squares of primes, where the early exit p * p > n is tight
+               st.lists(st.sampled_from(_reference_primes(1000)),
+                        min_size=1, max_size=4).map(lambda ps: prod(ps) ** 2)),
+           st.one_of(st.sampled_from([10 ** 4, 10 ** 5]),
+                     st.integers(0, 120)))
+    @example(4, 10 ** 4)
+    def test_matches_reference(self, n, bound):
+        expected = _reference_factor(n, bound)
+        if expected is None:
+            with pytest.raises(FactorizationError):
+                factor(n, bound)
+        else:
+            got = factor(n, bound)
+            assert got == expected
+            assert list(got) == sorted(got)
+
+    def test_cofactor_around_bound_squared(self, monkeypatch):
+        # with bound 10, a cofactor c <= 100 has no room for two primes
+        # > 10 and is accepted untested; above 100 it must prove prime
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return is_probable_prime(n)
+
+        monkeypatch.setattr(exactarith, "is_probable_prime", counting)
+        assert factor(2 * 97, 10) == {2: 1, 97: 1} and calls == []
+        assert factor(2 * 101, 10) == {2: 1, 101: 1} and calls == [101]
+        with pytest.raises(FactorizationError):
+            factor(2 * 11 * 11, 10)  # 121 = 11^2, the least composite
+        with pytest.raises(FactorizationError):
+            factor(10007 * 10009, 10 ** 4)
+        assert factor(10007 * 10009, 10 ** 5) == {10007: 1, 10009: 1}
+
+    def test_huge_bound_on_small_n(self):
+        # only primes up to sqrt(n) are ever needed, and only those sieved
+        assert factor(2 ** 10 * 3 * 10007, 10 ** 15) == {2: 10, 3: 1, 10007: 1}
+        assert factor(10007 * 10009, 10 ** 15) == {10007: 1, 10009: 1}
 
     def test_prime_cofactor_accepted(self):
         big = 2 ** 61 - 1  # prime

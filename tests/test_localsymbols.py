@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from obstruction_lab.exactarith import valuation
 from obstruction_lab.localsymbols import (Place, default_oracle_depth,
                                           hilbert_symbol, local_invariant,
                                           reciprocity_defect,
@@ -10,6 +11,15 @@ from obstruction_lab.localsymbols import (Place, default_oracle_depth,
 
 REAL = Place.real()
 SMALL_PLACES = [Place.finite(p) for p in (2, 3, 5, 7, 11, 13)] + [REAL]
+
+
+def test_composite_primes_still_rejected():
+    # hilbert_symbol trusts the prime of a Place, so the checks that build
+    # a Place and the public valuation must keep refusing composites
+    with pytest.raises(ValueError):
+        Place.finite(4)
+    with pytest.raises(ValueError):
+        valuation(10, 4)
 
 
 class TestHilbertSymbol:
