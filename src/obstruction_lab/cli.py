@@ -25,9 +25,10 @@ from .multipoly import MultiPoly
 from .obstruction import (INCONCLUSIVE, InternalInconsistencyError,
                           ObstructionInstance, PadicWitnessSpec,
                           QuaternionAlgebraSpec, SamplingConfig,
-                          class_invariant_table, integer_search,
-                          obstruction_verdict, point_invariant_profile,
-                          residue_sieve)
+                          class_invariant_table, class_records,
+                          integer_search, obstruction_verdict,
+                          point_invariant_profile, residue_sieve,
+                          table_records)
 from .padicsolve import padic_solutions_exist
 
 EXIT_OK = 0
@@ -278,7 +279,7 @@ def _dispatch(args):
         classes = residue_sieve(instance.f, m, instance.targets[0])
         _emit({"modulus": m, "target": instance.targets[0],
                "count": len(classes),
-               "classes": [list(c.residues) for c in classes]}, None)
+               "classes": class_records(classes)}, None)
         return EXIT_OK
 
     if cmd == "table":
@@ -287,10 +288,7 @@ def _dispatch(args):
                                 instance.targets[0])
         table = class_invariant_table(instance.algebra, classes)
         _emit({"modulus": instance.sieve_modulus,
-               "entries": [{"class": list(c.residues),
-                            "invariant": None if inv is None else str(inv),
-                            "depth": d}
-                           for c, inv, d in table.entries]}, None)
+               "entries": table_records(table)}, None)
         return EXIT_OK
 
     if cmd == "profile":

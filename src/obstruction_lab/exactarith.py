@@ -247,37 +247,6 @@ def factor(n, bound=100000):
     return out
 
 
-def sqrt_mod(a, p):
-    """A square root of a modulo an odd prime p, or None if a is a non-residue.
-
-    Tonelli-Shanks; deterministic (scans small candidates for a non-residue).
-    """
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    n = 2
-    while pow(n, (p - 1) // 2, p) != p - 1:
-        n += 1
-    m, c, t, r = s, pow(n, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
 def _poly_trim(f):
     while f and f[-1] == 0:
         f.pop()
@@ -376,10 +345,10 @@ def poly_roots_mod(coeffs, p):
     return sorted(roots)
 
 
-def divisors(n, bound=100000):
+def divisors(n):
     """Sorted positive divisors of n != 0, via the bounded factorization."""
     divs = [1]
-    for p, e in factor(n, bound).items():
+    for p, e in factor(n).items():
         divs = [d * p ** i for d in divs for i in range(e + 1)]
     return sorted(divs)
 

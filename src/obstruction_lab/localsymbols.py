@@ -90,17 +90,17 @@ def local_invariant(a, b, place):
     return INV_HALF if hilbert_symbol(a, b, place) == -1 else INV_ZERO
 
 
-def symbol_support(a, b, factor_bound=100000):
+def symbol_support(a, b):
     """Places where (a, b) could be ramified: the real place and the primes
     dividing 2 * num * den of either entry."""
     primes = {2}
     for r in (Fraction(a), Fraction(b)):
         for n in (r.numerator, r.denominator):
-            primes.update(factor(n, factor_bound))
+            primes.update(factor(n))
     return [Place.real()] + [Place.finite(p) for p in sorted(primes)]
 
 
-def reciprocity_defect(a, b, factor_bound=100000):
+def reciprocity_defect(a, b):
     """Sum of local invariants of (a, b) over its support, in (1/2)Z/Z.
 
     Hilbert reciprocity says this is always 0; a nonzero value indicates a bug.
@@ -108,7 +108,7 @@ def reciprocity_defect(a, b, factor_bound=100000):
     if a == 0 or b == 0:
         raise ValueError("entries must be nonzero")
     total = Fraction(0)
-    for place in symbol_support(a, b, factor_bound):
+    for place in symbol_support(a, b):
         total += local_invariant(a, b, place)
     return total % 1
 

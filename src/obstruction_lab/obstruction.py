@@ -12,18 +12,20 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 from .exactarith import (FactorizationError, divisors_up_to, factor,
                          is_kth_power, is_probable_prime, poly_roots_mod,
                          primes_up_to, primitive_normalize, strip_prime)
-from .localsymbols import (INV_HALF, INV_ZERO, Place, hilbert_symbol,
-                           local_invariant)
+from .localsymbols import INV_HALF, Place, local_invariant, symbol_support
 from .multipoly import MultiPoly
-from .padicsolve import (SolubilityAnswer, hensel_liftable_1var,
-                         padic_solutions_exist, verify_rational_witness)
+from .padicsolve import (hensel_liftable_1var, padic_solutions_exist,
+                         verify_rational_witness)
 
-FACTOR_BOUND = 100000
+# Trial-division bound of the odd-place scan; the scan's evidence counts
+# (checked_prime_conditions, skipped_unfactored) depend on it.
+ODD_SCAN_FACTOR_BOUND = 10000
 
 
 class InternalInconsistencyError(Exception):
@@ -81,7 +83,7 @@ def residue_sieve(f, m, target):
 @dataclass(frozen=True)
 class InvariantTable:
     """Map from residue class to a certified 2-adic invariant (or None for
-    undetermined), with the refinement depth that stabilized it."""
+    undetermined), with the level that certified it."""
     modulus: int
     entries: tuple  # of (ResidueClass, Fraction | None, depth_used)
 
@@ -100,41 +102,36 @@ class InvariantTable:
         return None
 
 
-def _lifts(cls, p, level):
-    """Integer representatives of all lifts of a class to modulus p**level."""
-    m = cls.modulus
-    big = p ** level
-    steps = big // m
-    x0, y0, z0 = cls.residues
-    return [(x0 + i * m, y0 + j * m, z0 + k * m)
-            for i in range(steps) for j in range(steps) for k in range(steps)]
-
-
-def _symbols_at_level(alg, cls, p, level):
-    """Hilbert symbols at p over all lifts of cls to modulus p**level, or None
-    if any lift is unstable (valuation too large to be certified)."""
+def _invariant_at_level(alg, cls, level):
+    """The local invariant at 2 shared by all lifts of cls to modulus
+    2**level, or None if some lift has an entry of valuation above
+    level - 3 (or zero) or two lifts disagree."""
     cap = level - 3
-    if cap < 0:
-        return None
-    place = Place.finite(p)
-    syms = set()
-    for pt in _lifts(cls, p, level):
-        a, b = alg.values_at(pt)
+    place = Place.finite(2)
+    m = cls.modulus
+    x0, y0, z0 = cls.residues
+    invs = set()
+    for i, j, k in product(range(2 ** level // m), repeat=3):
+        a, b = alg.values_at((x0 + i * m, y0 + j * m, z0 + k * m))
         for v in (a, b):
-            if v == 0 or strip_prime(v, p)[0] > cap:
+            if v == 0 or strip_prime(v, 2)[0] > cap:
                 return None
-        syms.add(hilbert_symbol(a, b, place))
-        if len(syms) > 1:
+        invs.add(local_invariant(a, b, place))
+        if len(invs) > 1:
             return None
-    return syms
+    return invs.pop()
 
 
-def class_invariant_table(alg, classes, p=2, max_exponent=8):
-    """Certified local invariant of the algebra on each residue class.
+def class_invariant_table(alg, classes, max_exponent=8):
+    """Certified 2-adic invariant of the algebra on each residue class.
 
-    An entry is emitted only when the Hilbert symbol at p is provably constant
-    on the class: all lifts at two consecutive refinement levels must have
-    stable valuations (v <= level - 3, pinning the unit mod 8) and agree.
+    An entry is certified at the first level L (3 <= L < max_exponent, and
+    2**L a proper multiple of the modulus) at which every lift of the class
+    to modulus 2**L has both entries of valuation v_2 <= L - 3 and all lifts
+    share one invariant; its depth is L.  One level suffices: a 2-adic point
+    of the class is congruent to some lift mod 2**L, so its entries have the
+    same valuations as that lift's and the same units mod 8, and (a, b)_2
+    depends only on those (Serre, A Course in Arithmetic, III.1).
     """
     if not classes:
         return InvariantTable(0, ())
@@ -142,28 +139,32 @@ def class_invariant_table(alg, classes, p=2, max_exponent=8):
     if len(moduli) != 1:
         raise ValueError("classes must share one modulus")
     m = moduli.pop()
-    k = 0
-    mm = m
-    while mm % p == 0:
-        mm //= p
-        k += 1
-    if mm != 1:
-        raise ValueError("modulus must be a power of %d" % p)
+    k = m.bit_length() - 1
+    if m != 1 << k:
+        raise ValueError("modulus must be a power of 2")
     entries = []
     for cls in classes:
-        inv = None
-        depth = 0
         for level in range(max(k + 1, 3), max_exponent):
-            s1 = _symbols_at_level(alg, cls, p, level)
-            if s1 is None or len(s1) != 1:
-                continue
-            s2 = _symbols_at_level(alg, cls, p, level + 1)
-            if s2 == s1:
-                inv = INV_HALF if s1.pop() == -1 else INV_ZERO
-                depth = level + 1
+            inv = _invariant_at_level(alg, cls, level)
+            if inv is not None:
+                entries.append((cls, inv, level))
                 break
-        entries.append((cls, inv, depth))
+        else:
+            entries.append((cls, None, 0))
     return InvariantTable(m, tuple(entries))
+
+
+def class_records(classes):
+    """Residue classes as JSON lists of their residues."""
+    return [list(c.residues) for c in classes]
+
+
+def table_records(table):
+    """Entries of an invariant table as JSON objects, in table order."""
+    return [{"class": list(c.residues),
+             "invariant": None if inv is None else str(inv),
+             "depth": d}
+            for c, inv, d in table.entries]
 
 
 @dataclass(frozen=True)
@@ -174,18 +175,15 @@ class InvariantProfile:
     total: Fraction
 
 
-def point_invariant_profile(alg, point, factor_bound=FACTOR_BOUND):
+def point_invariant_profile(alg, point):
     """Local invariants of the algebra at an integer point, over the real
     place and every prime dividing 2ab, together with their sum in (1/2)Z/Z."""
     a, b = alg.values_at(point)
     if a == 0 or b == 0:
         raise RamificationLocusError(
             "algebra entry vanishes at %r" % (point,))
-    primes = {2}
-    primes.update(factor(a, factor_bound))
-    primes.update(factor(b, factor_bound))
-    places = [Place.real()] + [Place.finite(p) for p in sorted(primes)]
-    invs = tuple((pl, local_invariant(a, b, pl)) for pl in places)
+    invs = tuple((pl, local_invariant(a, b, pl))
+                 for pl in symbol_support(a, b))
     total = sum((iv for _, iv in invs), Fraction(0)) % 1
     return InvariantProfile(tuple(point), (a, b), invs, total)
 
@@ -217,7 +215,7 @@ class OddPlaceScanResult:
     skipped_unfactored: int
 
 
-def odd_place_scan(f, alg, nsamples, bound, seed, factor_bound=10000):
+def odd_place_scan(f, alg, nsamples, bound, seed):
     """Sample primitive integer triples and check that the algebra is split at
     every odd prime p dividing an entry value but not f (those points reduce
     into the open variety at p).  Also cross-checks reciprocity at each point.
@@ -227,7 +225,7 @@ def odd_place_scan(f, alg, nsamples, bound, seed, factor_bound=10000):
     """
     rng = random.Random(seed)
     real = Place.real()
-    # p -> Place.finite(p) for p <= factor_bound, so each such prime is
+    # p -> Place.finite(p) for p <= the factor bound, so each such prime is
     # certified once; a larger p is a cofactor and seldom seen twice
     places = {}
     violations = []
@@ -244,7 +242,8 @@ def odd_place_scan(f, alg, nsamples, bound, seed, factor_bound=10000):
             continue
         done += 1
         try:
-            primes = set(factor(a, factor_bound)) | set(factor(b, factor_bound))
+            primes = (set(factor(a, ODD_SCAN_FACTOR_BOUND))
+                      | set(factor(b, ODD_SCAN_FACTOR_BOUND)))
         except FactorizationError:
             skipped += 1
             continue
@@ -254,7 +253,7 @@ def odd_place_scan(f, alg, nsamples, bound, seed, factor_bound=10000):
             place = places.get(p)
             if place is None:
                 place = Place.finite(p)
-                if p <= factor_bound:
+                if p <= ODD_SCAN_FACTOR_BOUND:
                     places[p] = place
             inv = local_invariant(a, b, place)
             total += inv
@@ -278,21 +277,6 @@ def _random_prime(rng, lo, hi):
             if is_probable_prime(n):
                 return n
             n += 2
-
-
-def _points_on_curve_mod(H, p):
-    """All projective points of H = 0 over F_p (enumeration)."""
-    pts = []
-    for y in range(p):
-        for z in range(p):
-            if H.evaluate_mod((1, y, z), p) == 0:
-                pts.append((1, y, z))
-    for z in range(p):
-        if H.evaluate_mod((0, 1, z), p) == 0:
-            pts.append((0, 1, z))
-    if H.evaluate_mod((0, 0, 1), p) == 0:
-        pts.append((0, 0, 1))
-    return pts
 
 
 def _random_point_on_curve(H, p, rng, tries=64):
@@ -338,22 +322,12 @@ def square_mod_sampling(F, H, prime_min, prime_max, trials, seed):
     passed = 0
     counterexamples = []
     skipped = []
-    point_cache = {}
     while accepted < trials:
         p = _random_prime(rng, prime_min, prime_max)
-        if p <= 300:
-            if p not in point_cache:
-                point_cache[p] = _points_on_curve_mod(H, p)
-            pts = point_cache[p]
-            if not pts:
-                skipped.append(p)
-                continue
-            q = pts[rng.randrange(len(pts))]
-        else:
-            q = _random_point_on_curve(H, p, rng)
-            if q is None:
-                skipped.append(p)
-                continue
+        q = _random_point_on_curve(H, p, rng)
+        if q is None:
+            skipped.append(p)
+            continue
         fval = F.evaluate_mod(q, p)
         if fval == 0:
             continue
@@ -570,9 +544,11 @@ def obstruction_verdict(instance, seed=None, depth=None, bound=None,
     report = VerdictReport(instance.name)
     root_seed = instance.sampling.seed if seed is None else seed
     B = instance.search_bound if bound is None else bound
+    # refuse before any other work (an empty search box is no evidence)
     if B < 0:
-        # an empty search box is no evidence; refuse before any other work
         raise ValueError("search bound must be >= 0, got %d" % B)
+    if depth is not None and depth < 1:
+        raise ValueError("p-adic search depth must be >= 1, got %d" % depth)
     f = instance.f
     alg = instance.algebra
 
@@ -635,15 +611,12 @@ def obstruction_verdict(instance, seed=None, depth=None, bound=None,
         report.steps.setdefault("sieve", {})[str(t)] = {
             "modulus": instance.sieve_modulus,
             "count": len(classes),
-            "classes": [list(c.residues) for c in classes],
+            "classes": class_records(classes),
         }
         report.steps.setdefault("invariant_table", {})[str(t)] = {
             "determined": table.all_determined(),
             "all_half": table.all_determined(INV_HALF),
-            "entries": [{"class": list(c.residues),
-                         "invariant": None if inv is None else str(inv),
-                         "depth": d}
-                        for c, inv, d in table.entries],
+            "entries": table_records(table),
         }
 
     # 5. real scan

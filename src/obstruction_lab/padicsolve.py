@@ -157,7 +157,7 @@ class WitnessCheck:
     bad_primes: frozenset
 
 
-def verify_rational_witness(w, f, target, factor_bound=100000):
+def verify_rational_witness(w, f, target):
     """Check f(w) = target exactly and report the primes dividing any
     coordinate denominator."""
     w = tuple(Fraction(c) for c in w)
@@ -165,5 +165,5 @@ def verify_rational_witness(w, f, target, factor_bound=100000):
     bad = set()
     for c in w:
         if c.denominator > 1:
-            bad.update(factor(c.denominator, factor_bound))
+            bad.update(factor(c.denominator))
     return WitnessCheck(value == target, value, frozenset(bad))

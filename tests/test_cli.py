@@ -132,6 +132,20 @@ class TestVerify:
         assert out1 == out2
 
 
+    def test_search_witness(self, capsys, tmp_path, quartic_path):
+        _, doc = quartic_path
+        doc["padic_witnesses"] = [{"p": 2, "kind": "search"}]
+        path = tmp_path / "search.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "verify", str(path), "--bound", "30")
+        assert code == 0
+        report = json.loads(out)
+        assert report["verdict"] == "OBSTRUCTED"
+        record, = report["steps"]["padic_witnesses"]["records"]
+        assert record["ok"] is True
+        assert record["answer"]["witness"] == [0, 3, 1]
+
+
 class TestExitCodes:
     def test_usage_error_on_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "verify", "/nonexistent.json")
@@ -206,6 +220,22 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["onevar", "search"])
+    def test_depth_below_one_is_usage_error(self, capsys, tmp_path,
+                                            quartic_path, kind):
+        # the depth is refused before any stage runs, whether or not the
+        # instance has a witness that would use it
+        _, doc = quartic_path
+        if kind == "search":
+            doc["padic_witnesses"] = [{"p": 2, "kind": "search"}]
+        path = tmp_path / "depth.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", str(path), "--depth", "0")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "depth" in err
 
     def test_unfactored_reciprocity_exit_three(self, capsys):
         # (10^9 + 7)(10^9 + 9) survives trial division and is not prime

@@ -13,7 +13,7 @@ from obstruction_lab.exactarith import (FactorizationError, divisors,
                                         is_kth_power, is_probable_prime,
                                         jacobi, poly_roots_mod,
                                         primes_up_to, primitive_normalize,
-                                        sqrt_mod, strip_prime, valuation)
+                                        strip_prime, valuation)
 
 PRIMES_TO_100 = [p for p in range(2, 100) if is_probable_prime(p)]
 
@@ -275,15 +275,6 @@ class TestFactor:
 
 
 class TestModularRoots:
-    def test_sqrt_mod(self):
-        for p in (3, 5, 7, 13, 10007):
-            for a in range(1, min(p, 50)):
-                r = sqrt_mod(a, p)
-                if pow(a, (p - 1) // 2, p) == 1:
-                    assert r is not None and r * r % p == a % p
-                else:
-                    assert r is None
-
     def test_poly_roots_match_brute_force(self):
         rng = random.Random(21)
         for _ in range(300):

@@ -1,9 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from obstruction_lab.localsymbols import INV_HALF
+from obstruction_lab.localsymbols import INV_HALF, Place, solubility_oracle
 from obstruction_lab.multipoly import MultiPoly
 from obstruction_lab.obstruction import (NOT_OBSTRUCTED, OBSTRUCTED,
                                          QuaternionAlgebraSpec, ResidueClass,
@@ -64,6 +65,45 @@ class TestInvariantTable:
             assert c1 == c2
             if i1 is not None:
                 assert i2 == i1
+
+    @pytest.mark.parametrize("which,targets", [("quartic", (1,)),
+                                               ("cubic", (1, -1))])
+    def test_one_level_certificate(self, which, targets, request):
+        # every entry is re-derived without hilbert_symbol: its lifts have
+        # v_2 <= depth - 3 in both algebra entries, and the oracle agrees
+        # with it at random points of the class
+        instance = request.getfixturevalue(which + "_instance")
+        alg = instance.algebra
+        rng = random.Random(83)
+        two = Place.finite(2)
+        for t in targets:
+            classes = residue_sieve(instance.f, instance.sieve_modulus, t)
+            table = class_invariant_table(alg, classes)
+            assert len(table.entries) == len(classes) > 0
+            for cls, inv, depth in table.entries:
+                assert inv is not None and depth >= 3
+                m = cls.modulus
+                steps = range(2 ** depth // m)
+                for i, j, k in itertools.product(steps, repeat=3):
+                    lift = tuple(r + n * m for r, n in
+                                 zip(cls.residues, (i, j, k)))
+                    for v in alg.values_at(lift):
+                        assert v != 0 and v % 2 ** (depth - 2) != 0
+                for _ in range(2):
+                    pt = tuple(r + m * rng.randrange(10 ** 6 // m)
+                               for r in cls.residues)
+                    a, b = alg.values_at(pt)
+                    assert solubility_oracle(a, b, two) is (inv == 0)
+
+    @pytest.mark.parametrize("v,depth", [(0, 3), (4, 7), (5, 0)])
+    def test_depth_is_first_level_past_the_valuation(self, v, depth):
+        # a constant entry of valuation v is certified first at level v + 3;
+        # from v = 5 on that level is not below max_exponent = 8
+        alg = QuaternionAlgebraSpec(MultiPoly([(3 * 2 ** v, (0, 0, 0))]),
+                                    MultiPoly([(3, (0, 0, 0))]))
+        table = class_invariant_table(alg, [ResidueClass(2, (1, 0, 0))])
+        inv = None if depth == 0 else INV_HALF  # (3, 3)_2 = -1, v even
+        assert table.entries[0][1:] == (inv, depth)
 
     def test_undetermined_when_valuation_unbounded(self):
         # entries y^2, z^2 on a class with y and z both even: the 2-adic
