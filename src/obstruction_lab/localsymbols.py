@@ -54,8 +54,10 @@ def _omega(t):
 
 
 def _to_square_free_pair(a, b):
-    """Clear square denominators: (a, b) as Fractions -> integers in the same
-    square classes."""
+    """Clear square denominators: rationals (a, b) -> integers in the same
+    square classes.  Integers come back unchanged."""
+    if isinstance(a, int) and isinstance(b, int):
+        return a, b
     a = Fraction(a)
     b = Fraction(b)
     return a.numerator * a.denominator, b.numerator * b.denominator

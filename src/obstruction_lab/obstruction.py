@@ -12,13 +12,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from math import gcd
+from operator import add
 
 from .exactarith import (FactorizationError, divisors_up_to, factor,
-                         is_kth_power, is_probable_prime, poly_roots_mod,
-                         primes_up_to, primitive_normalize, strip_prime)
-from .localsymbols import INV_HALF, Place, local_invariant, symbol_support
+                         is_probable_prime, poly_roots_mod, primes_up_to,
+                         primitive_normalize, strip_prime)
+from .localsymbols import (INV_HALF, Place, hilbert_symbol, local_invariant,
+                           symbol_support)
 from .multipoly import MultiPoly
 from .padicsolve import (hensel_liftable_1var, padic_solutions_exist,
                          verify_rational_witness)
@@ -26,6 +28,9 @@ from .padicsolve import (hensel_liftable_1var, padic_solutions_exist,
 # Trial-division bound of the odd-place scan; the scan's evidence counts
 # (checked_prime_conditions, skipped_unfactored) depend on it.
 ODD_SCAN_FACTOR_BOUND = 10000
+
+# Draws of (x, y) per prime in square sampling before the prime is skipped.
+CURVE_POINT_TRIES = 64
 
 
 class InternalInconsistencyError(Exception):
@@ -84,7 +89,6 @@ def residue_sieve(f, m, target):
 class InvariantTable:
     """Map from residue class to a certified 2-adic invariant (or None for
     undetermined), with the level that certified it."""
-    modulus: int
     entries: tuple  # of (ResidueClass, Fraction | None, depth_used)
 
     def all_determined(self, value=None):
@@ -134,7 +138,7 @@ def class_invariant_table(alg, classes, max_exponent=8):
     depends only on those (Serre, A Course in Arithmetic, III.1).
     """
     if not classes:
-        return InvariantTable(0, ())
+        return InvariantTable(())
     moduli = {c.modulus for c in classes}
     if len(moduli) != 1:
         raise ValueError("classes must share one modulus")
@@ -151,7 +155,7 @@ def class_invariant_table(alg, classes, max_exponent=8):
                 break
         else:
             entries.append((cls, None, 0))
-    return InvariantTable(m, tuple(entries))
+    return InvariantTable(tuple(entries))
 
 
 def class_records(classes):
@@ -248,23 +252,24 @@ def odd_place_scan(f, alg, nsamples, bound, seed):
             skipped += 1
             continue
         fval = f.evaluate_int(pt)
-        total = local_invariant(a, b, real)
+        # places where the algebra ramifies; reciprocity makes this even
+        ramified = hilbert_symbol(a, b, real) == -1
         for p in sorted(primes | {2}):
             place = places.get(p)
             if place is None:
                 place = Place.finite(p)
                 if p <= ODD_SCAN_FACTOR_BOUND:
                     places[p] = place
-            inv = local_invariant(a, b, place)
-            total += inv
+            split = hilbert_symbol(a, b, place) == 1
+            ramified += not split
             if p == 2 or fval % p == 0:
                 continue
             checked += 1
-            if inv != 0:
+            if not split:
                 violations.append((pt, p))
-        if total % 1 != 0:
+        if ramified % 2:
             raise InternalInconsistencyError(
-                "nonzero invariant sum %s at %r" % (total % 1, pt))
+                "nonzero invariant sum 1/2 at %r" % (pt,))
     return OddPlaceScanResult(tuple(violations), checked, skipped)
 
 
@@ -279,14 +284,15 @@ def _random_prime(rng, lo, hi):
             n += 2
 
 
-def _random_point_on_curve(H, p, rng, tries=64):
+def _random_point_on_curve(H, p, rng):
     """A random point of H = 0 over F_p: random x, y, then exact roots of the
-    resulting one-variable polynomial in z."""
+    resulting one-variable polynomial in z; None after CURVE_POINT_TRIES
+    draws of (x, y) without a root."""
     zdeg = max(e[2] for _, e in H.terms)
     by_z = [[] for _ in range(zdeg + 1)]
     for c, (ex, ey, ez) in H.terms:
         by_z[ez].append((c, ex, ey))
-    for _ in range(tries):
+    for _ in range(CURVE_POINT_TRIES):
         x = rng.randrange(p)
         y = rng.randrange(p)
         coeffs = [sum(c * pow(x, ex, p) * pow(y, ey, p) for c, ex, ey in grp) % p
@@ -390,7 +396,7 @@ def integer_search(f, target, B):
     enumerating two coordinates (u, w) and solving exactly for the third, v.
 
     Requires a variable v that appears in exactly one term of f, so that
-    its pure power can be recovered by exact division and a k-th root.
+    its pure power can be recovered by exact division and a table lookup.
 
     Write that term c*u^a*w^b*v^k, with w an enumerated variable of positive
     exponent when there is one.  If b > 0, w divides both the term and the
@@ -401,6 +407,12 @@ def integer_search(f, target, B):
     never calls `factor`.  Rows with N(u) = 0 enumerate the full range of
     w, and so does every row when a = b = 0 (a pure power, such as the
     quartic's -y^4).
+
+    The v side is tabulated once: r^k -> r for every admissible |r| <= B
+    (r >= 0 for even k), so a k-th root is one dictionary lookup.  For a
+    pure power c*v^k, each row u first computes target - rest(u, w) for
+    all its w at once and is skipped when none of them lies in the set of
+    c*r^k; only a row that meets the set is walked w by w.
     """
     if B < 0:
         raise ValueError("search bound must be >= 0, got %d" % B)
@@ -428,18 +440,29 @@ def integer_search(f, target, B):
     u_range = range(0, B + 1) if u_even else range(-B, B + 1)
     w_range_full = list(range(0, B + 1)) if w_even else list(range(-B, B + 1))
 
+    roots_of = {r ** k: r for r in range(0 if k % 2 == 0 else -B, B + 1)}
     sols = []
     ea, eb = a_exps
+    # eb == 0 forces ea == 0 (see the swap above): c*v^k is a pure power
     primes = primes_up_to(B) if eb > 0 else None
+    if primes is None:
+        c_powers = {c_lead * power for power in roots_of}
+        w_pows = {d: [w ** d for w in w_range_full] for d in w_degs if d}
     for u in u_range:
         coeffs = [(d, sum(c * u ** eu for c, eu in w_groups[d])) for d in w_degs]
         cu = c_lead * u ** ea
         w_range = w_range_full
-        if primes is not None:
-            n_u = target - dict(coeffs).get(0, 0)
-            if n_u != 0:
-                divs = divisors_up_to(n_u, B, primes)
-                w_range = divs if w_even else divs + [-d for d in divs]
+        n_u = target - dict(coeffs).get(0, 0)
+        if primes is None:
+            nums = repeat(n_u, len(w_range_full))
+            for d, cc in coeffs:
+                if d:
+                    nums = map(add, nums, map((-cc).__mul__, w_pows[d]))
+            if c_powers.isdisjoint(nums):
+                continue
+        elif n_u != 0:
+            divs = divisors_up_to(n_u, B, primes)
+            w_range = divs if w_even else divs + [-d for d in divs]
         for w in w_range:
             bval = 0
             for d, cc in coeffs:
@@ -453,8 +476,8 @@ def integer_search(f, target, B):
                 continue
             if num % aval:
                 continue
-            r = is_kth_power(num // aval, k)
-            if r is None or abs(r) > B:
+            r = roots_of.get(num // aval)
+            if r is None:
                 continue
             roots = {r, -r} if (k % 2 == 0 and r != 0) else {r}
             for root in roots:

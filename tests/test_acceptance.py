@@ -165,9 +165,14 @@ def test_criterion_8_search_oracle(fq, fc):
                        (-3, (3, 0, 0))])
     zero = MultiPoly([(1, (1, 2, 1)), (1, (3, 0, 0)), (-1, (0, 0, 3)),
                       (1, (1, 0, 2))])
+    cube = MultiPoly([(-1, (0, 3, 0)), (1, (2, 0, 2)), (3, (0, 0, 4)),
+                      (1, (3, 0, 1))])
+    linear = MultiPoly([(2, (0, 1, 0)), (1, (1, 0, 0)), (-1, (0, 0, 1))])
     cases = [(fq, 1, 30), (fq, -1, 30), (fc, 1, 30), (fc, -1, 30),
              (toy, 0, 30), (toy, 2, 20),
-             (fc, -128, 30), (fc, -64, 30), (other, 5, 20), (zero, -1, 20)]
+             (fc, -128, 30), (fc, -64, 30), (other, 5, 20), (zero, -1, 20),
+             (cube, 0, 20), (cube, 3, 20), (linear, 3, 10), (fq, -1, 0),
+             (fc, 0, 0)]
     ok = all(integer_search(f, t, B) == naive_integer_search(f, t, B)
              for f, t, B in cases)
     report("8 (search oracle)", ok)

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obstruction_lab.localsymbols import INV_HALF, Place, solubility_oracle
 from obstruction_lab.multipoly import MultiPoly
@@ -207,6 +209,8 @@ class TestIntegerSearch:
 
     def test_quartic_obvious_point(self, fq):
         assert (0, 1, 0) in integer_search(fq, -1, 2)
+        # at full size the row x = 0 passes the whole-row test
+        assert (0, 1, 0) in integer_search(fq, -1, 1000)
 
     def test_cubic_empty(self, fc):
         assert integer_search(fc, 1, 100) == []
@@ -219,12 +223,17 @@ class TestIntegerSearch:
         # solved term x*z*y^2 vanishes on the whole row x = 0
         zero = MultiPoly([(1, (1, 2, 1)), (1, (3, 0, 0)), (-1, (0, 0, 3)),
                           (1, (1, 0, 2))])
+        # pure power of odd degree beside cross terms: negative roots occur
+        cube = MultiPoly([(-1, (0, 3, 0)), (1, (2, 0, 2)), (3, (0, 0, 4)),
+                          (1, (3, 0, 1))])
+        linear = MultiPoly([(2, (0, 1, 0)), (1, (1, 0, 0)), (-1, (0, 0, 1))])
         cases = [(fq, 1, 12), (fq, -1, 12), (fq, 16, 10), (fc, 1, 8),
                  (fc, -1, 8), (fc, 7, 8), (toy, 0, 10), (toy, 32, 8),
                  # (1, 1, 1) and more; t + 64x^3 = 0 on the row x = 1
                  (fc, -128, 12), (fc, -64, 12), (fc, 64, 12),
                  (other, 1, 10), (other, 5, 10), (zero, -1, 10),
-                 (zero, 3, 10)]
+                 (zero, 3, 10), (cube, 0, 8), (cube, 3, 8), (linear, 3, 5),
+                 (toy, 2, 8), (fq, -1, 0), (fc, 0, 0), (linear, 0, 0)]
         for f, target, B in cases:
             assert integer_search(f, target, B) == \
                 naive_integer_search(f, target, B)
@@ -233,6 +242,28 @@ class TestIntegerSearch:
         assert (1, 1, 1) in integer_search(fc, -128, 1000)
         # f(1, y, 0) = -64 for every y
         assert (1, 1000, 0) in integer_search(fc, -64, 1000)
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(0, 2), st.integers(1, 4), st.integers(-3, 3).filter(bool),
+           st.integers(0, 2), st.integers(0, 2),
+           st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 4),
+                              st.integers(0, 4)), max_size=4),
+           st.integers(0, 5), st.tuples(*[st.integers(-5, 5)] * 3),
+           st.integers(-1, 1))
+    def test_matches_naive_on_random_polynomials(self, i, k, c, a, b, rest,
+                                                 B, pt, offset):
+        # variable i occurs only in the term c * u^a * w^b * v_i^k
+        def term(coeff, ei, eu, ew):
+            e = [eu, ew]
+            e.insert(i, ei)
+            return coeff, tuple(e)
+        a = min(a, 4 - k)
+        b = min(b, 4 - k - a)
+        f = MultiPoly([term(c, k, a, b)] +
+                      [term(cr, 0, eu, min(ew, 4 - eu)) for cr, eu, ew in rest])
+        # near a value f takes in the box, so that solutions often exist
+        target = f.evaluate_int(tuple(max(-B, min(B, v)) for v in pt)) + offset
+        assert integer_search(f, target, B) == naive_integer_search(f, target, B)
 
     def test_no_solvable_variable_rejected(self):
         f = MultiPoly([(1, (2, 1, 0)), (1, (1, 2, 0)), (1, (1, 0, 2)),
