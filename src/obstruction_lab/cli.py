@@ -60,13 +60,32 @@ def _term_list(data, where):
     return MultiPoly.from_term_list(data)
 
 
+def _algebra(doc):
+    """The algebra entries, with their factor forms when `factors` lists
+    them; QuaternionAlgebraSpec checks that each list multiplies to its
+    entry."""
+    _expect_keys(doc, ["first", "second"], optional=["factors"],
+                 where="algebra")
+    entries = [_term_list(doc[k], "algebra." + k) for k in ("first", "second")]
+    factors = doc.get("factors")
+    if factors is not None:
+        _expect_keys(factors, ["first", "second"], where="algebra.factors")
+        for k in ("first", "second"):
+            if not isinstance(factors[k], list):
+                raise SchemaError("algebra.factors.%s: expected a list of "
+                                  "term lists" % k)
+            entries.append(tuple(
+                _term_list(q, "algebra.factors.%s[%d]" % (k, i))
+                for i, q in enumerate(factors[k])))
+    return QuaternionAlgebraSpec(*entries)
+
+
 def parse_instance(doc):
     """Validate an instance document (strict schema) and build the engine
     ObstructionInstance."""
     _expect_keys(doc, ["name", "poly", "targets", "algebra", "sieve_modulus",
                        "rational_witness", "padic_witnesses", "search_bound",
                        "sampling"])
-    _expect_keys(doc["algebra"], ["first", "second"], where="algebra")
     _expect_keys(doc["sampling"], ["seed", "trials", "prime_min", "prime_max"],
                  where="sampling")
     witness = doc["rational_witness"]
@@ -93,9 +112,7 @@ def parse_instance(doc):
             name=doc["name"],
             f=_term_list(doc["poly"], "poly"),
             targets=tuple(doc["targets"]),
-            algebra=QuaternionAlgebraSpec(
-                _term_list(doc["algebra"]["first"], "algebra.first"),
-                _term_list(doc["algebra"]["second"], "algebra.second")),
+            algebra=_algebra(doc["algebra"]),
             sieve_modulus=doc["sieve_modulus"],
             rational_witness=witness,
             padic_witnesses=tuple(specs),

@@ -115,8 +115,16 @@ def primitive_normalize(v):
     """Scale a nonzero triple of rationals to a primitive integer triple.
 
     The output has gcd 1, is a positive rational multiple of the input, and
-    its first nonzero coordinate is positive.
+    its first nonzero coordinate is positive.  An all-int triple takes one
+    gcd; rationals go through `Fraction`.
     """
+    if all(isinstance(c, int) for c in v):
+        g = gcd(*v)
+        if g == 0:
+            raise ValueError("cannot normalize the zero triple")
+        if next(c for c in v if c) < 0:
+            g = -g
+        return tuple(c // g for c in v)
     v = tuple(Fraction(c) for c in v)
     if all(c == 0 for c in v):
         raise ValueError("cannot normalize the zero triple")
@@ -201,13 +209,23 @@ def _prime_blocks(bound):
     return tuple(blocks)
 
 
-def factor(n, bound=100000):
+# Default trial-division bound of `factor`, and the largest bound the
+# odd-place scan derives for an algebra factor.
+FACTOR_BOUND = 100000
+
+
+def factor(n, bound=FACTOR_BOUND):
     """Factor |n| into primes by trial division by every prime <= ``bound``.
 
     The primes are taken in blocks: one gcd with the product of a block
     decides whether any of its primes divides n, and only then are they
     divided out one by one.  Division stops once the first prime p of a
     block has p * p > n, which leaves 1 or a prime.
+
+    The primes are sieved, and kept, up to min(bound, about sqrt(n)), sized
+    by n before anything is divided out.  A bound far above 10**5 on a large
+    n therefore costs a sieve to sqrt(n): `factor(2**40 * 3 * 10007, 10**15)`
+    sieves to 2**28, for tens of seconds and hundreds of MB.
 
     Returns a dict prime -> exponent, in ascending order of the primes.  A
     cofactor c > 1 left after trial division is accepted when c <= bound**2

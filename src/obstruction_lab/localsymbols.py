@@ -35,6 +35,14 @@ class Place:
     def finite(cls, p):
         return cls(p)
 
+    @classmethod
+    def certified(cls, p):
+        """The place at p, a prime certified already, such as a key of a
+        `factor` result; unlike `finite`, p is not tested again."""
+        place = object.__new__(cls)
+        object.__setattr__(place, "p", p)
+        return place
+
     def __str__(self):
         return "real" if self.p is None else str(self.p)
 
@@ -99,7 +107,7 @@ def symbol_support(a, b):
     for r in (Fraction(a), Fraction(b)):
         for n in (r.numerator, r.denominator):
             primes.update(factor(n))
-    return [Place.real()] + [Place.finite(p) for p in sorted(primes)]
+    return [Place.real()] + [Place.certified(p) for p in sorted(primes)]
 
 
 def reciprocity_defect(a, b):

@@ -13,21 +13,21 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product, repeat
-from math import gcd
+from math import gcd, isqrt, prod
 from operator import add
 
-from .exactarith import (FactorizationError, divisors_up_to, factor,
-                         is_probable_prime, poly_roots_mod, primes_up_to,
-                         primitive_normalize, strip_prime)
+from .exactarith import (FACTOR_BOUND, FactorizationError, divisors_up_to,
+                         factor, is_probable_prime, poly_roots_mod,
+                         primes_up_to, primitive_normalize, strip_prime)
 from .localsymbols import (INV_HALF, Place, hilbert_symbol, local_invariant,
                            symbol_support)
 from .multipoly import MultiPoly
 from .padicsolve import (hensel_liftable_1var, padic_solutions_exist,
                          verify_rational_witness)
 
-# Trial-division bound of the odd-place scan; the scan's evidence counts
-# (checked_prime_conditions, skipped_unfactored) depend on it.
-ODD_SCAN_FACTOR_BOUND = 10000
+# Trial-division bound for f(P) in the odd-place scan's reciprocity
+# cross-check; the scan's reciprocity_points count depends on it.
+RECIPROCITY_FACTOR_BOUND = 10000
 
 # Draws of (x, y) per prime in square sampling before the prime is skipped.
 CURVE_POINT_TRIES = 64
@@ -44,15 +44,28 @@ class RamificationLocusError(ValueError):
 @dataclass(frozen=True)
 class QuaternionAlgebraSpec:
     """Ordered pair of even-degree homogeneous polynomials defining a
-    quaternion Brauer class on the complement of their zero loci."""
+    quaternion Brauer class on the complement of their zero loci.
+
+    Each entry may also be given as a tuple of factor forms whose product
+    it must equal; an entry given without factors is its own one factor.
+    """
     first: MultiPoly
     second: MultiPoly
+    first_factors: tuple | None = None
+    second_factors: tuple | None = None
 
     def __post_init__(self):
-        for entry in (self.first, self.second):
+        for name in ("first", "second"):
+            entry = getattr(self, name)
             d = entry.homogeneous_degree()
             if d is None or d % 2 != 0:
                 raise ValueError("algebra entries must be homogeneous of even degree")
+            factors = getattr(self, name + "_factors")
+            if factors is None:
+                object.__setattr__(self, name + "_factors", (entry,))
+            elif not factors or prod(factors) != entry:
+                raise ValueError("the factors of algebra.%s do not multiply "
+                                 "to it" % name)
 
     def values_at(self, point):
         return self.first.evaluate_int(point), self.second.evaluate_int(point)
@@ -216,61 +229,102 @@ def real_unramified_scan(alg, nsamples, seed):
 class OddPlaceScanResult:
     violations: tuple  # of (point, prime)
     checked: int
-    skipped_unfactored: int
+    reciprocity_points: int
+
+
+def odd_scan_factor_bounds(f, alg, bound):
+    """Trial-division bound for each distinct algebra factor other than f,
+    in order of first appearance, on points with coordinates up to bound.
+
+    A factor q with maximal total degree d has |q(P)| <= M = sum|c| bound^d,
+    and trial division to T = isqrt(M) + 1 (T * T > M) leaves 1 or a prime,
+    so `factor(q(P), T)` is complete and never tests primality.  A factor
+    with T above FACTOR_BOUND raises FactorizationError: its values are too
+    large to factor by trial division, and it should be split further.
+    """
+    bounds = {}
+    for q in dict.fromkeys(alg.first_factors + alg.second_factors):
+        if q == f:
+            continue
+        top = (sum(abs(c) for c, _ in q.terms)
+               * bound ** max(sum(e) for _, e in q.terms))
+        T = isqrt(top) + 1
+        if T > FACTOR_BOUND:
+            raise FactorizationError(
+                "algebra factor %r reaches %d on the odd-place scan box; "
+                "trial division to %d exceeds %d" % (q, top, T, FACTOR_BOUND))
+        bounds[q] = T
+    return bounds
 
 
 def odd_place_scan(f, alg, nsamples, bound, seed):
     """Sample primitive integer triples and check that the algebra is split at
     every odd prime p dividing an entry value but not f (those points reduce
-    into the open variety at p).  Also cross-checks reciprocity at each point.
+    into the open variety at p).
 
-    Samples whose entry values do not factor completely within the trial
-    division bound are counted and skipped, never silently assumed split.
+    Such a p divides the value of an algebra factor other than f.  Each
+    distinct factor is evaluated once per point, and the values of the
+    factors other than f are factored completely (`odd_scan_factor_bounds`),
+    so every sample is checked.  Reciprocity is cross-checked at the points
+    where f(P) also factors within RECIPROCITY_FACTOR_BOUND (at every point
+    when f is no factor), since it needs every prime of ab; the number of
+    such points is returned.
     """
+    bounds = odd_scan_factor_bounds(f, alg, bound)
+    forms = list(dict.fromkeys(alg.first_factors + alg.second_factors))
+    first = [forms.index(q) for q in alg.first_factors]
+    second = [forms.index(q) for q in alg.second_factors]
+    nonf = [(i, bounds[q]) for i, q in enumerate(forms) if q != f]
+    f_at = forms.index(f) if f in forms else None
     rng = random.Random(seed)
     real = Place.real()
-    # p -> Place.finite(p) for p <= the factor bound, so each such prime is
-    # certified once; a larger p is a cofactor and seldom seen twice
-    places = {}
     violations = []
     checked = 0
-    skipped = 0
+    reciprocity_points = 0
     done = 0
     while done < nsamples:
         pt = tuple(rng.randint(-bound, bound) for _ in range(3))
         if pt == (0, 0, 0):
             continue
         pt = primitive_normalize(pt)
-        a, b = alg.values_at(pt)
+        vals = [q.evaluate_int(pt) for q in forms]
+        a = prod(vals[i] for i in first)
+        b = prod(vals[i] for i in second)
         if a == 0 or b == 0:
             continue
         done += 1
-        try:
-            primes = (set(factor(a, ODD_SCAN_FACTOR_BOUND))
-                      | set(factor(b, ODD_SCAN_FACTOR_BOUND)))
-        except FactorizationError:
-            skipped += 1
-            continue
-        fval = f.evaluate_int(pt)
+        primes = {2}
+        for i, T in nonf:
+            primes.update(factor(vals[i], T))
+        complete = f_at is None
+        if complete:
+            fval = f.evaluate_int(pt)
+        else:
+            fval = vals[f_at]
+            try:
+                primes.update(factor(fval, RECIPROCITY_FACTOR_BOUND))
+                complete = True
+            except FactorizationError:
+                pass
         # places where the algebra ramifies; reciprocity makes this even
-        ramified = hilbert_symbol(a, b, real) == -1
-        for p in sorted(primes | {2}):
-            place = places.get(p)
-            if place is None:
-                place = Place.finite(p)
-                if p <= ODD_SCAN_FACTOR_BOUND:
-                    places[p] = place
-            split = hilbert_symbol(a, b, place) == 1
+        ramified = 0
+        for p in sorted(primes):
+            skip = p == 2 or fval % p == 0
+            if skip and not complete:
+                continue
+            split = hilbert_symbol(a, b, Place.certified(p)) == 1
             ramified += not split
-            if p == 2 or fval % p == 0:
+            if skip:
                 continue
             checked += 1
             if not split:
                 violations.append((pt, p))
-        if ramified % 2:
-            raise InternalInconsistencyError(
-                "nonzero invariant sum 1/2 at %r" % (pt,))
-    return OddPlaceScanResult(tuple(violations), checked, skipped)
+        if complete:
+            reciprocity_points += 1
+            if (ramified + (hilbert_symbol(a, b, real) == -1)) % 2:
+                raise InternalInconsistencyError(
+                    "nonzero invariant sum 1/2 at %r" % (pt,))
+    return OddPlaceScanResult(tuple(violations), checked, reciprocity_points)
 
 
 def _random_prime(rng, lo, hi):
@@ -567,13 +621,15 @@ def obstruction_verdict(instance, seed=None, depth=None, bound=None,
     report = VerdictReport(instance.name)
     root_seed = instance.sampling.seed if seed is None else seed
     B = instance.search_bound if bound is None else bound
-    # refuse before any other work (an empty search box is no evidence)
+    # refuse before any other work (an empty search box is no evidence, and
+    # an algebra factor too large to factor would stop the odd-place scan)
     if B < 0:
         raise ValueError("search bound must be >= 0, got %d" % B)
     if depth is not None and depth < 1:
         raise ValueError("p-adic search depth must be >= 1, got %d" % depth)
     f = instance.f
     alg = instance.algebra
+    odd_scan_factor_bounds(f, alg, odd_bound)
 
     # 1. rational witness
     if instance.rational_witness is not None:
@@ -653,7 +709,10 @@ def obstruction_verdict(instance, seed=None, depth=None, bound=None,
         "samples": odd_samples,
         "bound": odd_bound,
         "checked_prime_conditions": odd.checked,
-        "skipped_unfactored": odd.skipped_unfactored,
+        # no sample is skipped, since every factor value other than f(P) is
+        # factored completely; the key stays for readers of the report
+        "skipped_unfactored": 0,
+        "reciprocity_points": odd.reciprocity_points,
         "violations": [[list(p), q] for p, q in odd.violations],
     }
 

@@ -1,3 +1,5 @@
+from math import prod
+
 import pytest
 
 from obstruction_lab.cli import load_instance
@@ -46,16 +48,22 @@ def fc():
     return cubic_f()
 
 
+def algebra_from_factors(first, second):
+    """The algebra whose entries are the products of the given factors."""
+    return QuaternionAlgebraSpec(prod(first), prod(second), tuple(first),
+                                 tuple(second))
+
+
 @pytest.fixture(scope="session")
 def quartic_algebra(fq, gq, hq):
-    return QuaternionAlgebraSpec(fq * hq, -1 * (gq * hq))
+    return algebra_from_factors((fq, hq), (MultiPoly([(-1, (0, 0, 0))]), gq, hq))
 
 
 @pytest.fixture(scope="session")
 def cubic_algebra(fc):
     z = MultiPoly([(1, (0, 0, 1))])
-    second = MultiPoly([(4, (1, 0, 1)), (-1, (0, 0, 2))])
-    return QuaternionAlgebraSpec(z * fc, second)
+    return algebra_from_factors(
+        (z, fc), (z, MultiPoly([(4, (1, 0, 0)), (-1, (0, 0, 1))])))
 
 
 @pytest.fixture(scope="session")

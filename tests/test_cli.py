@@ -1,9 +1,10 @@
 import dataclasses
 import json
+from math import prod
 
 import pytest
 
-from obstruction_lab import cli
+from obstruction_lab import cli, obstruction
 from obstruction_lab.obstruction import VerdictReport
 
 
@@ -146,6 +147,69 @@ class TestVerify:
         assert record["answer"]["witness"] == [0, 3, 1]
 
 
+    def test_odd_scan_counts(self, capsys):
+        for name in ("quartic", "cubic"):
+            code, out, _ = run_cli(capsys, "verify", name, "--bound", "5")
+            assert code == 0
+            odd = json.loads(out)["steps"]["odd_place_scan"]
+            assert odd["samples"] == 100 and odd["checked_prime_conditions"] > 0
+            assert odd["skipped_unfactored"] == 0
+            assert 0 < odd["reciprocity_points"] <= odd["samples"]
+
+
+# The algebra entries of the bundled instances before they were given
+# factors, as term lists.
+QUARTIC_FIRST = [
+    [50, 6, 0, 0], [-32, 5, 1, 0], [44, 4, 2, 0], [-162, 4, 0, 2],
+    [25, 2, 4, 0], [-450, 2, 0, 4], [-16, 1, 5, 0], [288, 1, 1, 4],
+    [22, 0, 6, 0], [-81, 0, 4, 2], [-396, 0, 2, 4], [1458, 0, 0, 6]]
+QUARTIC_SECOND = [
+    [-700, 4, 0, 0], [-452, 3, 1, 0], [135, 2, 2, 0], [4068, 2, 0, 2],
+    [-904, 1, 3, 0], [1764, 1, 1, 2], [154, 0, 4, 0], [1017, 0, 2, 2],
+    [-5832, 0, 0, 4]]
+CUBIC_FIRST = [[-64, 3, 0, 1], [-64, 2, 0, 2], [-8, 1, 0, 3], [1, 0, 2, 2],
+               [7, 0, 0, 4]]
+CUBIC_SECOND = [[4, 1, 0, 1], [-1, 0, 0, 2]]
+
+
+class TestInstanceFactors:
+    @pytest.mark.parametrize("name,first,second", [
+        ("quartic", QUARTIC_FIRST, QUARTIC_SECOND),
+        ("cubic", CUBIC_FIRST, CUBIC_SECOND)])
+    def test_bundled_factors_multiply_to_entries(self, name, first, second):
+        doc = json.loads(cli.resources.files("obstruction_lab")
+                         .joinpath("instances/%s.json" % name).read_text())
+        alg = cli.load_instance(name).algebra
+        for entry, factors, old in (
+                (alg.first, alg.first_factors, first),
+                (alg.second, alg.second_factors, second)):
+            assert entry.to_term_list() == old
+            assert prod(factors).to_term_list() == old
+            assert len(factors) > 1
+        assert doc["algebra"]["first"] == first
+        assert doc["algebra"]["second"] == second
+
+    def test_factors_must_multiply_to_entry(self, capsys, tmp_path,
+                                            quartic_path):
+        _, doc = quartic_path
+        del doc["algebra"]["factors"]["second"][0]  # drop the factor -1
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", str(bad))
+        assert code == 1
+        assert out == ""
+        assert "algebra.second" in err
+
+    def test_factors_schema(self, capsys, tmp_path, quartic_path):
+        _, doc = quartic_path
+        doc["algebra"]["factors"]["third"] = []
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "verify", str(bad))
+        assert code == 1
+        assert "third" in err
+
+
 class TestExitCodes:
     def test_usage_error_on_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "verify", "/nonexistent.json")
@@ -236,6 +300,25 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "depth" in err
+
+    def test_unfactored_algebra_exit_three(self, capsys, tmp_path,
+                                           quartic_path, monkeypatch):
+        # without its factors, quartic's first entry f*h reaches 3e21 on the
+        # odd-place scan box: refused before any stage runs
+        def first_stage(*args):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(obstruction, "verify_rational_witness",
+                            first_stage)
+        _, doc = quartic_path
+        del doc["algebra"]["factors"]
+        path = tmp_path / "unfactored.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("inconclusive: algebra factor ")
+        assert err.count("\n") == 1
 
     def test_unfactored_reciprocity_exit_three(self, capsys):
         # (10^9 + 7)(10^9 + 9) survives trial division and is not prime

@@ -128,6 +128,23 @@ class TestPrimitiveNormalize:
         assert primitive_normalize(scaled) == base
 
 
+    @given(st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
+                     st.integers(-10**6, 10**6)).filter(any),
+           st.integers(1, 12), st.sampled_from([None, 0, 1, 2]))
+    @example((-4, 6, 0), 1, 0)
+    @example((0, -7, 14), 3, 0)
+    @example((0, 0, -5), 1, 0)
+    def test_int_path_matches_fraction_path(self, v, scale, zero):
+        # scaled, with one coordinate zeroed when that leaves a nonzero
+        # triple: negative leads and zero coordinates both occur
+        v = tuple(c * scale for c in v)
+        w = tuple(0 if i == zero else c for i, c in enumerate(v))
+        v = w if any(w) else v
+        got = primitive_normalize(v)
+        assert got == primitive_normalize(tuple(Fraction(c) for c in v))
+        assert all(type(c) is int for c in got)
+
+
 class TestKthPower:
     def test_examples(self):
         assert is_kth_power(81, 4) == 3

@@ -22,6 +22,16 @@ def test_composite_primes_still_rejected():
         valuation(10, 4)
 
 
+def test_certified_place_equals_finite():
+    for p in (2, 3, 5, 10007, 2 ** 61 - 1):
+        place = Place.certified(p)
+        assert place == Place.finite(p)
+        assert hash(place) == hash(Place.finite(p))
+        assert str(place) == str(p) and not place.is_real
+        assert hilbert_symbol(3 * p, 5, place) == \
+            hilbert_symbol(3 * p, 5, Place.finite(p))
+
+
 class TestHilbertSymbol:
     def test_three_three_at_two(self):
         assert hilbert_symbol(3, 3, Place.finite(2)) == -1

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obstruction_lab.localsymbols import INV_HALF, Place, solubility_oracle
+from obstruction_lab.exactarith import FactorizationError
+from obstruction_lab.localsymbols import (INV_HALF, Place, hilbert_symbol,
+                                          solubility_oracle)
 from obstruction_lab.multipoly import MultiPoly
 from obstruction_lab.obstruction import (NOT_OBSTRUCTED, OBSTRUCTED,
                                          QuaternionAlgebraSpec, ResidueClass,
                                          class_invariant_table, integer_search,
-                                         naive_integer_search, odd_place_scan,
+                                         naive_integer_search,
+                                         odd_place_scan, odd_scan_factor_bounds,
                                          obstruction_verdict,
                                          point_invariant_profile,
                                          real_unramified_scan, residue_sieve,
@@ -184,6 +188,82 @@ class TestScans:
     def test_cubic_odd_scan_empty(self, fc, cubic_algebra):
         result = odd_place_scan(fc, cubic_algebra, 2000, 1000, 2)
         assert result.violations == ()
+
+    def test_factor_bounds(self, fq, gq, hq, fc, quartic_algebra,
+                           cubic_algebra):
+        # isqrt(sum |coeff| * 1000^deg) + 1; f itself is never factored
+        minus_one = MultiPoly([(-1, (0, 0, 0))])
+        assert odd_scan_factor_bounds(fq, quartic_algebra, 1000) == {
+            hq: 12001, minus_one: 2, gq: 11959}
+        z = MultiPoly([(1, (0, 0, 1))])
+        line = MultiPoly([(4, (1, 0, 0)), (-1, (0, 0, 1))])
+        assert odd_scan_factor_bounds(fc, cubic_algebra, 1000) == {
+            z: 32, line: 71}
+
+    def test_unfactored_entry_refused(self, fq, quartic_algebra):
+        # f*h as one factor would need trial division far past 10^5
+        alg = QuaternionAlgebraSpec(quartic_algebra.first,
+                                    quartic_algebra.second)
+        with pytest.raises(FactorizationError):
+            odd_scan_factor_bounds(fq, alg, 1000)
+        with pytest.raises(FactorizationError):
+            odd_place_scan(fq, alg, 10, 1000, 2)
+
+    @pytest.mark.parametrize("which", ["quartic", "cubic", "toy"])
+    def test_scan_matches_trial_division(self, which, fq, fc,
+                                         quartic_algebra, cubic_algebra):
+        """The scan's conditions and violations against a reference that
+        factors the full entry values by plain trial division."""
+        if which == "quartic":
+            f, alg = fq, quartic_algebra
+        elif which == "cubic":
+            f, alg = fc, cubic_algebra
+        else:
+            # f is no factor, and the algebra ramifies at many odd places
+            f = MultiPoly([(1, (2, 0, 0)), (1, (0, 2, 0)), (1, (0, 0, 2))])
+            alg = QuaternionAlgebraSpec(
+                MultiPoly([(1, (2, 0, 0)), (2, (0, 2, 0)), (5, (0, 0, 2))]),
+                MultiPoly([(-1, (2, 0, 0)), (-1, (0, 0, 2))]),
+                second_factors=(MultiPoly([(-1, (0, 0, 0))]),
+                                MultiPoly([(1, (2, 0, 0)), (1, (0, 0, 2))])))
+        bound, nsamples, seed = 30, 300, 4
+        result = odd_place_scan(f, alg, nsamples, bound, seed)
+
+        def primes_of(n):
+            n, out, d = abs(n), set(), 2
+            while d * d <= n:
+                while n % d == 0:
+                    out.add(d)
+                    n //= d
+                d += 1
+            return out | ({n} if n > 1 else set())
+
+        rng = random.Random(seed)
+        checked, violations, done = 0, [], 0
+        while done < nsamples:
+            pt = tuple(rng.randint(-bound, bound) for _ in range(3))
+            if pt == (0, 0, 0):
+                continue
+            g = math.gcd(*pt)
+            pt = tuple(c // g for c in pt)
+            if next(c for c in pt if c) < 0:
+                pt = tuple(-c for c in pt)
+            a, b = alg.first.evaluate_int(pt), alg.second.evaluate_int(pt)
+            if a == 0 or b == 0:
+                continue
+            done += 1
+            fval = f.evaluate_int(pt)
+            for p in sorted(primes_of(a) | primes_of(b)):
+                if p == 2 or fval % p == 0:
+                    continue
+                checked += 1
+                if hilbert_symbol(a, b, Place.finite(p)) == -1:
+                    violations.append((pt, p))
+        assert result.checked == checked > 0
+        assert list(result.violations) == violations
+        assert bool(violations) == (which == "toy")
+        # at this bound every f(P) factors within 10^4
+        assert result.reciprocity_points == nsamples
 
 
 class TestSquareSampling:
