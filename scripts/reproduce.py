@@ -24,16 +24,14 @@ def main():
         start = time.monotonic()
         report = obstruction_verdict(instance, seed=args.seed)
         elapsed = time.monotonic() - start
-        flags = ",".join(report.flags) or "-"
+        flags = ",".join(report["flags"]) or "-"
         print("%-8s %-16s flags=%-14s %.1fs" %
-              (name, report.verdict, flags, elapsed))
+              (name, report["verdict"], flags, elapsed))
         if args.out:
             out = pathlib.Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
-            doc = {"name": report.name, "verdict": report.verdict,
-                   "flags": report.flags, "steps": report.steps}
             (out / ("%s_report.json" % name)).write_text(
-                json.dumps(doc, indent=2) + "\n")
+                json.dumps(report, indent=2) + "\n")
 
 
 if __name__ == "__main__":

@@ -25,11 +25,9 @@ from .multipoly import MultiPoly
 from .obstruction import (INCONCLUSIVE, InternalInconsistencyError,
                           ObstructionInstance, PadicWitnessSpec,
                           QuaternionAlgebraSpec, SamplingConfig,
-                          class_invariant_table, class_records,
-                          integer_search, obstruction_verdict,
-                          point_invariant_profile, residue_sieve,
-                          table_records)
-from .padicsolve import padic_solutions_exist
+                          obstruction_verdict, padic_answer_record,
+                          point_invariant_profile, search_record,
+                          sieve_record, table_record)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -162,11 +160,6 @@ def _emit(doc, out):
         sys.stdout.write(text)
 
 
-def _report_doc(report):
-    return {"name": report.name, "verdict": report.verdict,
-            "flags": report.flags, "steps": report.steps}
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="obstruction-lab",
@@ -200,11 +193,12 @@ def build_parser():
     lc.add_argument("-p", type=int, required=True)
     lc.add_argument("--depth", type=int, default=None)
 
-    sv = sub.add_parser("sieve", help="residue classes hitting the target")
+    sv = sub.add_parser("sieve", help="residue classes hitting each target")
     sv.add_argument("instance")
     sv.add_argument("-m", type=int, default=None)
 
-    tb = sub.add_parser("table", help="2-adic invariant table on sieve classes")
+    tb = sub.add_parser("table",
+                        help="2-adic invariant table on each target's classes")
     tb.add_argument("instance")
 
     pf = sub.add_parser("profile", help="local invariants at a point")
@@ -259,8 +253,9 @@ def _dispatch(args):
         seed = args.seed if args.seed is not None else _default_seed()
         report = obstruction_verdict(instance, seed=seed, depth=args.depth,
                                      bound=args.bound)
-        _emit(_report_doc(report), args.out)
-        return EXIT_INCONCLUSIVE if report.verdict == INCONCLUSIVE else EXIT_OK
+        _emit(report, args.out)
+        return (EXIT_INCONCLUSIVE if report["verdict"] == INCONCLUSIVE
+                else EXIT_OK)
 
     if cmd == "hilbert":
         a, b = _parse_number(args.a), _parse_number(args.b)
@@ -282,30 +277,25 @@ def _dispatch(args):
 
     if cmd == "local":
         instance = load_instance(args.instance)
-        ans = padic_solutions_exist(instance.f, instance.targets[0], args.p,
-                                    args.depth)
-        _emit({"verdict": ans.verdict, "p": ans.p, "depth": ans.depth,
-               "witness": list(ans.witness) if ans.witness else None,
-               "value_valuation": ans.value_valuation,
-               "derivative_valuation": ans.derivative_valuation}, None)
-        return EXIT_OK if ans.verdict != "inconclusive" else EXIT_INCONCLUSIVE
+        ans = padic_answer_record(instance.f, instance.targets[0], args.p,
+                                  args.depth)
+        _emit(ans, None)
+        return (EXIT_INCONCLUSIVE if ans["verdict"] == "inconclusive"
+                else EXIT_OK)
 
     if cmd == "sieve":
         instance = load_instance(args.instance)
         m = args.m if args.m is not None else instance.sieve_modulus
-        classes = residue_sieve(instance.f, m, instance.targets[0])
-        _emit({"modulus": m, "target": instance.targets[0],
-               "count": len(classes),
-               "classes": class_records(classes)}, None)
+        _emit({str(t): sieve_record(instance.f, m, t)
+               for t in instance.targets}, None)
         return EXIT_OK
 
     if cmd == "table":
         instance = load_instance(args.instance)
-        classes = residue_sieve(instance.f, instance.sieve_modulus,
-                                instance.targets[0])
-        table = class_invariant_table(instance.algebra, classes)
-        _emit({"modulus": instance.sieve_modulus,
-               "entries": table_records(table)}, None)
+        sieves = {str(t): sieve_record(instance.f, instance.sieve_modulus, t)
+                  for t in instance.targets}
+        _emit({t: table_record(instance.algebra, sieve)
+               for t, sieve in sieves.items()}, None)
         return EXIT_OK
 
     if cmd == "profile":
@@ -326,11 +316,8 @@ def _dispatch(args):
     if cmd == "search":
         instance = load_instance(args.instance)
         bound = args.B if args.B is not None else instance.search_bound
-        out = {}
-        for t in instance.targets:
-            out[str(t)] = [list(s) for s in
-                           integer_search(instance.f, t, bound)]
-        _emit({"bound": bound, "solutions": out}, None)
+        _emit({str(t): search_record(instance.f, t, bound)
+               for t in instance.targets}, None)
         return EXIT_OK
 
     if cmd == "torsion":

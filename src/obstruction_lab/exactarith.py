@@ -209,8 +209,8 @@ def _prime_blocks(bound):
     return tuple(blocks)
 
 
-# Default trial-division bound of `factor`, and the largest bound the
-# odd-place scan derives for an algebra factor.
+# Default trial-division bound of `factor`; its square caps the algebra
+# factor values the odd-place scan factors.
 FACTOR_BOUND = 100000
 
 

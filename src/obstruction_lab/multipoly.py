@@ -8,7 +8,6 @@ is exact; identity verification is by full expansion, never by sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 def _grlex_key(exps):
@@ -83,19 +82,9 @@ class MultiPoly:
             parts.append(("%+d" % c) + (("*" + mono) if mono else ""))
         return "MultiPoly(%s)" % " ".join(parts)
 
-    def evaluate(self, at):
-        """Exact value at a triple of rationals (or integers)."""
-        x, y, z = (Fraction(c) for c in at)
-        total = Fraction(0)
-        for c, (ex, ey, ez) in self.terms:
-            total += c * x ** ex * y ** ey * z ** ez
-        num = total
-        if num.denominator == 1:
-            return int(num) if all(Fraction(c).denominator == 1 for c in at) else num
-        return num
-
     def evaluate_int(self, at):
-        """Value at an integer triple, staying in plain ints."""
+        """Exact value at a triple of ints or Fractions: an int at an
+        integer triple, in plain int arithmetic."""
         x, y, z = at
         total = 0
         for c, (ex, ey, ez) in self.terms:
@@ -129,9 +118,6 @@ class MultiPoly:
                 new[var] = e - 1
                 out.append((c * e, tuple(new)))
         return MultiPoly(out)
-
-    def degree(self):
-        return max((ex + ey + ez for _, (ex, ey, ez) in self.terms), default=-1)
 
 
 def variable(i):

@@ -10,10 +10,10 @@ identical (canonically sorted) output.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product, repeat
-from math import gcd, isqrt, prod
+from math import gcd, prod
 from operator import add
 
 from .exactarith import (FACTOR_BOUND, FactorizationError, divisors_up_to,
@@ -112,12 +112,6 @@ class InvariantTable:
                 return False
         return True
 
-    def entry_for(self, cls):
-        for c, inv, _ in self.entries:
-            if c == cls:
-                return inv
-        return None
-
 
 def _invariant_at_level(alg, cls, level):
     """The local invariant at 2 shared by all lifts of cls to modulus
@@ -171,17 +165,24 @@ def class_invariant_table(alg, classes, max_exponent=8):
     return InvariantTable(tuple(entries))
 
 
-def class_records(classes):
-    """Residue classes as JSON lists of their residues."""
-    return [list(c.residues) for c in classes]
+def sieve_record(f, m, target):
+    """The residue sieve of one target, as its report record."""
+    classes = residue_sieve(f, m, target)
+    return {"modulus": m, "count": len(classes),
+            "classes": [list(c.residues) for c in classes]}
 
 
-def table_records(table):
-    """Entries of an invariant table as JSON objects, in table order."""
-    return [{"class": list(c.residues),
-             "invariant": None if inv is None else str(inv),
-             "depth": d}
-            for c, inv, d in table.entries]
+def table_record(alg, sieve):
+    """The 2-adic invariant table on the classes of a sieve record, as its
+    report record (entries in sieve order)."""
+    table = class_invariant_table(alg, [
+        ResidueClass(sieve["modulus"], tuple(c)) for c in sieve["classes"]])
+    return {"determined": table.all_determined(),
+            "all_half": table.all_determined(INV_HALF),
+            "entries": [{"class": list(c.residues),
+                         "invariant": None if inv is None else str(inv),
+                         "depth": d}
+                        for c, inv, d in table.entries]}
 
 
 @dataclass(frozen=True)
@@ -232,29 +233,24 @@ class OddPlaceScanResult:
     reciprocity_points: int
 
 
-def odd_scan_factor_bounds(f, alg, bound):
-    """Trial-division bound for each distinct algebra factor other than f,
-    in order of first appearance, on points with coordinates up to bound.
+def check_odd_scan_factors(f, alg, bound):
+    """Refuse an algebra whose factor values the odd-place scan could not
+    factor completely on points with coordinates up to bound.
 
-    A factor q with maximal total degree d has |q(P)| <= M = sum|c| bound^d,
-    and trial division to T = isqrt(M) + 1 (T * T > M) leaves 1 or a prime,
-    so `factor(q(P), T)` is complete and never tests primality.  A factor
-    with T above FACTOR_BOUND raises FactorizationError: its values are too
-    large to factor by trial division, and it should be split further.
+    A factor q other than f with maximal total degree d has
+    |q(P)| <= M = sum|c| bound^d.  When M <= FACTOR_BOUND**2, `factor(q(P))`
+    is complete: trial division stops once p * p exceeds what is left, and
+    a cofactor up to FACTOR_BOUND**2 is accepted as prime without a
+    primality test.  A larger M raises FactorizationError: the factor should
+    be split further.
     """
-    bounds = {}
     for q in dict.fromkeys(alg.first_factors + alg.second_factors):
-        if q == f:
-            continue
         top = (sum(abs(c) for c, _ in q.terms)
                * bound ** max(sum(e) for _, e in q.terms))
-        T = isqrt(top) + 1
-        if T > FACTOR_BOUND:
+        if q != f and top > FACTOR_BOUND ** 2:
             raise FactorizationError(
-                "algebra factor %r reaches %d on the odd-place scan box; "
-                "trial division to %d exceeds %d" % (q, top, T, FACTOR_BOUND))
-        bounds[q] = T
-    return bounds
+                "algebra factor %r reaches %d on the odd-place scan box, "
+                "above %d" % (q, top, FACTOR_BOUND ** 2))
 
 
 def odd_place_scan(f, alg, nsamples, bound, seed):
@@ -264,17 +260,17 @@ def odd_place_scan(f, alg, nsamples, bound, seed):
 
     Such a p divides the value of an algebra factor other than f.  Each
     distinct factor is evaluated once per point, and the values of the
-    factors other than f are factored completely (`odd_scan_factor_bounds`),
+    factors other than f are factored completely (`check_odd_scan_factors`),
     so every sample is checked.  Reciprocity is cross-checked at the points
     where f(P) also factors within RECIPROCITY_FACTOR_BOUND (at every point
     when f is no factor), since it needs every prime of ab; the number of
     such points is returned.
     """
-    bounds = odd_scan_factor_bounds(f, alg, bound)
+    check_odd_scan_factors(f, alg, bound)
     forms = list(dict.fromkeys(alg.first_factors + alg.second_factors))
     first = [forms.index(q) for q in alg.first_factors]
     second = [forms.index(q) for q in alg.second_factors]
-    nonf = [(i, bounds[q]) for i, q in enumerate(forms) if q != f]
+    nonf = [i for i, q in enumerate(forms) if q != f]
     f_at = forms.index(f) if f in forms else None
     rng = random.Random(seed)
     real = Place.real()
@@ -294,8 +290,8 @@ def odd_place_scan(f, alg, nsamples, bound, seed):
             continue
         done += 1
         primes = {2}
-        for i, T in nonf:
-            primes.update(factor(vals[i], T))
+        for i in nonf:
+            primes.update(factor(vals[i]))
         complete = f_at is None
         if complete:
             fval = f.evaluate_int(pt)
@@ -601,24 +597,27 @@ NOT_OBSTRUCTED = "NOT_OBSTRUCTED"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass
-class VerdictReport:
-    name: str
-    verdict: str = INCONCLUSIVE
-    flags: list = field(default_factory=list)
-    steps: dict = field(default_factory=dict)
+def search_record(f, target, B):
+    """The integer search of one target, as its report record."""
+    return {"bound": B,
+            "solutions": [list(s) for s in integer_search(f, target, B)]}
+
+
+def padic_answer_record(f, target, p, depth):
+    """The p-adic solubility search of f = target at p, as its report
+    record (the Newton inequality's valuations replay a "yes")."""
+    ans = padic_solutions_exist(f, target, p, depth)
+    return {"verdict": ans.verdict, "p": ans.p, "depth": ans.depth,
+            "witness": list(ans.witness) if ans.witness else None,
+            "value_valuation": ans.value_valuation,
+            "derivative_valuation": ans.derivative_valuation}
 
 
 def obstruction_verdict(instance, seed=None, depth=None, bound=None,
                         real_samples=10000, odd_samples=10000, odd_bound=1000):
-    """Run the full verification pipeline on an instance.
-
-    OBSTRUCTED requires, for every target: a nonempty sieve whose classes all
-    have certified 2-adic invariant 1/2, empty real and odd-place scans, and
-    an empty integer search.  NOT_OBSTRUCTED means a verified integral
-    solution was found.  Anything else is INCONCLUSIVE.
-    """
-    report = VerdictReport(instance.name)
+    """Run the full verification pipeline on an instance and return its
+    report: name, verdict and flags (from `decide`), and one record per
+    step."""
     root_seed = instance.sampling.seed if seed is None else seed
     B = instance.search_bound if bound is None else bound
     # refuse before any other work (an empty search box is no evidence, and
@@ -629,29 +628,27 @@ def obstruction_verdict(instance, seed=None, depth=None, bound=None,
         raise ValueError("p-adic search depth must be >= 1, got %d" % depth)
     f = instance.f
     alg = instance.algebra
-    odd_scan_factor_bounds(f, alg, odd_bound)
+    check_odd_scan_factors(f, alg, odd_bound)
+    steps = {}
 
     # 1. rational witness
     if instance.rational_witness is not None:
         chk = verify_rational_witness(instance.rational_witness, f,
                                       instance.targets[0])
-        report.steps["rational_witness"] = {
+        steps["rational_witness"] = {
             "witness": [str(Fraction(c)) for c in instance.rational_witness],
             "target": instance.targets[0],
             "value": str(chk.value),
             "matches": chk.matches,
             "bad_primes": sorted(chk.bad_primes),
         }
-        witness_ok = chk.matches
         bad_primes = set(chk.bad_primes)
     else:
-        report.steps["rational_witness"] = {"witness": None}
-        witness_ok = None
+        steps["rational_witness"] = {"witness": None}
         bad_primes = set()
 
     # 2. p-adic witnesses at the primes the rational witness misses
     padic_records = []
-    covered = set()
     for wspec in instance.padic_witnesses:
         rec = {"p": wspec.p, "kind": wspec.kind}
         if wspec.kind == "onevar":
@@ -664,48 +661,34 @@ def obstruction_verdict(instance, seed=None, depth=None, bound=None,
                 "value_valuation": cert.value_valuation,
                 "derivative_valuation": cert.derivative_valuation,
             }
-            ok = cert is not None
+            rec["ok"] = cert is not None
         elif wspec.kind == "search":
-            ans = padic_solutions_exist(f, instance.targets[0], wspec.p, depth)
-            rec["answer"] = {"verdict": ans.verdict, "depth": ans.depth,
-                             "witness": list(ans.witness) if ans.witness else None}
-            ok = ans.verdict == "yes"
+            rec["answer"] = padic_answer_record(f, instance.targets[0],
+                                                wspec.p, depth)
+            rec["ok"] = rec["answer"]["verdict"] == "yes"
         else:
             raise ValueError("unknown p-adic witness kind %r" % (wspec.kind,))
-        rec["ok"] = ok
-        if ok:
-            covered.add(wspec.p)
         padic_records.append(rec)
-    report.steps["padic_witnesses"] = {
+    steps["padic_witnesses"] = {
         "records": padic_records,
-        "uncovered_bad_primes": sorted(bad_primes - covered),
+        "uncovered_bad_primes": sorted(
+            bad_primes - {r["p"] for r in padic_records if r["ok"]}),
     }
 
     # 3-4. sieve and invariant table, per target
-    per_target = {}
-    for t in instance.targets:
-        classes = residue_sieve(f, instance.sieve_modulus, t)
-        table = class_invariant_table(alg, classes)
-        per_target[t] = (classes, table)
-        report.steps.setdefault("sieve", {})[str(t)] = {
-            "modulus": instance.sieve_modulus,
-            "count": len(classes),
-            "classes": class_records(classes),
-        }
-        report.steps.setdefault("invariant_table", {})[str(t)] = {
-            "determined": table.all_determined(),
-            "all_half": table.all_determined(INV_HALF),
-            "entries": table_records(table),
-        }
+    steps["sieve"] = {str(t): sieve_record(f, instance.sieve_modulus, t)
+                      for t in instance.targets}
+    steps["invariant_table"] = {t: table_record(alg, sieve)
+                                for t, sieve in steps["sieve"].items()}
 
     # 5. real scan
     real_violations = real_unramified_scan(alg, real_samples, root_seed * 7 + 1)
-    report.steps["real_scan"] = {"samples": real_samples,
-                                 "violations": [list(v) for v in real_violations]}
+    steps["real_scan"] = {"samples": real_samples,
+                          "violations": [list(v) for v in real_violations]}
 
     # 6. odd-place scan
     odd = odd_place_scan(f, alg, odd_samples, odd_bound, root_seed * 7 + 2)
-    report.steps["odd_place_scan"] = {
+    steps["odd_place_scan"] = {
         "samples": odd_samples,
         "bound": odd_bound,
         "checked_prime_conditions": odd.checked,
@@ -722,7 +705,7 @@ def obstruction_verdict(instance, seed=None, depth=None, bound=None,
                              instance.sampling.prime_max,
                              instance.sampling.trials,
                              root_seed * 7 + 3)
-    report.steps["square_sampling"] = {
+    steps["square_sampling"] = {
         "accepted": sm.accepted,
         "passed": sm.passed,
         "pass_ratio": None if sm.pass_ratio is None else str(sm.pass_ratio),
@@ -730,35 +713,57 @@ def obstruction_verdict(instance, seed=None, depth=None, bound=None,
     }
 
     # 8. integer search, per target
-    searches = {}
-    for t in instance.targets:
-        sols = integer_search(f, t, B)
-        searches[t] = sols
-        report.steps.setdefault("integer_search", {})[str(t)] = {
-            "bound": B,
-            "solutions": [list(s) for s in sols],
-        }
+    steps["integer_search"] = {str(t): search_record(f, t, B)
+                               for t in instance.targets}
 
-    # verdict
-    found = [(t, s) for t, sols in searches.items() for s in sols]
-    for t, s in found:
-        classes, table = per_target[t]
-        cls = ResidueClass(instance.sieve_modulus,
-                           tuple(c % instance.sieve_modulus for c in s))
-        if cls in classes and table.entry_for(cls) == INV_HALF:
-            raise InternalInconsistencyError(
-                "integral solution %r lies in a residue class certified "
-                "ramified at 2; this contradicts reciprocity" % (s,))
+    verdict, flags = decide(steps)
+    return {"name": instance.name, "verdict": verdict, "flags": flags,
+            "steps": steps}
+
+
+def decide(steps):
+    """The verdict and flags of a report, read from its steps alone (the
+    sieve classes and table entries, not their summary fields).
+
+    A search solution in a class whose invariant is certified 1/2
+    contradicts reciprocity and raises InternalInconsistencyError; any other
+    solution gives NOT_OBSTRUCTED.  OBSTRUCTED requires, for every target, a
+    nonempty sieve whose classes all have certified 2-adic invariant 1/2,
+    and then no real or odd-place violation, no square-sampling
+    counterexample, no bad prime of the rational witness left uncovered by
+    the p-adic witnesses, and no mismatch of the rational witness.
+    Anything else is INCONCLUSIVE.
+    """
+    found = False
+    certified = True
+    for t, search in steps["integer_search"].items():
+        m = steps["sieve"][t]["modulus"]
+        classes = {tuple(c) for c in steps["sieve"][t]["classes"]}
+        entries = steps["invariant_table"][t]["entries"]
+        half = {tuple(e["class"]) for e in entries
+                if e["invariant"] == str(INV_HALF)}
+        certified = certified and bool(classes) and half == classes
+        for s in search["solutions"]:
+            if tuple(c % m for c in s) in half:
+                raise InternalInconsistencyError(
+                    "integral solution %r lies in a residue class certified "
+                    "ramified at 2; this contradicts reciprocity" % (s,))
+            found = True
+    mismatch = steps["rational_witness"].get("matches") is False
     if found:
-        report.verdict = NOT_OBSTRUCTED
+        verdict = NOT_OBSTRUCTED
+    elif (certified
+          and not steps["real_scan"]["violations"]
+          and not steps["odd_place_scan"]["violations"]
+          and not steps["square_sampling"]["counterexamples"]
+          and not steps["padic_witnesses"]["uncovered_bad_primes"]
+          and not mismatch):
+        verdict = OBSTRUCTED
     else:
-        obstructed = all(
-            per_target[t][0] and per_target[t][1].all_determined(INV_HALF)
-            for t in instance.targets
-        ) and not real_violations and not odd.violations
-        report.verdict = OBSTRUCTED if obstructed else INCONCLUSIVE
-    if report.verdict == OBSTRUCTED and {1, -1} <= set(instance.targets):
-        report.flags.append("hasse_over_Z")
-    if witness_ok is False:
-        report.flags.append("rational_witness_mismatch")
-    return report
+        verdict = INCONCLUSIVE
+    flags = []
+    if verdict == OBSTRUCTED and {"1", "-1"} <= steps["sieve"].keys():
+        flags.append("hasse_over_Z")
+    if mismatch:
+        flags.append("rational_witness_mismatch")
+    return verdict, flags

@@ -161,7 +161,7 @@ def verify_rational_witness(w, f, target):
     """Check f(w) = target exactly and report the primes dividing any
     coordinate denominator."""
     w = tuple(Fraction(c) for c in w)
-    value = Fraction(f.evaluate(w))
+    value = Fraction(f.evaluate_int(w))
     bad = set()
     for c in w:
         if c.denominator > 1:

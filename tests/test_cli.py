@@ -5,7 +5,6 @@ from math import prod
 import pytest
 
 from obstruction_lab import cli, obstruction
-from obstruction_lab.obstruction import VerdictReport
 
 
 @pytest.fixture(autouse=True)
@@ -75,7 +74,7 @@ class TestSubcommands:
     def test_sieve(self, capsys):
         code, out, _ = run_cli(capsys, "sieve", "cubic", "-m", "2")
         assert code == 0
-        assert json.loads(out)["classes"] == [[0, 0, 1], [1, 0, 1]]
+        assert json.loads(out)["1"]["classes"] == [[0, 0, 1], [1, 0, 1]]
 
     def test_profile(self, capsys):
         code, out, _ = run_cli(capsys, "profile", "quartic", "-P", "0,1,0")
@@ -86,7 +85,35 @@ class TestSubcommands:
     def test_search(self, capsys):
         code, out, _ = run_cli(capsys, "search", "quartic", "-B", "20")
         assert code == 0
-        assert json.loads(out)["solutions"]["1"] == []
+        assert json.loads(out)["1"]["solutions"] == []
+
+
+class TestStageRecords:
+    @pytest.mark.parametrize("name", ["quartic", "cubic"])
+    def test_subcommands_print_verify_steps(self, capsys, name):
+        # the stage subcommands print, per target, the records verify writes
+        _, out, _ = run_cli(capsys, "verify", name, "--seed", "1")
+        steps = json.loads(out)["steps"]
+        for argv, step in ((["sieve"], "sieve"),
+                           (["table"], "invariant_table"),
+                           (["search", "-B", "1000"], "integer_search")):
+            code, out, _ = run_cli(capsys, argv[0], name, *argv[1:])
+            assert code == 0
+            assert out == json.dumps(steps[step], indent=2) + "\n"
+        assert list(steps["sieve"]) == (["1", "-1"] if name == "cubic"
+                                        else ["1"])
+
+    def test_local_prints_search_witness_answer(self, capsys, tmp_path,
+                                                quartic_path):
+        _, doc = quartic_path
+        doc["padic_witnesses"] = [{"p": 2, "kind": "search"}]
+        path = tmp_path / "search.json"
+        path.write_text(json.dumps(doc))
+        _, out, _ = run_cli(capsys, "verify", str(path), "--bound", "5")
+        record, = json.loads(out)["steps"]["padic_witnesses"]["records"]
+        code, out, _ = run_cli(capsys, "local", str(path), "-p", "2")
+        assert code == 0
+        assert json.loads(out) == record["answer"]
 
 
 class TestVerify:

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import random
@@ -11,11 +12,14 @@ from obstruction_lab.exactarith import FactorizationError
 from obstruction_lab.localsymbols import (INV_HALF, Place, hilbert_symbol,
                                           solubility_oracle)
 from obstruction_lab.multipoly import MultiPoly
-from obstruction_lab.obstruction import (NOT_OBSTRUCTED, OBSTRUCTED,
+from obstruction_lab.obstruction import (INCONCLUSIVE, NOT_OBSTRUCTED,
+                                         OBSTRUCTED,
+                                         InternalInconsistencyError,
                                          QuaternionAlgebraSpec, ResidueClass,
                                          class_invariant_table, integer_search,
                                          naive_integer_search,
-                                         odd_place_scan, odd_scan_factor_bounds,
+                                         check_odd_scan_factors, decide,
+                                         odd_place_scan,
                                          obstruction_verdict,
                                          point_invariant_profile,
                                          real_unramified_scan, residue_sieve,
@@ -189,23 +193,23 @@ class TestScans:
         result = odd_place_scan(fc, cubic_algebra, 2000, 1000, 2)
         assert result.violations == ()
 
-    def test_factor_bounds(self, fq, gq, hq, fc, quartic_algebra,
-                           cubic_algebra):
-        # isqrt(sum |coeff| * 1000^deg) + 1; f itself is never factored
-        minus_one = MultiPoly([(-1, (0, 0, 0))])
-        assert odd_scan_factor_bounds(fq, quartic_algebra, 1000) == {
-            hq: 12001, minus_one: 2, gq: 11959}
-        z = MultiPoly([(1, (0, 0, 1))])
-        line = MultiPoly([(4, (1, 0, 0)), (-1, (0, 0, 1))])
-        assert odd_scan_factor_bounds(fc, cubic_algebra, 1000) == {
-            z: 32, line: 71}
+    def test_factor_value_cap(self, fq):
+        # sum |coeff| * bound^deg may reach FACTOR_BOUND**2 = 10^10, and
+        # no more; f itself is never factored
+        x2 = MultiPoly([(1, (2, 0, 0))])
+        y2 = MultiPoly([(1, (0, 2, 0))])
+        check_odd_scan_factors(
+            fq, QuaternionAlgebraSpec(fq, 10 ** 8 * x2), 10)
+        with pytest.raises(FactorizationError):
+            check_odd_scan_factors(
+                fq, QuaternionAlgebraSpec(fq, 10 ** 8 * x2 + 10 * y2), 10)
 
     def test_unfactored_entry_refused(self, fq, quartic_algebra):
         # f*h as one factor would need trial division far past 10^5
         alg = QuaternionAlgebraSpec(quartic_algebra.first,
                                     quartic_algebra.second)
         with pytest.raises(FactorizationError):
-            odd_scan_factor_bounds(fq, alg, 1000)
+            check_odd_scan_factors(fq, alg, 1000)
         with pytest.raises(FactorizationError):
             odd_place_scan(fq, alg, 10, 1000, 2)
 
@@ -356,14 +360,14 @@ class TestVerdict:
     def test_quartic_obstructed(self, quartic_instance):
         report = obstruction_verdict(quartic_instance, real_samples=2000,
                                      odd_samples=500)
-        assert report.verdict == OBSTRUCTED
-        assert "hasse_over_Z" not in report.flags
+        assert report["verdict"] == OBSTRUCTED
+        assert "hasse_over_Z" not in report["flags"]
 
     def test_cubic_obstructed_hasse(self, cubic_instance):
         report = obstruction_verdict(cubic_instance, real_samples=2000,
                                      odd_samples=500)
-        assert report.verdict == OBSTRUCTED
-        assert "hasse_over_Z" in report.flags
+        assert report["verdict"] == OBSTRUCTED
+        assert "hasse_over_Z" in report["flags"]
 
     def test_quartic_target_minus_one(self, quartic_instance):
         inst = quartic_instance
@@ -373,5 +377,40 @@ class TestVerdict:
                                       (), 10, inst.sampling)
         report = obstruction_verdict(flipped, real_samples=100,
                                      odd_samples=50)
-        assert report.verdict == NOT_OBSTRUCTED
-        assert [0, 1, 0] in report.steps["integer_search"]["-1"]["solutions"]
+        assert report["verdict"] == NOT_OBSTRUCTED
+        search = report["steps"]["integer_search"]["-1"]
+        assert [0, 1, 0] in search["solutions"]
+
+
+@pytest.fixture(scope="module")
+def quartic_steps(quartic_instance):
+    return obstruction_verdict(quartic_instance, seed=1)["steps"]
+
+
+class TestDecide:
+    """The verdict is read from the records of a report alone."""
+
+    @pytest.mark.parametrize("step,key,value,flags", [
+        ("square_sampling", "counterexamples", [[3, [1, 1, 1]]], []),
+        ("padic_witnesses", "uncovered_bad_primes", [2], []),
+        ("rational_witness", "matches", False,
+         ["rational_witness_mismatch"]),
+    ])
+    def test_refused(self, quartic_steps, step, key, value, flags):
+        steps = copy.deepcopy(quartic_steps)
+        assert decide(steps) == (OBSTRUCTED, [])
+        steps[step][key] = value
+        assert decide(steps) == (INCONCLUSIVE, flags)
+
+    def test_solution_in_half_class_raises(self, quartic_steps):
+        steps = copy.deepcopy(quartic_steps)
+        x, y, z = steps["sieve"]["1"]["classes"][0]
+        steps["integer_search"]["1"]["solutions"] = [[x + 16, y, z]]
+        with pytest.raises(InternalInconsistencyError):
+            decide(steps)
+
+    def test_reads_entries_not_summary(self, quartic_steps):
+        # all_half stays true; the entry it summarizes no longer says 1/2
+        steps = copy.deepcopy(quartic_steps)
+        steps["invariant_table"]["1"]["entries"][0]["invariant"] = None
+        assert decide(steps) == (INCONCLUSIVE, [])
