@@ -17,17 +17,14 @@ from math import gcd, prod
 from operator import add
 
 from .exactarith import (FACTOR_BOUND, FactorizationError, divisors_up_to,
-                         factor, is_probable_prime, poly_roots_mod,
-                         primes_up_to, primitive_normalize, strip_prime)
+                         factor, is_probable_prime, jacobi,
+                         poly_roots_mod, primes_up_to, primitive_normalize,
+                         strip_prime)
 from .localsymbols import (INV_HALF, Place, hilbert_symbol, local_invariant,
                            symbol_support)
 from .multipoly import MultiPoly
 from .padicsolve import (hensel_liftable_1var, padic_solutions_exist,
                          verify_rational_witness)
-
-# Trial-division bound for f(P) in the odd-place scan's reciprocity
-# cross-check; the scan's reciprocity_points count depends on it.
-RECIPROCITY_FACTOR_BOUND = 10000
 
 # Draws of (x, y) per prime in square sampling before the prime is skipped.
 CURVE_POINT_TRIES = 64
@@ -261,10 +258,22 @@ def odd_place_scan(f, alg, nsamples, bound, seed):
     Such a p divides the value of an algebra factor other than f.  Each
     distinct factor is evaluated once per point, and the values of the
     factors other than f are factored completely (`check_odd_scan_factors`),
-    so every sample is checked.  Reciprocity is cross-checked at the points
-    where f(P) also factors within RECIPROCITY_FACTOR_BOUND (at every point
-    when f is no factor), since it needs every prime of ab; the number of
-    such points is returned.
+    so every sample is checked.
+
+    Reciprocity is asserted at every sample, whose number is returned as
+    reciprocity_points.  Let S be 2 and the primes of the values of the
+    factors other than f; the symbol at the real place and at each prime of
+    S is computed.  Every other prime of ab divides f(P) and no other factor
+    value.  Write a = f^alpha A and b = f^beta B, where alpha and beta count
+    f among the factors of each entry.  Squares do not change the symbol
+    and (fA, fB) = (fA, -AB), so at a prime outside S the symbol is that of
+    (f, c), where c = B, A or -AB for (alpha, beta) = (1, 0), (0, 1) or
+    (1, 1) mod 2; for (0, 0), or when f is no factor, it is 1.  At an odd
+    prime p with p^e exactly dividing f(P) and p not dividing c,
+    (f, c)_p = (c/p)^e.  So an odd number of primes outside S ramify
+    exactly when jacobi(c, n) = -1, where n is |f(P)| with every prime of S
+    divided out: one Jacobi symbol stands in for the primes of f(P), which
+    is never factored.
     """
     check_odd_scan_factors(f, alg, bound)
     forms = list(dict.fromkeys(alg.first_factors + alg.second_factors))
@@ -272,11 +281,12 @@ def odd_place_scan(f, alg, nsamples, bound, seed):
     second = [forms.index(q) for q in alg.second_factors]
     nonf = [i for i, q in enumerate(forms) if q != f]
     f_at = forms.index(f) if f in forms else None
+    alpha = alg.first_factors.count(f) % 2
+    beta = alg.second_factors.count(f) % 2
     rng = random.Random(seed)
     real = Place.real()
     violations = []
     checked = 0
-    reciprocity_points = 0
     done = 0
     while done < nsamples:
         pt = tuple(rng.randint(-bound, bound) for _ in range(3))
@@ -292,35 +302,29 @@ def odd_place_scan(f, alg, nsamples, bound, seed):
         primes = {2}
         for i in nonf:
             primes.update(factor(vals[i]))
-        complete = f_at is None
-        if complete:
-            fval = f.evaluate_int(pt)
-        else:
-            fval = vals[f_at]
-            try:
-                primes.update(factor(fval, RECIPROCITY_FACTOR_BOUND))
-                complete = True
-            except FactorizationError:
-                pass
+        fval = f.evaluate_int(pt) if f_at is None else vals[f_at]
         # places where the algebra ramifies; reciprocity makes this even
-        ramified = 0
+        ramified = hilbert_symbol(a, b, real) == -1
         for p in sorted(primes):
-            skip = p == 2 or fval % p == 0
-            if skip and not complete:
-                continue
             split = hilbert_symbol(a, b, Place.certified(p)) == 1
             ramified += not split
-            if skip:
+            if p == 2 or fval % p == 0:
                 continue
             checked += 1
             if not split:
                 violations.append((pt, p))
-        if complete:
-            reciprocity_points += 1
-            if (ramified + (hilbert_symbol(a, b, real) == -1)) % 2:
-                raise InternalInconsistencyError(
-                    "nonzero invariant sum 1/2 at %r" % (pt,))
-    return OddPlaceScanResult(tuple(violations), checked, reciprocity_points)
+        if alpha or beta:
+            n = abs(fval)
+            for p in primes:
+                n = strip_prime(n, p)[1]
+            A = prod(vals[i] for i in first if i != f_at)
+            B = prod(vals[i] for i in second if i != f_at)
+            c = -A * B if alpha and beta else B if alpha else A
+            ramified += jacobi(c, n) == -1
+        if ramified % 2:
+            raise InternalInconsistencyError(
+                "nonzero invariant sum 1/2 at %r" % (pt,))
+    return OddPlaceScanResult(tuple(violations), checked, nsamples)
 
 
 def _random_prime(rng, lo, hi):
@@ -730,9 +734,9 @@ def decide(steps):
     solution gives NOT_OBSTRUCTED.  OBSTRUCTED requires, for every target, a
     nonempty sieve whose classes all have certified 2-adic invariant 1/2,
     and then no real or odd-place violation, no square-sampling
-    counterexample, no bad prime of the rational witness left uncovered by
-    the p-adic witnesses, and no mismatch of the rational witness.
-    Anything else is INCONCLUSIVE.
+    counterexample, a rational witness that matches (without one nothing
+    shows local solubility), and no bad prime of it left uncovered by the
+    p-adic witnesses.  Anything else is INCONCLUSIVE.
     """
     found = False
     certified = True
@@ -749,7 +753,7 @@ def decide(steps):
                     "integral solution %r lies in a residue class certified "
                     "ramified at 2; this contradicts reciprocity" % (s,))
             found = True
-    mismatch = steps["rational_witness"].get("matches") is False
+    matches = steps["rational_witness"].get("matches")
     if found:
         verdict = NOT_OBSTRUCTED
     elif (certified
@@ -757,13 +761,13 @@ def decide(steps):
           and not steps["odd_place_scan"]["violations"]
           and not steps["square_sampling"]["counterexamples"]
           and not steps["padic_witnesses"]["uncovered_bad_primes"]
-          and not mismatch):
+          and matches is True):
         verdict = OBSTRUCTED
     else:
         verdict = INCONCLUSIVE
     flags = []
     if verdict == OBSTRUCTED and {"1", "-1"} <= steps["sieve"].keys():
         flags.append("hasse_over_Z")
-    if mismatch:
+    if matches is False:
         flags.append("rational_witness_mismatch")
     return verdict, flags

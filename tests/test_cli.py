@@ -181,7 +181,7 @@ class TestVerify:
             odd = json.loads(out)["steps"]["odd_place_scan"]
             assert odd["samples"] == 100 and odd["checked_prime_conditions"] > 0
             assert odd["skipped_unfactored"] == 0
-            assert 0 < odd["reciprocity_points"] <= odd["samples"]
+            assert odd["reciprocity_points"] == odd["samples"]
 
 
 # The algebra entries of the bundled instances before they were given

@@ -98,6 +98,21 @@ class TestJacobi:
             m = 2 * rng.randint(1, 200) + 1
             assert jacobi(a, n * m) == jacobi(a, n) * jacobi(a, m)
 
+    # the odd-place scan takes Jacobi symbols modulo |f(P)| without its
+    # small primes: composite, and up to about 10^13 on the bundled instances
+    @given(st.integers(-10**15, 10**15), st.integers(0, 2 * 10**6),
+           st.integers(0, 2 * 10**6))
+    def test_multiplicative_in_large_bottom(self, a, i, j):
+        m, n = 2 * i + 1, 2 * j + 1
+        assert jacobi(a, m * n) == jacobi(a, m) * jacobi(a, n)
+
+    @given(st.integers(-10**15, 10**15), st.integers(3, 10**13))
+    def test_euler_criterion(self, a, start):
+        p = start | 1
+        while not is_probable_prime(p):
+            p += 2
+        assert jacobi(a, p) % p == pow(a, (p - 1) // 2, p)
+
 
 class TestPrimitiveNormalize:
     def test_clears_denominators(self):

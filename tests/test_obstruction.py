@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obstruction_lab.exactarith import FactorizationError
+from obstruction_lab import exactarith, obstruction
+from obstruction_lab.exactarith import FactorizationError, factor
 from obstruction_lab.localsymbols import (INV_HALF, Place, hilbert_symbol,
                                           solubility_oracle)
 from obstruction_lab.multipoly import MultiPoly
@@ -188,10 +189,12 @@ class TestScans:
         result = odd_place_scan(fq, quartic_algebra, 2000, 1000, 2)
         assert result.violations == ()
         assert result.checked > 0
+        assert result.reciprocity_points == 2000
 
     def test_cubic_odd_scan_empty(self, fc, cubic_algebra):
         result = odd_place_scan(fc, cubic_algebra, 2000, 1000, 2)
         assert result.violations == ()
+        assert result.reciprocity_points == 2000
 
     def test_factor_value_cap(self, fq):
         # sum |coeff| * bound^deg may reach FACTOR_BOUND**2 = 10^10, and
@@ -242,20 +245,8 @@ class TestScans:
                 d += 1
             return out | ({n} if n > 1 else set())
 
-        rng = random.Random(seed)
-        checked, violations, done = 0, [], 0
-        while done < nsamples:
-            pt = tuple(rng.randint(-bound, bound) for _ in range(3))
-            if pt == (0, 0, 0):
-                continue
-            g = math.gcd(*pt)
-            pt = tuple(c // g for c in pt)
-            if next(c for c in pt if c) < 0:
-                pt = tuple(-c for c in pt)
-            a, b = alg.first.evaluate_int(pt), alg.second.evaluate_int(pt)
-            if a == 0 or b == 0:
-                continue
-            done += 1
+        checked, violations = 0, []
+        for pt, a, b in scan_points(alg, nsamples, bound, seed):
             fval = f.evaluate_int(pt)
             for p in sorted(primes_of(a) | primes_of(b)):
                 if p == 2 or fval % p == 0:
@@ -266,8 +257,95 @@ class TestScans:
         assert result.checked == checked > 0
         assert list(result.violations) == violations
         assert bool(violations) == (which == "toy")
-        # at this bound every f(P) factors within 10^4
         assert result.reciprocity_points == nsamples
+
+
+def scan_points(alg, nsamples, bound, seed):
+    """The samples of `odd_place_scan(f, alg, nsamples, bound, seed)`, as
+    (point, first(P), second(P)), drawn independently of the scan."""
+    rng = random.Random(seed)
+    done = 0
+    while done < nsamples:
+        pt = tuple(rng.randint(-bound, bound) for _ in range(3))
+        if pt == (0, 0, 0):
+            continue
+        g = math.gcd(*pt)
+        pt = tuple(c // g for c in pt)
+        if next(c for c in pt if c) < 0:
+            pt = tuple(-c for c in pt)
+        a, b = alg.first.evaluate_int(pt), alg.second.evaluate_int(pt)
+        if a == 0 or b == 0:
+            continue
+        done += 1
+        yield pt, a, b
+
+
+class TestOddScanReciprocity:
+    """At the primes of f(P) outside S (2 and the primes of the other factor
+    values) the scan asserts reciprocity through one Jacobi symbol."""
+
+    @pytest.fixture
+    def jacobi_calls(self, monkeypatch):
+        calls = []
+
+        def spy(c, n):
+            calls.append(exactarith.jacobi(c, n))
+            return calls[-1]
+
+        monkeypatch.setattr(obstruction, "jacobi", spy)
+        return calls
+
+    @pytest.mark.parametrize("which", ["quartic", "cubic"])
+    def test_jacobi_matches_symbols_at_primes_of_f(
+            self, which, jacobi_calls, fq, fc, quartic_algebra, cubic_algebra):
+        # where f(P) factors by trial division to 10^4, the Jacobi symbol is
+        # the product of the Hilbert symbols at its primes outside S
+        f, alg = ((fq, quartic_algebra) if which == "quartic"
+                  else (fc, cubic_algebra))
+        nsamples, bound, seed = 400, 1000, 9
+        odd_place_scan(f, alg, nsamples, bound, seed)
+        assert len(jacobi_calls) == nsamples
+        compared = 0
+        for (pt, a, b), symbol in zip(
+                scan_points(alg, nsamples, bound, seed), jacobi_calls):
+            S = {2}
+            for q in alg.first_factors + alg.second_factors:
+                if q != f:
+                    S.update(factor(q.evaluate_int(pt)))
+            try:
+                fprimes = factor(f.evaluate_int(pt), 10 ** 4)
+            except FactorizationError:
+                continue
+            compared += 1
+            assert symbol == math.prod(
+                hilbert_symbol(a, b, Place.finite(p))
+                for p in fprimes if p not in S)
+        assert compared > nsamples // 2
+
+    @pytest.mark.parametrize("first,second,jacobis", [
+        ("-gh", "fh", 500),  # f in the second entry: c = A
+        ("fh", "fg", 500),   # f in both: (fA, fB) = (fA, -AB), c = -AB
+        ("ffh", "-gh", 0),   # f twice: split at every prime outside S
+    ])
+    def test_entry_parities(self, first, second, jacobis, jacobi_calls,
+                            fq, gq, hq):
+        forms = {"f": fq, "g": gq, "h": hq, "-": MultiPoly([(-1, (0, 0, 0))])}
+        first = tuple(forms[c] for c in first)
+        second = tuple(forms[c] for c in second)
+        alg = QuaternionAlgebraSpec(math.prod(first), math.prod(second),
+                                    first, second)
+        assert odd_place_scan(fq, alg, 500, 1000, 9).reciprocity_points == 500
+        assert len(jacobi_calls) == jacobis
+
+    @pytest.mark.parametrize("which", ["quartic", "cubic"])
+    def test_negated_jacobi_raises(self, which, monkeypatch, fq, fc,
+                                   quartic_algebra, cubic_algebra):
+        f, alg = ((fq, quartic_algebra) if which == "quartic"
+                  else (fc, cubic_algebra))
+        monkeypatch.setattr(obstruction, "jacobi",
+                            lambda c, n: -exactarith.jacobi(c, n))
+        with pytest.raises(InternalInconsistencyError):
+            odd_place_scan(f, alg, 500, 1000, 9)
 
 
 class TestSquareSampling:
@@ -395,11 +473,17 @@ class TestDecide:
         ("padic_witnesses", "uncovered_bad_primes", [2], []),
         ("rational_witness", "matches", False,
          ["rational_witness_mismatch"]),
+        # no witness at all (key None replaces the record): nothing shows
+        # local solubility
+        ("rational_witness", None, {"witness": None}, []),
     ])
     def test_refused(self, quartic_steps, step, key, value, flags):
         steps = copy.deepcopy(quartic_steps)
         assert decide(steps) == (OBSTRUCTED, [])
-        steps[step][key] = value
+        if key is None:
+            steps[step] = value
+        else:
+            steps[step][key] = value
         assert decide(steps) == (INCONCLUSIVE, flags)
 
     def test_solution_in_half_class_raises(self, quartic_steps):
