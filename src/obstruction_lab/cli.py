@@ -2,8 +2,9 @@
 emit canonical JSON reports, return meaningful exit codes.
 
 Exit codes: 0 verdict reached (or subcommand succeeded), 1 usage/schema
-error, 2 internal inconsistency, 3 inconclusive verdict or an input that
-bounded trial division could not factor.
+error, 2 internal inconsistency, 3 inconclusive verdict, an input that
+bounded trial division could not factor, or an algebra whose square
+condition cannot be sampled.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .multipoly import MultiPoly
 from .obstruction import (INCONCLUSIVE, InternalInconsistencyError,
                           ObstructionInstance, PadicWitnessSpec,
                           QuaternionAlgebraSpec, SamplingConfig,
+                          SquareSamplingError,
                           obstruction_verdict, padic_answer_record,
                           point_invariant_profile, search_record,
                           sieve_record, table_record)
@@ -236,7 +238,7 @@ def main(argv=None):
     except InternalInconsistencyError as exc:
         print("internal inconsistency: %s" % exc, file=sys.stderr)
         return EXIT_INCONSISTENT
-    except FactorizationError as exc:
+    except (FactorizationError, SquareSamplingError) as exc:
         print("inconclusive: %s" % exc, file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except (ValueError, OSError, json.JSONDecodeError) as exc:

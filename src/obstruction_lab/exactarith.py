@@ -314,11 +314,50 @@ def _poly_powmod(base, e, mod, p):
     return result
 
 
+def _sqrt_mod(a, p):
+    """A square root of a modulo the odd prime p, or None when a is not a
+    square (Euler's criterion); Tonelli-Shanks (Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 1.5.1)."""
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    # p - 1 = 2^s * q with q odd; t = a^q lies in the 2-Sylow subgroup
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    r = pow(a, (q + 1) // 2, p)
+    t = pow(a, q, p)
+    if t == 1:
+        return r
+    n = 2
+    while pow(n, (p - 1) // 2, p) != p - 1:
+        n += 1
+    c = pow(n, q, p)  # generates the 2-Sylow subgroup
+    m = s
+    while t != 1:
+        # least i with t^(2^i) = 1; then i < m
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        r = r * b % p
+        c = b * b % p
+        t = t * c % p
+        m = i
+    return r
+
+
 def poly_roots_mod(coeffs, p):
     """Sorted roots in F_p of a polynomial given by ascending coefficients.
 
-    Equal-degree splitting against z^p - z; deterministic (shift constants are
-    tried in increasing order).
+    Degrees 1 and 2 are solved in closed form (a quadratic through its
+    discriminant and `_sqrt_mod`).  Higher degrees use equal-degree
+    splitting against z^p - z; deterministic (shift constants are tried in
+    increasing order).
     """
     require_prime(p)
     f = _poly_trim([c % p for c in coeffs])
@@ -329,6 +368,15 @@ def poly_roots_mod(coeffs, p):
     if p == 2:
         return [r for r in (0, 1) if
                 sum(c * r ** i for i, c in enumerate(f)) % 2 == 0]
+    if len(f) == 2:
+        return [-f[0] * pow(f[1], -1, p) % p]
+    if len(f) == 3:
+        c, b, a = f
+        inv = pow(2 * a, -1, p)
+        r = _sqrt_mod(b * b - 4 * a * c, p)
+        if r is None:
+            return []
+        return sorted({(-b + r) * inv % p, (-b - r) * inv % p})
     # keep only the split part: gcd(f, z^p - z)
     zp = _poly_powmod([0, 1], p, f, p)
     zp = zp + [0] * (2 - len(zp))

@@ -38,6 +38,10 @@ class RamificationLocusError(ValueError):
     """An algebra entry vanishes at the queried point."""
 
 
+class SquareSamplingError(Exception):
+    """Square sampling could never accept a point of the algebra."""
+
+
 @dataclass(frozen=True)
 class QuaternionAlgebraSpec:
     """Ordered pair of even-degree homogeneous polynomials defining a
@@ -327,6 +331,32 @@ def odd_place_scan(f, alg, nsamples, bound, seed):
     return OddPlaceScanResult(tuple(violations), checked, nsamples)
 
 
+def check_prime_window(prime_min, prime_max):
+    """Refuse a square-sampling window [prime_min, prime_max] that holds no
+    prime (`_random_prime` would never return) or reaches below 3.  When
+    prime_max >= 2 * prime_min Bertrand's postulate gives a prime in the
+    window; otherwise the window is scanned up to its first prime."""
+    if prime_min < 3:
+        raise ValueError("prime_min must be >= 3")
+    if prime_max < 2 * prime_min and not any(
+            map(is_probable_prime, range(prime_min, prime_max + 1))):
+        raise ValueError("no prime in the sampling window [%d, %d]"
+                         % (prime_min, prime_max))
+
+
+def check_square_sampling(alg):
+    """Refuse an algebra whose first entry vanishes on every component of
+    the second: square sampling would then draw points forever and accept
+    none.  A component is a nonconstant factor of the second entry, and the
+    first entry vanishes on it when it is also one of the first entry's
+    factors (by MultiPoly equality)."""
+    if all(q in alg.first_factors for q in alg.second_factors
+           if q.homogeneous_degree() != 0):
+        raise SquareSamplingError(
+            "algebra.first vanishes on every component of algebra.second, "
+            "so square sampling has no point to test")
+
+
 def _random_prime(rng, lo, hi):
     while True:
         n = rng.randint(lo, hi)
@@ -338,22 +368,31 @@ def _random_prime(rng, lo, hi):
             n += 2
 
 
-def _random_point_on_curve(H, p, rng):
-    """A random point of H = 0 over F_p: random x, y, then exact roots of the
-    resulting one-variable polynomial in z; None after CURVE_POINT_TRIES
-    draws of (x, y) without a root."""
-    zdeg = max(e[2] for _, e in H.terms)
-    by_z = [[] for _ in range(zdeg + 1)]
-    for c, (ex, ey, ez) in H.terms:
-        by_z[ez].append((c, ex, ey))
+def _random_point_on_curve(H_factors, p, rng):
+    """A random point of H = 0 over F_p, H the product of the forms
+    H_factors: random x, y, then a random root z of H(x, y, z).
+
+    The roots are the sorted union of the factors' roots in z, which over
+    the field F_p is the sorted root list of H's z-polynomial (all of F_p
+    when it vanishes), so the draws are those H itself would give.  None
+    after CURVE_POINT_TRIES draws of (x, y) without a root."""
+    factors = []
+    for q in H_factors:
+        by_z = [[] for _ in range(max(e[2] for _, e in q.terms) + 1)]
+        for c, (ex, ey, ez) in q.terms:
+            by_z[ez].append((c, ex, ey))
+        factors.append(by_z)
     for _ in range(CURVE_POINT_TRIES):
         x = rng.randrange(p)
         y = rng.randrange(p)
-        coeffs = [sum(c * pow(x, ex, p) * pow(y, ey, p) for c, ex, ey in grp) % p
-                  for grp in by_z]
-        roots = poly_roots_mod(coeffs, p)
+        roots = set()
+        for by_z in factors:
+            roots.update(poly_roots_mod(
+                [sum(c * pow(x, ex, p) * pow(y, ey, p) for c, ex, ey in grp)
+                 for grp in by_z], p))
         if not roots:
             continue
+        roots = sorted(roots)
         z = roots[rng.randrange(len(roots))]
         if (x, y, z) != (0, 0, 0):
             return (x, y, z)
@@ -372,11 +411,11 @@ class SquareSamplingResult:
         return Fraction(self.passed, self.accepted) if self.accepted else None
 
 
-def square_mod_sampling(F, H, prime_min, prime_max, trials, seed):
-    """Sample points on H = 0 over random prime fields and test whether F is
-    a square there whenever it does not vanish."""
-    if prime_min < 3:
-        raise ValueError("prime_min must be >= 3")
+def square_mod_sampling(F, H_factors, prime_min, prime_max, trials, seed):
+    """Sample points on H = 0, H the product of the forms H_factors, over
+    random prime fields and test whether F is a square there whenever it
+    does not vanish."""
+    check_prime_window(prime_min, prime_max)
     rng = random.Random(seed)
     accepted = 0
     passed = 0
@@ -384,7 +423,7 @@ def square_mod_sampling(F, H, prime_min, prime_max, trials, seed):
     skipped = []
     while accepted < trials:
         p = _random_prime(rng, prime_min, prime_max)
-        q = _random_point_on_curve(H, p, rng)
+        q = _random_point_on_curve(H_factors, p, rng)
         if q is None:
             skipped.append(p)
             continue
@@ -568,6 +607,9 @@ class SamplingConfig:
     prime_min: int
     prime_max: int
 
+    def __post_init__(self):
+        check_prime_window(self.prime_min, self.prime_max)
+
 
 @dataclass(frozen=True)
 class PadicWitnessSpec:
@@ -624,8 +666,9 @@ def obstruction_verdict(instance, seed=None, depth=None, bound=None,
     step."""
     root_seed = instance.sampling.seed if seed is None else seed
     B = instance.search_bound if bound is None else bound
-    # refuse before any other work (an empty search box is no evidence, and
-    # an algebra factor too large to factor would stop the odd-place scan)
+    # refuse before any other work (an empty search box is no evidence, an
+    # algebra factor too large to factor would stop the odd-place scan, and
+    # square sampling would never end without a point to test)
     if B < 0:
         raise ValueError("search bound must be >= 0, got %d" % B)
     if depth is not None and depth < 1:
@@ -633,6 +676,7 @@ def obstruction_verdict(instance, seed=None, depth=None, bound=None,
     f = instance.f
     alg = instance.algebra
     check_odd_scan_factors(f, alg, odd_bound)
+    check_square_sampling(alg)
     steps = {}
 
     # 1. rational witness
@@ -704,7 +748,7 @@ def obstruction_verdict(instance, seed=None, depth=None, bound=None,
     }
 
     # 7. square-certificate sampling on the algebra pair
-    sm = square_mod_sampling(alg.first, alg.second,
+    sm = square_mod_sampling(alg.first, alg.second_factors,
                              instance.sampling.prime_min,
                              instance.sampling.prime_max,
                              instance.sampling.trials,
@@ -733,10 +777,11 @@ def decide(steps):
     contradicts reciprocity and raises InternalInconsistencyError; any other
     solution gives NOT_OBSTRUCTED.  OBSTRUCTED requires, for every target, a
     nonempty sieve whose classes all have certified 2-adic invariant 1/2,
-    and then no real or odd-place violation, no square-sampling
-    counterexample, a rational witness that matches (without one nothing
-    shows local solubility), and no bad prime of it left uncovered by the
-    p-adic witnesses.  Anything else is INCONCLUSIVE.
+    and then no real or odd-place violation, at least one accepted
+    square-sampling point and no counterexample, a rational witness that
+    matches (without one nothing shows local solubility), and no bad prime
+    of it left uncovered by the p-adic witnesses.  Anything else is
+    INCONCLUSIVE.
     """
     found = False
     certified = True
@@ -759,6 +804,7 @@ def decide(steps):
     elif (certified
           and not steps["real_scan"]["violations"]
           and not steps["odd_place_scan"]["violations"]
+          and steps["square_sampling"]["accepted"] > 0
           and not steps["square_sampling"]["counterexamples"]
           and not steps["padic_witnesses"]["uncovered_bad_primes"]
           and matches is True):

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from math import prod
 
 import pytest
@@ -29,13 +32,33 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-@pytest.fixture()
-def quartic_path(tmp_path):
+def bundled_path(tmp_path, name):
     doc = json.loads(cli.resources.files("obstruction_lab")
-                     .joinpath("instances/quartic.json").read_text())
-    path = tmp_path / "quartic.json"
+                     .joinpath("instances/%s.json" % name).read_text())
+    path = tmp_path / ("%s.json" % name)
     path.write_text(json.dumps(doc))
     return path, doc
+
+
+@pytest.fixture()
+def quartic_path(tmp_path):
+    return bundled_path(tmp_path, "quartic")
+
+
+@pytest.fixture()
+def cubic_path(tmp_path):
+    return bundled_path(tmp_path, "cubic")
+
+
+def run_child(*argv):
+    """Run the CLI in a child process with a time limit, so that an input
+    on which it would hang fails the test instead of stalling the suite (the
+    child is not shrunk by `fast_engine`)."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "obstruction_lab.cli",
+                           *argv], capture_output=True, text=True,
+                          timeout=60, env=env)
 
 
 class TestSubcommands:
@@ -363,3 +386,40 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err.startswith("inconclusive: ") and err.count("\n") == 1
+
+    def test_prime_free_sampling_window_is_usage_error(self, cubic_path):
+        # 24..28 holds no prime, so no prime could ever be drawn
+        path, doc = cubic_path
+        doc["sampling"].update(prime_min=24, prime_max=28)
+        path.write_text(json.dumps(doc))
+        done = run_child("verify", str(path), "--bound", "5")
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ")
+        assert done.stderr.count("\n") == 1
+        assert "sampling window" in done.stderr
+
+    def test_first_entry_vanishing_on_second_exit_three(self, cubic_path):
+        # (a, a) is a valid algebra, but square sampling could accept no
+        # point of second = 0: refused before any stage runs
+        path, doc = cubic_path
+        alg = doc["algebra"]
+        alg["first"] = alg["second"]
+        alg["factors"]["first"] = alg["factors"]["second"]
+        path.write_text(json.dumps(doc))
+        done = run_child("verify", str(path), "--bound", "5")
+        assert done.returncode == 3
+        assert done.stdout == ""
+        assert done.stderr.startswith("inconclusive: algebra.first ")
+        assert done.stderr.count("\n") == 1
+
+    def test_zero_trials_inconclusive(self, cubic_path):
+        # skipped square sampling is no evidence for OBSTRUCTED
+        path, doc = cubic_path
+        doc["sampling"]["trials"] = 0
+        path.write_text(json.dumps(doc))
+        done = run_child("verify", str(path), "--bound", "5")
+        assert done.returncode == 3
+        report = json.loads(done.stdout)
+        assert report["verdict"] == "INCONCLUSIVE"
+        assert report["steps"]["square_sampling"]["accepted"] == 0

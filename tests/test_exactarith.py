@@ -14,6 +14,7 @@ from obstruction_lab.exactarith import (FactorizationError, divisors,
                                         jacobi, poly_roots_mod,
                                         primes_up_to, primitive_normalize,
                                         strip_prime, valuation)
+from obstruction_lab.obstruction import _random_point_on_curve
 
 PRIMES_TO_100 = [p for p in range(2, 100) if is_probable_prime(p)]
 
@@ -306,6 +307,11 @@ class TestFactor:
         assert primes_up_to(1) == [] and primes_up_to(2) == [2]
 
 
+def brute_roots(coeffs, p):
+    return [r for r in range(p)
+            if sum(c * pow(r, i, p) for i, c in enumerate(coeffs)) % p == 0]
+
+
 class TestModularRoots:
     def test_poly_roots_match_brute_force(self):
         rng = random.Random(21)
@@ -313,6 +319,56 @@ class TestModularRoots:
             p = rng.choice([2, 3, 5, 7, 11, 101, 997])
             deg = rng.randint(1, 5)
             coeffs = [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
-            brute = [r for r in range(p)
-                     if sum(c * pow(r, i, p) for i, c in enumerate(coeffs)) % p == 0]
-            assert poly_roots_mod(coeffs, p) == brute
+            assert poly_roots_mod(coeffs, p) == brute_roots(coeffs, p)
+
+    @pytest.mark.parametrize("p", [17, 97, 193, 257, 7681, 12289])
+    def test_primes_with_deep_two_power(self, p):
+        # p - 1 = 2^s q with s from 4 to 12, so the Tonelli-Shanks loop runs
+        # for several rounds; z^2 - a covers every residue a
+        squares = {}
+        for r in range(p):
+            squares.setdefault(r * r % p, []).append(r)
+        for a in range(p):
+            assert poly_roots_mod([-a, 0, 1], p) == sorted(squares.get(a, []))
+        rng = random.Random(p)
+        for _ in range(12):
+            deg = rng.randint(1, 4)
+            coeffs = [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
+            assert poly_roots_mod(coeffs, p) == brute_roots(coeffs, p)
+
+    @pytest.mark.parametrize("coeffs,p,roots", [
+        ([3, 5], 7, [5]),
+        ([0, 4], 11, [0]),
+        # discriminant 0 mod p: one double root
+        ([4, 4, 1], 7, [5]),
+        ([1, 4, 4], 11, [5]),
+        ([25, 10, 1], 97, [92]),
+        ([0, 0, 3], 5, [0]),
+        # top coefficient 0 mod p, as the sampler passes a factor's
+        # z-polynomial unreduced
+        ([2, 3, 7], 7, [4]),
+        ([-4, 0, 14], 13, [2, 11]),
+        ([-4, 0, 1, 13], 13, [2, 11]),
+        ([5, 0, 0, 17], 17, []),
+        ([1, 14, 21], 7, []),
+        ([7, 14, 21], 7, list(range(7))),
+    ])
+    def test_low_degree_edge_cases(self, coeffs, p, roots):
+        assert brute_roots(coeffs, p) == roots
+        assert poly_roots_mod(coeffs, p) == roots
+
+    @pytest.mark.parametrize("which", ["quartic", "cubic"])
+    def test_factorwise_curve_points_match_product(self, which,
+                                                   quartic_algebra,
+                                                   cubic_algebra):
+        # drawing from the factors of H gives the point H itself gives and
+        # leaves the rng in the same state (at p = 3 the quartic's first draw
+        # makes both g and h vanish in z, so every z is a root)
+        factors = (quartic_algebra if which == "quartic"
+                   else cubic_algebra).second_factors
+        primes = primes_up_to(10 ** 4)[3:]
+        for p in [3, 5] + random.Random(8).sample(primes, 198):
+            by_factor, by_product = random.Random(p), random.Random(p)
+            assert (_random_point_on_curve(factors, p, by_factor)
+                    == _random_point_on_curve((prod(factors),), p, by_product))
+            assert by_factor.getstate() == by_product.getstate()

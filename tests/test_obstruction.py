@@ -17,9 +17,12 @@ from obstruction_lab.obstruction import (INCONCLUSIVE, NOT_OBSTRUCTED,
                                          OBSTRUCTED,
                                          InternalInconsistencyError,
                                          QuaternionAlgebraSpec, ResidueClass,
+                                         SquareSamplingError,
                                          class_invariant_table, integer_search,
                                          naive_integer_search,
-                                         check_odd_scan_factors, decide,
+                                         check_odd_scan_factors,
+                                         check_prime_window,
+                                         check_square_sampling, decide,
                                          odd_place_scan,
                                          obstruction_verdict,
                                          point_invariant_profile,
@@ -350,19 +353,44 @@ class TestOddScanReciprocity:
 
 class TestSquareSampling:
     def test_fg_square_mod_h(self, fq, gq, hq):
-        res = square_mod_sampling(fq * gq, hq, 3, 10000, 500, 5)
+        res = square_mod_sampling(fq * gq, (hq,), 3, 10000, 500, 5)
         assert res.accepted >= 500
         assert res.pass_ratio == 1
 
     def test_fh_square_mod_g(self, fq, gq, hq):
-        res = square_mod_sampling(fq * hq, gq, 3, 10000, 500, 5)
+        res = square_mod_sampling(fq * hq, (gq,), 3, 10000, 500, 5)
         assert res.pass_ratio == 1
 
     def test_negative_control(self):
         conic = MultiPoly([(1, (2, 0, 0)), (1, (0, 2, 0)), (-1, (0, 0, 2))])
         xy = MultiPoly([(1, (1, 1, 0))])
-        res = square_mod_sampling(xy, conic, 3, 10000, 500, 5)
+        res = square_mod_sampling(xy, (conic,), 3, 10000, 500, 5)
         assert res.counterexamples
+
+    @pytest.mark.parametrize("lo,hi,ok", [
+        (3, 10000, True), (24, 29, True), (90, 96, False), (24, 28, False),
+        (2, 100, False), (30, 20, False)])
+    def test_prime_window(self, lo, hi, ok):
+        if ok:
+            check_prime_window(lo, hi)
+        else:
+            with pytest.raises(ValueError):
+                check_prime_window(lo, hi)
+
+    def test_first_entry_vanishing_on_all_of_second(self, quartic_algebra,
+                                                    cubic_algebra):
+        # some component survives: the quartic's h is shared, its g is not
+        for alg in (quartic_algebra, cubic_algebra):
+            check_square_sampling(alg)
+        # none survives: the entries are equal, differ by a constant, or
+        # the second entry is a constant with no zero locus at all
+        minus_one = MultiPoly([(-1, (0, 0, 0))])
+        first = quartic_algebra.first_factors
+        for second in (first, (minus_one,) + first, (minus_one, minus_one)):
+            alg = QuaternionAlgebraSpec(math.prod(first), math.prod(second),
+                                        first, second)
+            with pytest.raises(SquareSamplingError):
+                check_square_sampling(alg)
 
 
 class TestIntegerSearch:
@@ -476,6 +504,8 @@ class TestDecide:
         # no witness at all (key None replaces the record): nothing shows
         # local solubility
         ("rational_witness", None, {"witness": None}, []),
+        # no accepted point (sampling.trials 0): no square-sampling evidence
+        ("square_sampling", "accepted", 0, []),
     ])
     def test_refused(self, quartic_steps, step, key, value, flags):
         steps = copy.deepcopy(quartic_steps)
