@@ -118,13 +118,14 @@ def primitive_normalize(v):
     its first nonzero coordinate is positive.  An all-int triple takes one
     gcd; rationals go through `Fraction`.
     """
-    if all(isinstance(c, int) for c in v):
-        g = gcd(*v)
+    x, y, z = v
+    if isinstance(x, int) and isinstance(y, int) and isinstance(z, int):
+        g = gcd(x, y, z)
         if g == 0:
             raise ValueError("cannot normalize the zero triple")
-        if next(c for c in v if c) < 0:
+        if (x or y or z) < 0:
             g = -g
-        return tuple(c // g for c in v)
+        return (x // g, y // g, z // g)
     v = tuple(Fraction(c) for c in v)
     if all(c == 0 for c in v):
         raise ValueError("cannot normalize the zero triple")
@@ -360,6 +361,12 @@ def poly_roots_mod(coeffs, p):
     increasing order).
     """
     require_prime(p)
+    return poly_roots_certified(coeffs, p)
+
+
+def poly_roots_certified(coeffs, p):
+    """`poly_roots_mod` for a prime p certified already, such as one drawn
+    by square sampling; unlike `poly_roots_mod`, p is not tested again."""
     f = _poly_trim([c % p for c in coeffs])
     if not f:
         return list(range(p))  # the zero polynomial

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactarith import factor, jacobi, require_prime, strip_prime, valuation
+from .exactarith import factor, require_prime, valuation
 
 
 @dataclass(frozen=True)
@@ -51,16 +51,6 @@ INV_ZERO = Fraction(0)
 INV_HALF = Fraction(1, 2)
 
 
-def _eps(t):
-    # (t - 1)/2 mod 2 for odd t
-    return ((t - 1) // 2) % 2
-
-
-def _omega(t):
-    # (t^2 - 1)/8 mod 2 for odd t
-    return ((t * t - 1) // 8) % 2
-
-
 def _to_square_free_pair(a, b):
     """Clear square denominators: rationals (a, b) -> integers in the same
     square classes.  Integers come back unchanged."""
@@ -72,27 +62,45 @@ def _to_square_free_pair(a, b):
 
 
 def hilbert_symbol(a, b, place):
-    """Hilbert symbol (a, b) at a place of Q; a, b nonzero rationals."""
+    """Hilbert symbol (a, b) at a place of Q; a, b nonzero rationals.
+
+    Write a = p^alpha u and b = p^beta v with u, v prime to p (Serre, A
+    Course in Arithmetic, III.1).  At an odd prime p,
+    (a, b)_p = (-1)^(alpha beta eps(p)) (u/p)^beta (v/p)^alpha, and each
+    Legendre symbol is read off Euler's criterion: p was certified prime
+    when the Place was built, and u, v are prime to p.  Integer entries
+    are divided by p in place; rationals first go to integers of the same
+    square classes.
+    """
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol entries must be nonzero")
-    if place.is_real:
-        return -1 if a < 0 and b < 0 else 1
-    a, b = _to_square_free_pair(a, b)
     p = place.p
-    # p was certified prime when the Place was built
-    alpha, u = strip_prime(a, p)
-    beta, v = strip_prime(b, p)
+    if p is None:
+        return -1 if a < 0 and b < 0 else 1
+    if type(a) is not int or type(b) is not int:
+        a, b = _to_square_free_pair(a, b)
+    alpha = 0
+    while a % p == 0:
+        a //= p
+        alpha += 1
+    beta = 0
+    while b % p == 0:
+        b //= p
+        beta += 1
     if p == 2:
-        exponent = _eps(u) * _eps(v) + alpha * _omega(v) + beta * _omega(u)
-        return -1 if exponent % 2 else 1
-    sign = 1
-    if (alpha * beta * _eps(p)) % 2:
-        sign = -sign
-    if beta % 2:
-        sign *= jacobi(u % p, p)
-    if alpha % 2:
-        sign *= jacobi(v % p, p)
-    return sign
+        # eps(u) eps(v) + alpha omega(v) + beta omega(u), where for odd t
+        # eps(t) = (t - 1)/2 mod 2 is 1 when t = 3 mod 4 and
+        # omega(t) = (t^2 - 1)/8 mod 2 is 1 when t = 3, 5 mod 8
+        odd = ((a & 3 == 3 and b & 3 == 3) + (alpha % 2 and b & 7 in (3, 5))
+               + (beta % 2 and a & 7 in (3, 5)))
+        return -1 if odd % 2 else 1
+    half = (p - 1) // 2
+    odd = alpha * beta * half
+    if beta % 2 and pow(a, half, p) != 1:
+        odd += 1
+    if alpha % 2 and pow(b, half, p) != 1:
+        odd += 1
+    return -1 if odd % 2 else 1
 
 
 def local_invariant(a, b, place):

@@ -18,8 +18,8 @@ from operator import add
 
 from .exactarith import (FACTOR_BOUND, FactorizationError, divisors_up_to,
                          factor, is_probable_prime, jacobi,
-                         poly_roots_mod, primes_up_to, primitive_normalize,
-                         strip_prime)
+                         poly_roots_certified, primes_up_to,
+                         primitive_normalize, strip_prime)
 from .localsymbols import (INV_HALF, Place, hilbert_symbol, local_invariant,
                            symbol_support)
 from .multipoly import MultiPoly
@@ -49,6 +49,8 @@ class QuaternionAlgebraSpec:
 
     Each entry may also be given as a tuple of factor forms whose product
     it must equal; an entry given without factors is its own one factor.
+    `forms` holds the distinct nonconstant factors of both entries, and
+    the entries are evaluated through them.
     """
     first: MultiPoly
     second: MultiPoly
@@ -56,6 +58,8 @@ class QuaternionAlgebraSpec:
     second_factors: tuple | None = None
 
     def __post_init__(self):
+        forms = {}
+        parts = []
         for name in ("first", "second"):
             entry = getattr(self, name)
             d = entry.homogeneous_degree()
@@ -63,13 +67,38 @@ class QuaternionAlgebraSpec:
                 raise ValueError("algebra entries must be homogeneous of even degree")
             factors = getattr(self, name + "_factors")
             if factors is None:
-                object.__setattr__(self, name + "_factors", (entry,))
+                factors = (entry,)
+                object.__setattr__(self, name + "_factors", factors)
             elif not factors or prod(factors) != entry:
                 raise ValueError("the factors of algebra.%s do not multiply "
                                  "to it" % name)
+            # the entry as the product of its constant factors times the
+            # values of its nonconstant ones, by index into forms
+            const, at = 1, []
+            for q in factors:
+                if q.homogeneous_degree() == 0:
+                    const *= q.terms[0][0]
+                else:
+                    at.append(forms.setdefault(q, len(forms)))
+            parts.append((const, tuple(at)))
+        object.__setattr__(self, "forms", tuple(forms))
+        object.__setattr__(self, "_parts", tuple(parts))
+
+    def factor_values(self, point):
+        """(first(P), second(P), values) at a point of ints or Fractions,
+        values[i] = forms[i](P): each distinct nonconstant factor is
+        evaluated once and its value multiplied into the entries."""
+        vals = [q.evaluate_int(point) for q in self.forms]
+        (ca, at_a), (cb, at_b) = self._parts
+        for i in at_a:
+            ca *= vals[i]
+        for i in at_b:
+            cb *= vals[i]
+        return ca, cb, vals
 
     def values_at(self, point):
-        return self.first.evaluate_int(point), self.second.evaluate_int(point)
+        a, b, _ = self.factor_values(point)
+        return a, b
 
 
 @dataclass(frozen=True)
@@ -215,7 +244,9 @@ def real_unramified_scan(alg, nsamples, seed):
     violations = []
     done = 0
     while done < nsamples:
-        pt = tuple(rng.randint(-1000, 1000) for _ in range(3))
+        # randrange(2001) - 1000 draws what randint(-1000, 1000) does
+        pt = (rng.randrange(2001) - 1000, rng.randrange(2001) - 1000,
+              rng.randrange(2001) - 1000)
         if pt == (0, 0, 0):
             continue
         a, b = alg.values_at(pt)
@@ -260,15 +291,17 @@ def odd_place_scan(f, alg, nsamples, bound, seed):
     into the open variety at p).
 
     Such a p divides the value of an algebra factor other than f.  Each
-    distinct factor is evaluated once per point, and the values of the
-    factors other than f are factored completely (`check_odd_scan_factors`),
-    so every sample is checked.
+    distinct nonconstant factor is evaluated once per point
+    (`QuaternionAlgebraSpec.factor_values`), and the values of those other
+    than f are factored completely (`check_odd_scan_factors`), so every
+    sample is checked.  A constant factor is factored once per scan.
 
     Reciprocity is asserted at every sample, whose number is returned as
     reciprocity_points.  Let S be 2 and the primes of the values of the
-    factors other than f; the symbol at the real place and at each prime of
-    S is computed.  Every other prime of ab divides f(P) and no other factor
-    value.  Write a = f^alpha A and b = f^beta B, where alpha and beta count
+    factors other than f; the symbol at the real place (a sign test) and at
+    each prime of S is computed, with one Place per distinct prime.  Every
+    other prime of ab divides f(P) and no other factor value.
+    Write a = f^alpha A and b = f^beta B, where alpha and beta count
     f among the factors of each entry.  Squares do not change the symbol
     and (fA, fB) = (fA, -AB), so at a prime outside S the symbol is that of
     (f, c), where c = B, A or -AB for (alpha, beta) = (1, 0), (0, 1) or
@@ -280,50 +313,58 @@ def odd_place_scan(f, alg, nsamples, bound, seed):
     is never factored.
     """
     check_odd_scan_factors(f, alg, bound)
-    forms = list(dict.fromkeys(alg.first_factors + alg.second_factors))
-    first = [forms.index(q) for q in alg.first_factors]
-    second = [forms.index(q) for q in alg.second_factors]
-    nonf = [i for i, q in enumerate(forms) if q != f]
+    forms = alg.forms
     f_at = forms.index(f) if f in forms else None
-    alpha = alg.first_factors.count(f) % 2
-    beta = alg.second_factors.count(f) % 2
+    nonf = [i for i in range(len(forms)) if i != f_at]
+    alpha = alg.first_factors.count(f)
+    beta = alg.second_factors.count(f)
+    # the primes of a constant factor are in S at every sample
+    base = {2}
+    for q in alg.first_factors + alg.second_factors:
+        if q.homogeneous_degree() == 0:
+            base.update(factor(q.terms[0][0]))
+    places = {}
     rng = random.Random(seed)
-    real = Place.real()
+    width = 2 * bound + 1
     violations = []
     checked = 0
     done = 0
     while done < nsamples:
-        pt = tuple(rng.randint(-bound, bound) for _ in range(3))
+        # randrange(width) - bound draws what randint(-bound, bound) does
+        pt = (rng.randrange(width) - bound, rng.randrange(width) - bound,
+              rng.randrange(width) - bound)
         if pt == (0, 0, 0):
             continue
         pt = primitive_normalize(pt)
-        vals = [q.evaluate_int(pt) for q in forms]
-        a = prod(vals[i] for i in first)
-        b = prod(vals[i] for i in second)
+        a, b, vals = alg.factor_values(pt)
         if a == 0 or b == 0:
             continue
         done += 1
-        primes = {2}
+        primes = set(base)
         for i in nonf:
             primes.update(factor(vals[i]))
         fval = f.evaluate_int(pt) if f_at is None else vals[f_at]
         # places where the algebra ramifies; reciprocity makes this even
-        ramified = hilbert_symbol(a, b, real) == -1
+        ramified = a < 0 and b < 0
         for p in sorted(primes):
-            split = hilbert_symbol(a, b, Place.certified(p)) == 1
+            place = places.get(p)
+            if place is None:
+                place = places[p] = Place.certified(p)
+            split = hilbert_symbol(a, b, place) == 1
             ramified += not split
             if p == 2 or fval % p == 0:
                 continue
             checked += 1
             if not split:
                 violations.append((pt, p))
-        if alpha or beta:
+        if alpha % 2 or beta % 2:
             n = abs(fval)
             for p in primes:
-                n = strip_prime(n, p)[1]
-            A = prod(vals[i] for i in first if i != f_at)
-            B = prod(vals[i] for i in second if i != f_at)
-            c = -A * B if alpha and beta else B if alpha else A
+                while n % p == 0:
+                    n //= p
+            A = a // fval ** alpha
+            B = b // fval ** beta
+            c = -A * B if alpha % 2 and beta % 2 else B if alpha % 2 else A
             ramified += jacobi(c, n) == -1
         if ramified % 2:
             raise InternalInconsistencyError(
@@ -344,13 +385,24 @@ def check_prime_window(prime_min, prime_max):
                          % (prime_min, prime_max))
 
 
+def _primitive_part(q):
+    """The terms of the form q with its content and the sign of its leading
+    term divided out."""
+    g = gcd(*(c for c, _ in q.terms))
+    if q.terms[0][0] < 0:
+        g = -g
+    return tuple((c // g, e) for c, e in q.terms)
+
+
 def check_square_sampling(alg):
     """Refuse an algebra whose first entry vanishes on every component of
     the second: square sampling would then draw points forever and accept
     none.  A component is a nonconstant factor of the second entry, and the
-    first entry vanishes on it when it is also one of the first entry's
-    factors (by MultiPoly equality)."""
-    if all(q in alg.first_factors for q in alg.second_factors
+    first entry vanishes on it when one of the first entry's factors has
+    the same primitive part up to sign (y^2 and -3y^2 have one zero
+    locus)."""
+    first = {_primitive_part(q) for q in alg.first_factors}
+    if all(_primitive_part(q) in first for q in alg.second_factors
            if q.homogeneous_degree() != 0):
         raise SquareSamplingError(
             "algebra.first vanishes on every component of algebra.second, "
@@ -374,10 +426,14 @@ def _random_point_on_curve(H_factors, p, rng):
 
     The roots are the sorted union of the factors' roots in z, which over
     the field F_p is the sorted root list of H's z-polynomial (all of F_p
-    when it vanishes), so the draws are those H itself would give.  None
-    after CURVE_POINT_TRIES draws of (x, y) without a root."""
+    when it vanishes), so the draws are those H itself would give.  A
+    constant factor prime to p has no root and is skipped.  p was
+    certified prime when it was drawn.  None after CURVE_POINT_TRIES draws
+    of (x, y) without a root."""
     factors = []
     for q in H_factors:
+        if q.homogeneous_degree() == 0 and q.terms[0][0] % p:
+            continue
         by_z = [[] for _ in range(max(e[2] for _, e in q.terms) + 1)]
         for c, (ex, ey, ez) in q.terms:
             by_z[ez].append((c, ex, ey))
@@ -387,7 +443,7 @@ def _random_point_on_curve(H_factors, p, rng):
         y = rng.randrange(p)
         roots = set()
         for by_z in factors:
-            roots.update(poly_roots_mod(
+            roots.update(poly_roots_certified(
                 [sum(c * pow(x, ex, p) * pow(y, ey, p) for c, ex, ey in grp)
                  for grp in by_z], p))
         if not roots:

@@ -413,6 +413,27 @@ class TestExitCodes:
         assert done.stderr.startswith("inconclusive: algebra.first ")
         assert done.stderr.count("\n") == 1
 
+    def test_entries_differing_by_a_constant_exit_three(self, tmp_path):
+        # x^4 + y^4 + z^4 = 7 with algebra (y^2, -y^2): y^2 vanishes on
+        # every point of -y^2 = 0, so square sampling would draw forever
+        # (compared as MultiPolys the two factors differ); refused before
+        # any stage runs
+        doc = {"name": "y2", "targets": [7],
+               "poly": [[1, 4, 0, 0], [1, 0, 4, 0], [1, 0, 0, 4]],
+               "algebra": {"first": [[1, 0, 2, 0]],
+                           "second": [[-1, 0, 2, 0]]},
+               "sieve_modulus": 16, "rational_witness": None,
+               "padic_witnesses": [], "search_bound": 1000,
+               "sampling": {"seed": 1, "trials": 500, "prime_min": 3,
+                            "prime_max": 10000}}
+        path = tmp_path / "y2.json"
+        path.write_text(json.dumps(doc))
+        done = run_child("verify", str(path))
+        assert done.returncode == 3
+        assert done.stdout == ""
+        assert done.stderr.startswith("inconclusive: algebra.first ")
+        assert done.stderr.count("\n") == 1
+
     def test_zero_trials_inconclusive(self, cubic_path):
         # skipped square sampling is no evidence for OBSTRUCTED
         path, doc = cubic_path

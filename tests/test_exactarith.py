@@ -14,6 +14,7 @@ from obstruction_lab.exactarith import (FactorizationError, divisors,
                                         jacobi, poly_roots_mod,
                                         primes_up_to, primitive_normalize,
                                         strip_prime, valuation)
+from obstruction_lab.multipoly import MultiPoly
 from obstruction_lab.obstruction import _random_point_on_curve
 
 PRIMES_TO_100 = [p for p in range(2, 100) if is_probable_prime(p)]
@@ -356,6 +357,28 @@ class TestModularRoots:
     def test_low_degree_edge_cases(self, coeffs, p, roots):
         assert brute_roots(coeffs, p) == roots
         assert poly_roots_mod(coeffs, p) == roots
+
+    @pytest.mark.parametrize("n", [1, 4, 15, 561])
+    def test_composite_modulus_rejected(self, n):
+        # square sampling skips this check for primes it drew itself; every
+        # other caller of poly_roots_mod keeps it
+        with pytest.raises(ValueError):
+            poly_roots_mod([1, 0, 1], n)
+
+    def test_constant_factor_changes_no_draw(self, gq, hq):
+        # a constant factor prime to p has no root and is skipped; the point
+        # and the rng state are those without it.  A constant that p
+        # divides vanishes mod p, so every z is a root, as for the product
+        constants = [MultiPoly([(c, (0, 0, 0))]) for c in (-1, 3, -35)]
+        primes = primes_up_to(10 ** 4)[1:]
+        for p in [3, 5, 7] + random.Random(9).sample(primes, 100):
+            for const in constants:
+                with_const, without = random.Random(p), random.Random(p)
+                expected = ((prod((const, gq, hq)),) if const.terms[0][0] % p
+                            == 0 else (gq, hq))
+                assert (_random_point_on_curve((const, gq, hq), p, with_const)
+                        == _random_point_on_curve(expected, p, without))
+                assert with_const.getstate() == without.getstate()
 
     @pytest.mark.parametrize("which", ["quartic", "cubic"])
     def test_factorwise_curve_points_match_product(self, which,

@@ -1,9 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from obstruction_lab.exactarith import valuation
+from obstruction_lab.exactarith import jacobi, strip_prime, valuation
 from obstruction_lab.localsymbols import (Place, default_oracle_depth,
                                           hilbert_symbol, local_invariant,
                                           reciprocity_defect,
@@ -81,6 +82,79 @@ class TestHilbertSymbol:
             a = Fraction(rng.randint(-100, 100) or 1, rng.randint(1, 50))
             place = rng.choice(SMALL_PLACES)
             assert hilbert_symbol(a, -a, place) == 1
+
+
+def jacobi_formula(a, b, p):
+    """(a, b)_p at an odd prime p for integers a, b, with the Legendre
+    symbols taken as Jacobi symbols (Serre, A Course in Arithmetic, III.1):
+    (-1)^(alpha beta eps(p)) (u/p)^beta (v/p)^alpha for a = p^alpha u,
+    b = p^beta v."""
+    alpha, u = strip_prime(a, p)
+    beta, v = strip_prime(b, p)
+    sign = -1 if (alpha * beta * ((p - 1) // 2)) % 2 else 1
+    if beta % 2:
+        sign *= jacobi(u % p, p)
+    if alpha % 2:
+        sign *= jacobi(v % p, p)
+    return sign
+
+
+# 1 and 3 mod 4 from 3 up to 2^31 - 1
+ODD_PRIMES = (3, 5, 7, 13, 10007, 10009, 65537, 1000003, 998244353,
+              10 ** 9 + 7, 2 ** 31 - 1)
+
+
+class TestEulerCriterion:
+    """Odd-prime symbols through Euler's criterion, against the former
+    Jacobi-symbol formula."""
+
+    def test_primes_cover_both_classes_mod_4(self):
+        assert {p % 4 for p in ODD_PRIMES} == {1, 3}
+
+    @pytest.mark.parametrize("p", ODD_PRIMES)
+    def test_matches_jacobi_formula(self, p):
+        rng = random.Random(p)
+        place = Place.finite(p)
+
+        def unit():
+            while True:
+                u = rng.choice((rng.randint(1, p - 1),
+                                rng.randint(1, 10 ** 12)))
+                if u % p:
+                    return u
+
+        for ea, eb in itertools.product(range(4), repeat=2):
+            for sa, sb in itertools.product((1, -1), repeat=2):
+                for _ in range(4):
+                    a = sa * unit() * p ** ea
+                    b = sb * unit() * p ** eb
+                    assert hilbert_symbol(a, b, place) == \
+                        jacobi_formula(a, b, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_fraction_entries_match_oracle(self, p):
+        rng = random.Random(100 + p)
+        place = Place.finite(p)
+        for _ in range(150):
+            a, b = (Fraction(rng.choice((1, -1)) * rng.randint(1, 30)
+                             * p ** rng.randint(0, 2),
+                             rng.randint(1, 12) * p ** rng.randint(0, 1))
+                    for _ in range(2))
+            assert (hilbert_symbol(a, b, place) == 1) == \
+                solubility_oracle(a, b, place)
+
+    @pytest.mark.parametrize("p", [10007, 998244353, 2 ** 31 - 1])
+    def test_fraction_entries_at_large_primes(self, p):
+        # n/d lies in the square class of n*d
+        rng = random.Random(p)
+        place = Place.finite(p)
+        for _ in range(200):
+            a, b = (Fraction(rng.choice((1, -1)) * rng.randint(1, 10 ** 9)
+                             * p ** rng.randint(0, 3),
+                             rng.randint(1, 10 ** 6) * p ** rng.randint(0, 3))
+                    for _ in range(2))
+            assert hilbert_symbol(a, b, place) == jacobi_formula(
+                a.numerator * a.denominator, b.numerator * b.denominator, p)
 
 
 class TestLocalInvariant:

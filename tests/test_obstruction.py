@@ -174,7 +174,81 @@ class TestPointProfile:
             assert local_invariant(a, b, Place.finite(2)) == inv
 
 
+def real_toy_algebra():
+    """(x^2 - y^2, -(x^2 + 2y^2 + z^2)), given as (x - y)(x + y) and
+    -1 times a definite form: ramified at the real points with |x| < |y|."""
+    x_minus_y = MultiPoly([(1, (1, 0, 0)), (-1, (0, 1, 0))])
+    x_plus_y = MultiPoly([(1, (1, 0, 0)), (1, (0, 1, 0))])
+    definite = MultiPoly([(1, (2, 0, 0)), (2, (0, 2, 0)), (1, (0, 0, 2))])
+    minus_one = MultiPoly([(-1, (0, 0, 0))])
+    return QuaternionAlgebraSpec(x_minus_y * x_plus_y, -definite,
+                                 (x_minus_y, x_plus_y), (minus_one, definite))
+
+
+class TestFactorValues:
+    """The entries are evaluated through their distinct nonconstant
+    factors; the values must be those of the flat entries."""
+
+    @pytest.mark.parametrize("which", ["quartic", "cubic", "unfactored",
+                                       "toy"])
+    def test_values_at_matches_flat_entries(self, which, quartic_algebra,
+                                            cubic_algebra):
+        alg = {"quartic": quartic_algebra, "cubic": cubic_algebra,
+               "unfactored": QuaternionAlgebraSpec(quartic_algebra.first,
+                                                   quartic_algebra.second),
+               "toy": real_toy_algebra()}[which]
+        rng = random.Random(19)
+        for _ in range(300):
+            ints = tuple(rng.randint(-1000, 1000) for _ in range(3))
+            fracs = tuple(Fraction(rng.randint(-60, 60), rng.randint(1, 25))
+                          for _ in range(3))
+            for pt in (ints, fracs):
+                expected = (alg.first.evaluate_int(pt),
+                            alg.second.evaluate_int(pt))
+                assert alg.values_at(pt) == expected
+                a, b, vals = alg.factor_values(pt)
+                assert (a, b) == expected
+                assert vals == [q.evaluate_int(pt) for q in alg.forms]
+
+    def test_forms_are_distinct_and_nonconstant(self, fq, gq, hq,
+                                                quartic_algebra):
+        # the quartic's constant -1 is folded into the second entry
+        assert quartic_algebra.forms == (fq, hq, gq)
+        unfactored = QuaternionAlgebraSpec(quartic_algebra.first,
+                                           quartic_algebra.second)
+        assert unfactored.forms == (quartic_algebra.first,
+                                    quartic_algebra.second)
+
+
+def real_scan_points(alg, nsamples, seed):
+    """The violations of `real_unramified_scan(alg, nsamples, seed)`, drawn
+    independently of the scan with randint and the flat entries."""
+    rng = random.Random(seed)
+    violations = []
+    done = 0
+    while done < nsamples:
+        pt = tuple(rng.randint(-1000, 1000) for _ in range(3))
+        if pt == (0, 0, 0):
+            continue
+        a, b = alg.first.evaluate_int(pt), alg.second.evaluate_int(pt)
+        if a == 0 or b == 0:
+            continue
+        done += 1
+        if a < 0 and b < 0:
+            violations.append(pt)
+    return violations
+
+
 class TestScans:
+    @pytest.mark.parametrize("which", ["quartic", "cubic", "toy"])
+    def test_real_scan_matches_oracle(self, which, quartic_algebra,
+                                      cubic_algebra):
+        alg = {"quartic": quartic_algebra, "cubic": cubic_algebra,
+               "toy": real_toy_algebra()}[which]
+        violations = real_unramified_scan(alg, 2000, 3)
+        assert violations == real_scan_points(alg, 2000, 3)
+        assert bool(violations) == (which == "toy")
+
     def test_quartic_real_scan_empty(self, quartic_algebra):
         assert real_unramified_scan(quartic_algebra, 10000, 1) == []
 
@@ -391,6 +465,19 @@ class TestSquareSampling:
                                         first, second)
             with pytest.raises(SquareSamplingError):
                 check_square_sampling(alg)
+
+    @pytest.mark.parametrize("c", [-1, 3, -6])
+    def test_entries_differing_by_a_constant(self, c):
+        # c*y^2 as one factor has the zero locus of y^2: its primitive part
+        # up to sign is y^2, so the pair is refused like (y^2, y^2)
+        y2 = MultiPoly([(1, (0, 2, 0))])
+        with pytest.raises(SquareSamplingError):
+            check_square_sampling(QuaternionAlgebraSpec(y2, c * y2))
+        with pytest.raises(SquareSamplingError):
+            check_square_sampling(QuaternionAlgebraSpec(c * y2, y2))
+        # y^2 + c z^2 has other points, where y^2 does not vanish
+        check_square_sampling(QuaternionAlgebraSpec(
+            y2, y2 + MultiPoly([(c, (0, 0, 2))])))
 
 
 class TestIntegerSearch:
