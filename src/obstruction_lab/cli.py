@@ -26,10 +26,10 @@ from .multipoly import MultiPoly
 from .obstruction import (INCONCLUSIVE, InternalInconsistencyError,
                           ObstructionInstance, PadicWitnessSpec,
                           QuaternionAlgebraSpec, SamplingConfig,
-                          SquareSamplingError,
+                          SquareSamplingError, class_invariant_table,
                           obstruction_verdict, padic_answer_record,
-                          point_invariant_profile, search_record,
-                          sieve_record, table_record)
+                          point_invariant_profile, residue_sieve,
+                          search_record)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -288,16 +288,16 @@ def _dispatch(args):
     if cmd == "sieve":
         instance = load_instance(args.instance)
         m = args.m if args.m is not None else instance.sieve_modulus
-        _emit({str(t): sieve_record(instance.f, m, t)
+        _emit({str(t): residue_sieve(instance.f, m, t)
                for t in instance.targets}, None)
         return EXIT_OK
 
     if cmd == "table":
         instance = load_instance(args.instance)
-        sieves = {str(t): sieve_record(instance.f, instance.sieve_modulus, t)
-                  for t in instance.targets}
-        _emit({t: table_record(instance.algebra, sieve)
-               for t, sieve in sieves.items()}, None)
+        _emit({str(t): class_invariant_table(
+                   instance.algebra,
+                   residue_sieve(instance.f, instance.sieve_modulus, t))
+               for t in instance.targets}, None)
         return EXIT_OK
 
     if cmd == "profile":

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from math import gcd, isqrt, prod
 
 
@@ -198,11 +198,16 @@ def primes_up_to(n):
 _FACTOR_BLOCK = 32
 
 
-@lru_cache(maxsize=32)
-def _prime_blocks(bound):
-    """The primes <= bound in ascending blocks of (p0 * p0, product, primes),
-    p0 the first prime of the block; built on the first call per bound."""
-    primes = primes_up_to(bound)
+# Trial-division bound of `factor`; its square caps the algebra factor
+# values the odd-place scan factors.
+FACTOR_BOUND = 100000
+
+
+@cache
+def _prime_blocks():
+    """The primes <= FACTOR_BOUND in ascending blocks of (p0 * p0, product,
+    primes), p0 the first prime of the block; built on the first call."""
+    primes = primes_up_to(FACTOR_BOUND)
     blocks = []
     for i in range(0, len(primes), _FACTOR_BLOCK):
         chunk = tuple(primes[i:i + _FACTOR_BLOCK])
@@ -210,38 +215,26 @@ def _prime_blocks(bound):
     return tuple(blocks)
 
 
-# Default trial-division bound of `factor`; its square caps the algebra
-# factor values the odd-place scan factors.
-FACTOR_BOUND = 100000
-
-
-def factor(n, bound=FACTOR_BOUND):
-    """Factor |n| into primes by trial division by every prime <= ``bound``.
+def factor(n):
+    """Factor |n| into primes by trial division by every prime <=
+    FACTOR_BOUND.
 
     The primes are taken in blocks: one gcd with the product of a block
     decides whether any of its primes divides n, and only then are they
     divided out one by one.  Division stops once the first prime p of a
     block has p * p > n, which leaves 1 or a prime.
 
-    The primes are sieved, and kept, up to min(bound, about sqrt(n)), sized
-    by n before anything is divided out.  A bound far above 10**5 on a large
-    n therefore costs a sieve to sqrt(n): `factor(2**40 * 3 * 10007, 10**15)`
-    sieves to 2**28, for tens of seconds and hundreds of MB.
-
     Returns a dict prime -> exponent, in ascending order of the primes.  A
-    cofactor c > 1 left after trial division is accepted when c <= bound**2
-    (it then has no room for two prime factors > bound) or when it is
-    certified prime; otherwise FactorizationError is raised (honesty over a
-    silently incomplete factorization).
+    cofactor c > 1 left after trial division is accepted when
+    c <= FACTOR_BOUND**2 (it then has no room for two prime factors above
+    the bound) or when it is certified prime; otherwise FactorizationError
+    is raised (honesty over a silently incomplete factorization).
     """
     n = abs(n)
     if n == 0:
         raise ValueError("cannot factor 0")
     out = {}
-    # no prime above sqrt(n) is ever tried, so a huge bound on a small n
-    # sieves only past sqrt(n), to a power of two (few distinct sieves)
-    sieve_to = min(bound, 1 << (n.bit_length() + 1) // 2)
-    for first_sq, block, primes in _prime_blocks(sieve_to):
+    for first_sq, block, primes in _prime_blocks():
         if first_sq > n:
             break
         g = gcd(n, block)
@@ -258,11 +251,12 @@ def factor(n, bound=FACTOR_BOUND):
                 if g == 1:
                     break
     if n > 1:
-        if n <= bound * bound or is_probable_prime(n):
+        if n <= FACTOR_BOUND ** 2 or is_probable_prime(n):
             out[n] = 1
         else:
             raise FactorizationError(
-                "composite cofactor %d survived trial division to %d" % (n, bound))
+                "composite cofactor %d survived trial division to %d"
+                % (n, FACTOR_BOUND))
     return out
 
 

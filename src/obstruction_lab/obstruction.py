@@ -29,6 +29,10 @@ from .padicsolve import (hensel_liftable_1var, padic_solutions_exist,
 # Draws of (x, y) per prime in square sampling before the prime is skipped.
 CURVE_POINT_TRIES = 64
 
+# The 2-adic table tries the levels below this one before it leaves a class
+# undetermined.
+TABLE_MAX_EXPONENT = 8
+
 
 class InternalInconsistencyError(Exception):
     """The engine produced evidence that contradicts Hilbert reciprocity."""
@@ -101,56 +105,31 @@ class QuaternionAlgebraSpec:
         return a, b
 
 
-@dataclass(frozen=True)
-class ResidueClass:
-    modulus: int
-    residues: tuple  # (X, Y, Z) each in [0, modulus)
-
-    def __post_init__(self):
-        if any(not (0 <= r < self.modulus) for r in self.residues):
-            raise ValueError("residues out of range")
-
-
 def residue_sieve(f, m, target):
-    """All residue classes mod m (excluding the all-even-mod-2 ones when m is
-    even) where f takes the target value mod m, sorted canonically."""
+    """The residue sieve of one target, as its report record: every class
+    mod m (excluding the all-even-mod-2 ones when m is even) where f takes
+    the target value mod m, sorted canonically."""
     if m < 2:
         raise ValueError("modulus must be >= 2")
     t = target % m
-    out = []
+    classes = []
     for x in range(m):
         for y in range(m):
             for z in range(m):
                 if m % 2 == 0 and x % 2 == 0 and y % 2 == 0 and z % 2 == 0:
                     continue
                 if f.evaluate_mod((x, y, z), m) == t:
-                    out.append(ResidueClass(m, (x, y, z)))
-    return out
+                    classes.append([x, y, z])
+    return {"modulus": m, "count": len(classes), "classes": classes}
 
 
-@dataclass(frozen=True)
-class InvariantTable:
-    """Map from residue class to a certified 2-adic invariant (or None for
-    undetermined), with the level that certified it."""
-    entries: tuple  # of (ResidueClass, Fraction | None, depth_used)
-
-    def all_determined(self, value=None):
-        for _, inv, _ in self.entries:
-            if inv is None:
-                return False
-            if value is not None and inv != value:
-                return False
-        return True
-
-
-def _invariant_at_level(alg, cls, level):
-    """The local invariant at 2 shared by all lifts of cls to modulus
-    2**level, or None if some lift has an entry of valuation above
-    level - 3 (or zero) or two lifts disagree."""
+def _invariant_at_level(alg, m, residues, level):
+    """The local invariant at 2 shared by all lifts of the class of residues
+    mod m to modulus 2**level, or None if some lift has an entry of
+    valuation above level - 3 (or zero) or two lifts disagree."""
     cap = level - 3
     place = Place.finite(2)
-    m = cls.modulus
-    x0, y0, z0 = cls.residues
+    x0, y0, z0 = residues
     invs = set()
     for i, j, k in product(range(2 ** level // m), repeat=3):
         a, b = alg.values_at((x0 + i * m, y0 + j * m, z0 + k * m))
@@ -163,56 +142,37 @@ def _invariant_at_level(alg, cls, level):
     return invs.pop()
 
 
-def class_invariant_table(alg, classes, max_exponent=8):
-    """Certified 2-adic invariant of the algebra on each residue class.
+def class_invariant_table(alg, sieve):
+    """Certified 2-adic invariant of the algebra on each class of a sieve
+    record, as its report record (entries in sieve order; an undetermined
+    entry has invariant None and depth 0).
 
-    An entry is certified at the first level L (3 <= L < max_exponent, and
-    2**L a proper multiple of the modulus) at which every lift of the class
-    to modulus 2**L has both entries of valuation v_2 <= L - 3 and all lifts
-    share one invariant; its depth is L.  One level suffices: a 2-adic point
-    of the class is congruent to some lift mod 2**L, so its entries have the
-    same valuations as that lift's and the same units mod 8, and (a, b)_2
-    depends only on those (Serre, A Course in Arithmetic, III.1).
+    An entry is certified at the first level L (3 <= L < TABLE_MAX_EXPONENT,
+    and 2**L a proper multiple of the modulus) at which every lift of the
+    class to modulus 2**L has both entries of valuation v_2 <= L - 3 and all
+    lifts share one invariant; its depth is L.  One level suffices: a 2-adic
+    point of the class is congruent to some lift mod 2**L, so its entries
+    have the same valuations as that lift's and the same units mod 8, and
+    (a, b)_2 depends only on those (Serre, A Course in Arithmetic, III.1).
     """
-    if not classes:
-        return InvariantTable(())
-    moduli = {c.modulus for c in classes}
-    if len(moduli) != 1:
-        raise ValueError("classes must share one modulus")
-    m = moduli.pop()
+    m = sieve["modulus"]
     k = m.bit_length() - 1
     if m != 1 << k:
         raise ValueError("modulus must be a power of 2")
     entries = []
-    for cls in classes:
-        for level in range(max(k + 1, 3), max_exponent):
-            inv = _invariant_at_level(alg, cls, level)
+    for cls in sieve["classes"]:
+        inv, depth = None, 0
+        for level in range(max(k + 1, 3), TABLE_MAX_EXPONENT):
+            inv = _invariant_at_level(alg, m, cls, level)
             if inv is not None:
-                entries.append((cls, inv, level))
+                depth = level
                 break
-        else:
-            entries.append((cls, None, 0))
-    return InvariantTable(tuple(entries))
-
-
-def sieve_record(f, m, target):
-    """The residue sieve of one target, as its report record."""
-    classes = residue_sieve(f, m, target)
-    return {"modulus": m, "count": len(classes),
-            "classes": [list(c.residues) for c in classes]}
-
-
-def table_record(alg, sieve):
-    """The 2-adic invariant table on the classes of a sieve record, as its
-    report record (entries in sieve order)."""
-    table = class_invariant_table(alg, [
-        ResidueClass(sieve["modulus"], tuple(c)) for c in sieve["classes"]])
-    return {"determined": table.all_determined(),
-            "all_half": table.all_determined(INV_HALF),
-            "entries": [{"class": list(c.residues),
-                         "invariant": None if inv is None else str(inv),
-                         "depth": d}
-                        for c, inv, d in table.entries]}
+        entries.append({"class": list(cls),
+                        "invariant": None if inv is None else str(inv),
+                        "depth": depth})
+    return {"determined": all(e["invariant"] is not None for e in entries),
+            "all_half": all(e["invariant"] == str(INV_HALF) for e in entries),
+            "entries": entries}
 
 
 @dataclass(frozen=True)
@@ -238,8 +198,9 @@ def point_invariant_profile(alg, point):
 
 def real_unramified_scan(alg, nsamples, seed):
     """Sample rational points of the plane and flag any where both algebra
-    entries are negative (real invariant 1/2).  Signs at rational points are
-    exact, so every reported violation is a genuine ramified real point."""
+    entries are negative (real invariant 1/2), as the scan's report record.
+    Signs at rational points are exact, so every reported violation is a
+    genuine ramified real point."""
     rng = random.Random(seed)
     violations = []
     done = 0
@@ -254,15 +215,8 @@ def real_unramified_scan(alg, nsamples, seed):
             continue
         done += 1
         if a < 0 and b < 0:
-            violations.append(pt)
-    return violations
-
-
-@dataclass(frozen=True)
-class OddPlaceScanResult:
-    violations: tuple  # of (point, prime)
-    checked: int
-    reciprocity_points: int
+            violations.append(list(pt))
+    return {"samples": nsamples, "violations": violations}
 
 
 def check_odd_scan_factors(f, alg, bound):
@@ -288,7 +242,7 @@ def check_odd_scan_factors(f, alg, bound):
 def odd_place_scan(f, alg, nsamples, bound, seed):
     """Sample primitive integer triples and check that the algebra is split at
     every odd prime p dividing an entry value but not f (those points reduce
-    into the open variety at p).
+    into the open variety at p); returns the scan's report record.
 
     Such a p divides the value of an algebra factor other than f.  Each
     distinct nonconstant factor is evaluated once per point
@@ -296,8 +250,8 @@ def odd_place_scan(f, alg, nsamples, bound, seed):
     than f are factored completely (`check_odd_scan_factors`), so every
     sample is checked.  A constant factor is factored once per scan.
 
-    Reciprocity is asserted at every sample, whose number is returned as
-    reciprocity_points.  Let S be 2 and the primes of the values of the
+    Reciprocity is asserted at every sample: a nonzero invariant sum raises
+    InternalInconsistencyError.  Let S be 2 and the primes of the values of the
     factors other than f; the symbol at the real place (a sign test) and at
     each prime of S is computed, with one Place per distinct prime.  Every
     other prime of ab divides f(P) and no other factor value.
@@ -356,7 +310,7 @@ def odd_place_scan(f, alg, nsamples, bound, seed):
                 continue
             checked += 1
             if not split:
-                violations.append((pt, p))
+                violations.append([list(pt), p])
         if alpha % 2 or beta % 2:
             n = abs(fval)
             for p in primes:
@@ -369,7 +323,12 @@ def odd_place_scan(f, alg, nsamples, bound, seed):
         if ramified % 2:
             raise InternalInconsistencyError(
                 "nonzero invariant sum 1/2 at %r" % (pt,))
-    return OddPlaceScanResult(tuple(violations), checked, nsamples)
+    return {"samples": nsamples, "bound": bound,
+            "checked_prime_conditions": checked,
+            # no sample is skipped, since every factor value other than f(P)
+            # is factored completely; the key stays for readers of the report
+            "skipped_unfactored": 0,
+            "violations": violations}
 
 
 def check_prime_window(prime_min, prime_max):
@@ -692,6 +651,11 @@ class ObstructionInstance:
             raise ValueError("instance polynomial must be homogeneous")
         if any(t == 0 for t in self.targets):
             raise ValueError("targets must be nonzero")
+        # the 2-adic table lifts the sieve classes to moduli 2**L
+        m = self.sieve_modulus
+        if type(m) is not int or m < 2 or m & (m - 1):
+            raise ValueError("sieve_modulus must be a power of 2 and at "
+                             "least 2, got %r" % (m,))
 
 
 OBSTRUCTED = "OBSTRUCTED"
@@ -773,35 +737,26 @@ def obstruction_verdict(instance, seed=None, depth=None, bound=None,
         else:
             raise ValueError("unknown p-adic witness kind %r" % (wspec.kind,))
         padic_records.append(rec)
+    # only a search record covers its prime: it is proved from f, while a
+    # onevar certificate shows a root of its own polynomial, never tied to f
     steps["padic_witnesses"] = {
         "records": padic_records,
-        "uncovered_bad_primes": sorted(
-            bad_primes - {r["p"] for r in padic_records if r["ok"]}),
+        "uncovered_bad_primes": sorted(bad_primes - {
+            r["p"] for r in padic_records
+            if r["kind"] == "search" and r["ok"]}),
     }
 
     # 3-4. sieve and invariant table, per target
-    steps["sieve"] = {str(t): sieve_record(f, instance.sieve_modulus, t)
+    steps["sieve"] = {str(t): residue_sieve(f, instance.sieve_modulus, t)
                       for t in instance.targets}
-    steps["invariant_table"] = {t: table_record(alg, sieve)
+    steps["invariant_table"] = {t: class_invariant_table(alg, sieve)
                                 for t, sieve in steps["sieve"].items()}
 
-    # 5. real scan
-    real_violations = real_unramified_scan(alg, real_samples, root_seed * 7 + 1)
-    steps["real_scan"] = {"samples": real_samples,
-                          "violations": [list(v) for v in real_violations]}
-
-    # 6. odd-place scan
-    odd = odd_place_scan(f, alg, odd_samples, odd_bound, root_seed * 7 + 2)
-    steps["odd_place_scan"] = {
-        "samples": odd_samples,
-        "bound": odd_bound,
-        "checked_prime_conditions": odd.checked,
-        # no sample is skipped, since every factor value other than f(P) is
-        # factored completely; the key stays for readers of the report
-        "skipped_unfactored": 0,
-        "reciprocity_points": odd.reciprocity_points,
-        "violations": [[list(p), q] for p, q in odd.violations],
-    }
+    # 5-6. real and odd-place scans
+    steps["real_scan"] = real_unramified_scan(alg, real_samples,
+                                              root_seed * 7 + 1)
+    steps["odd_place_scan"] = odd_place_scan(f, alg, odd_samples, odd_bound,
+                                             root_seed * 7 + 2)
 
     # 7. square-certificate sampling on the algebra pair
     sm = square_mod_sampling(alg.first, alg.second_factors,
@@ -836,7 +791,7 @@ def decide(steps):
     and then no real or odd-place violation, at least one accepted
     square-sampling point and no counterexample, a rational witness that
     matches (without one nothing shows local solubility), and no bad prime
-    of it left uncovered by the p-adic witnesses.  Anything else is
+    of it left uncovered by the p-adic search records.  Anything else is
     INCONCLUSIVE.
     """
     found = False

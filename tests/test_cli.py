@@ -204,7 +204,8 @@ class TestVerify:
             odd = json.loads(out)["steps"]["odd_place_scan"]
             assert odd["samples"] == 100 and odd["checked_prime_conditions"] > 0
             assert odd["skipped_unfactored"] == 0
-            assert odd["reciprocity_points"] == odd["samples"]
+            assert odd["violations"] == []
+            assert "reciprocity_points" not in odd
 
 
 # The algebra entries of the bundled instances before they were given
@@ -350,6 +351,43 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "depth" in err
+
+    @pytest.mark.parametrize("modulus", ["16", True, 6, 1])
+    def test_bad_sieve_modulus_is_usage_error(self, capsys, tmp_path,
+                                              quartic_path, monkeypatch,
+                                              modulus):
+        # refused at load, before any stage runs
+        def first_stage(*args):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(obstruction, "verify_rational_witness",
+                            first_stage)
+        _, doc = quartic_path
+        doc["sieve_modulus"] = modulus
+        path = tmp_path / "modulus.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: sieve_modulus ")
+        assert err.count("\n") == 1
+
+    def test_onevar_witness_covers_no_prime(self, capsys, tmp_path,
+                                            quartic_path):
+        # a root of t - 1 says nothing about f = 1: only a search record,
+        # proved from f, covers the witness's bad prime 2
+        _, doc = quartic_path
+        doc["padic_witnesses"] = [{"p": 2, "kind": "onevar", "poly": [-1, 1],
+                                   "start": 1}]
+        path = tmp_path / "onevar.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "verify", str(path), "--bound", "5")
+        assert code == 3
+        report = json.loads(out)
+        assert report["verdict"] == "INCONCLUSIVE"
+        padic = report["steps"]["padic_witnesses"]
+        assert padic["records"][0]["ok"] is True
+        assert padic["uncovered_bad_primes"] == [2]
 
     def test_unfactored_algebra_exit_three(self, capsys, tmp_path,
                                            quartic_path, monkeypatch):

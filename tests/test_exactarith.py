@@ -194,9 +194,10 @@ def _reference_primes(bound):
             if all(p % q for q in range(2, isqrt(p) + 1))]
 
 
-def _reference_factor(n, bound):
-    """Divide by every prime <= bound, no early exit; then the cofactor
+def _reference_factor(n):
+    """Divide by every prime <= 10^5, no early exit; then the cofactor
     rule of `factor`.  None stands for FactorizationError."""
+    bound = 10 ** 5
     n = abs(n)
     out = {}
     for p in _reference_primes(bound):
@@ -210,8 +211,8 @@ def _reference_factor(n, bound):
     return out
 
 
-# primes just above the bounds 10^4 and 10^5, so products of two of them
-# are cofactors that trial division cannot split
+# primes just above 10^4 and 10^5, so products of two of the larger ones
+# are cofactors that trial division to 10^5 cannot split
 _BIG_PRIMES = (10007, 10009, 10037, 100003, 100019, 100043, 1000003)
 
 
@@ -244,23 +245,21 @@ class TestFactor:
                          st.sampled_from(_BIG_PRIMES + (1,))),
                # squares of primes, where the early exit p * p > n is tight
                st.lists(st.sampled_from(_reference_primes(1000)),
-                        min_size=1, max_size=4).map(lambda ps: prod(ps) ** 2)),
-           st.one_of(st.sampled_from([10 ** 4, 10 ** 5]),
-                     st.integers(0, 120)))
-    @example(4, 10 ** 4)
-    def test_matches_reference(self, n, bound):
-        expected = _reference_factor(n, bound)
+                        min_size=1, max_size=4).map(lambda ps: prod(ps) ** 2)))
+    @example(4)
+    def test_matches_reference(self, n):
+        expected = _reference_factor(n)
         if expected is None:
             with pytest.raises(FactorizationError):
-                factor(n, bound)
+                factor(n)
         else:
-            got = factor(n, bound)
+            got = factor(n)
             assert got == expected
             assert list(got) == sorted(got)
 
     def test_cofactor_around_bound_squared(self, monkeypatch):
-        # with bound 10, a cofactor c <= 100 has no room for two primes
-        # > 10 and is accepted untested; above 100 it must prove prime
+        # a cofactor c <= 10^10 has no room for two primes > 10^5 and is
+        # accepted untested; above 10^10 it must prove prime
         calls = []
 
         def counting(n):
@@ -268,18 +267,14 @@ class TestFactor:
             return is_probable_prime(n)
 
         monkeypatch.setattr(exactarith, "is_probable_prime", counting)
-        assert factor(2 * 97, 10) == {2: 1, 97: 1} and calls == []
-        assert factor(2 * 101, 10) == {2: 1, 101: 1} and calls == [101]
+        assert factor(2 * 9999999967) == {2: 1, 9999999967: 1}
+        assert calls == []
+        assert factor(2 * 10000000019) == {2: 1, 10000000019: 1}
+        assert calls == [10000000019]
         with pytest.raises(FactorizationError):
-            factor(2 * 11 * 11, 10)  # 121 = 11^2, the least composite
-        with pytest.raises(FactorizationError):
-            factor(10007 * 10009, 10 ** 4)
-        assert factor(10007 * 10009, 10 ** 5) == {10007: 1, 10009: 1}
-
-    def test_huge_bound_on_small_n(self):
-        # only primes up to sqrt(n) are ever needed, and only those sieved
-        assert factor(2 ** 10 * 3 * 10007, 10 ** 15) == {2: 10, 3: 1, 10007: 1}
-        assert factor(10007 * 10009, 10 ** 15) == {10007: 1, 10009: 1}
+            # the least composite with no prime factor up to 10^5
+            factor(100003 ** 2)
+        assert factor(10007 * 10009) == {10007: 1, 10009: 1}
 
     def test_prime_cofactor_accepted(self):
         big = 2 ** 61 - 1  # prime
@@ -288,7 +283,7 @@ class TestFactor:
     def test_composite_cofactor_rejected(self):
         p = 1000003
         with pytest.raises(FactorizationError):
-            factor(p * p * 1000033, bound=1000)
+            factor(p * p * 1000033)
 
     def test_divisors(self):
         assert divisors(12) == [1, 2, 3, 4, 6, 12]

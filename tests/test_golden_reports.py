@@ -13,8 +13,8 @@ import pytest
 from obstruction_lab import cli
 
 GOLDEN_SHA256 = {
-    "quartic": "bc21dd400ca596d6e829094f614c3ea9c75b13d8de2b19fae33eff01c319cf44",
-    "cubic": "28fa652c467d065587e00c19622d9f9cca016e5dc13d53b26b0d17883c3aaec8",
+    "quartic": "fb6088aec6a8ed8e917b66247762b2a0580003e43589785dc8900deffe50feaf",
+    "cubic": "9d8775f7cb620e97626dafb9dd8a7587c5ac758b5c219bf0058592512498ecee",
 }
 
 

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 
 from obstruction_lab import exactarith, obstruction
 from obstruction_lab.exactarith import FactorizationError, factor
-from obstruction_lab.localsymbols import (INV_HALF, Place, hilbert_symbol,
+from obstruction_lab.localsymbols import (Place, hilbert_symbol,
                                           solubility_oracle)
 from obstruction_lab.multipoly import MultiPoly
 from obstruction_lab.obstruction import (INCONCLUSIVE, NOT_OBSTRUCTED,
                                          OBSTRUCTED,
                                          InternalInconsistencyError,
-                                         QuaternionAlgebraSpec, ResidueClass,
+                                         QuaternionAlgebraSpec,
                                          SquareSamplingError,
                                          class_invariant_table, integer_search,
                                          naive_integer_search,
@@ -30,55 +30,67 @@ from obstruction_lab.obstruction import (INCONCLUSIVE, NOT_OBSTRUCTED,
                                          square_mod_sampling)
 
 
+def first_classes(sieve, n):
+    """The sieve record cut to its first n classes."""
+    return dict(sieve, count=n, classes=sieve["classes"][:n])
+
+
+def invariants(table):
+    return [e["invariant"] for e in table["entries"]]
+
+
 class TestResidueSieve:
     def test_quartic_mod_16(self, fq):
-        classes = residue_sieve(fq, 16, 1)
-        assert len(classes) == 512
-        assert all(tuple(r % 2 for r in c.residues) == (0, 1, 1)
-                   for c in classes)
+        sieve = residue_sieve(fq, 16, 1)
+        assert sieve["modulus"] == 16
+        assert sieve["count"] == len(sieve["classes"]) == 512
+        assert all(tuple(r % 2 for r in c) == (0, 1, 1)
+                   for c in sieve["classes"])
 
     def test_cubic_mod_2(self, fc):
-        classes = residue_sieve(fc, 2, 1)
-        assert [c.residues for c in classes] == [(0, 0, 1), (1, 0, 1)]
+        assert residue_sieve(fc, 2, 1)["classes"] == [[0, 0, 1], [1, 0, 1]]
 
     def test_linear(self):
         x = MultiPoly([(1, (1, 0, 0))])
-        classes = residue_sieve(x, 2, 1)
+        classes = residue_sieve(x, 2, 1)["classes"]
         assert len(classes) == 4
-        assert all(c.residues[0] == 1 for c in classes)
+        assert all(c[0] == 1 for c in classes)
 
     def test_symmetry_for_even_degree(self, fq):
-        classes = set(c.residues for c in residue_sieve(fq, 16, 1))
+        classes = set(map(tuple, residue_sieve(fq, 16, 1)["classes"]))
         for r in classes:
             assert tuple(-c % 16 for c in r) in classes
 
 
 class TestInvariantTable:
     def test_quartic_all_half(self, fq, quartic_algebra):
-        classes = residue_sieve(fq, 16, 1)
-        table = class_invariant_table(quartic_algebra, classes)
-        assert table.all_determined(INV_HALF)
+        table = class_invariant_table(quartic_algebra,
+                                      residue_sieve(fq, 16, 1))
+        assert invariants(table) == ["1/2"] * 512
+        assert table["determined"] and table["all_half"]
 
     def test_cubic_all_half(self, fc, cubic_algebra):
-        classes = residue_sieve(fc, 2, 1)
-        table = class_invariant_table(cubic_algebra, classes)
-        assert table.all_determined(INV_HALF)
+        table = class_invariant_table(cubic_algebra, residue_sieve(fc, 2, 1))
+        assert invariants(table) == ["1/2"] * 2
+        assert table["determined"] and table["all_half"]
 
     def test_split_algebra_all_zero(self, fq):
         one = MultiPoly([(1, (0, 0, 0))])
         alg = QuaternionAlgebraSpec(one, one)
-        classes = residue_sieve(fq, 16, 1)[:8]
-        table = class_invariant_table(alg, classes)
-        assert table.all_determined(Fraction(0))
+        table = class_invariant_table(
+            alg, first_classes(residue_sieve(fq, 16, 1), 8))
+        assert invariants(table) == ["0"] * 8
+        assert table["determined"] and not table["all_half"]
 
-    def test_refinement_stability(self, fq, quartic_algebra):
-        classes = residue_sieve(fq, 16, 1)[:16]
-        t1 = class_invariant_table(quartic_algebra, classes, max_exponent=8)
-        t2 = class_invariant_table(quartic_algebra, classes, max_exponent=9)
-        for (c1, i1, _), (c2, i2, _) in zip(t1.entries, t2.entries):
-            assert c1 == c2
-            if i1 is not None:
-                assert i2 == i1
+    def test_refinement_stability(self, fq, quartic_algebra, monkeypatch):
+        sieve = first_classes(residue_sieve(fq, 16, 1), 16)
+        t1 = class_invariant_table(quartic_algebra, sieve)
+        monkeypatch.setattr(obstruction, "TABLE_MAX_EXPONENT", 9)
+        t2 = class_invariant_table(quartic_algebra, sieve)
+        for e1, e2 in zip(t1["entries"], t2["entries"], strict=True):
+            assert e1["class"] == e2["class"]
+            if e1["invariant"] is not None:
+                assert e2["invariant"] == e1["invariant"]
 
     @pytest.mark.parametrize("which,targets", [("quartic", (1,)),
                                                ("cubic", (1, -1))])
@@ -91,42 +103,52 @@ class TestInvariantTable:
         rng = random.Random(83)
         two = Place.finite(2)
         for t in targets:
-            classes = residue_sieve(instance.f, instance.sieve_modulus, t)
-            table = class_invariant_table(alg, classes)
-            assert len(table.entries) == len(classes) > 0
-            for cls, inv, depth in table.entries:
+            sieve = residue_sieve(instance.f, instance.sieve_modulus, t)
+            table = class_invariant_table(alg, sieve)
+            assert len(table["entries"]) == len(sieve["classes"]) > 0
+            m = sieve["modulus"]
+            for e in table["entries"]:
+                cls, inv, depth = e["class"], e["invariant"], e["depth"]
                 assert inv is not None and depth >= 3
-                m = cls.modulus
                 steps = range(2 ** depth // m)
                 for i, j, k in itertools.product(steps, repeat=3):
-                    lift = tuple(r + n * m for r, n in
-                                 zip(cls.residues, (i, j, k)))
+                    lift = tuple(r + n * m for r, n in zip(cls, (i, j, k)))
                     for v in alg.values_at(lift):
                         assert v != 0 and v % 2 ** (depth - 2) != 0
                 for _ in range(2):
                     pt = tuple(r + m * rng.randrange(10 ** 6 // m)
-                               for r in cls.residues)
+                               for r in cls)
                     a, b = alg.values_at(pt)
-                    assert solubility_oracle(a, b, two) is (inv == 0)
+                    assert solubility_oracle(a, b, two) is (inv == "0")
 
     @pytest.mark.parametrize("v,depth", [(0, 3), (4, 7), (5, 0)])
     def test_depth_is_first_level_past_the_valuation(self, v, depth):
         # a constant entry of valuation v is certified first at level v + 3;
-        # from v = 5 on that level is not below max_exponent = 8
+        # from v = 5 on that level is not below TABLE_MAX_EXPONENT = 8
         alg = QuaternionAlgebraSpec(MultiPoly([(3 * 2 ** v, (0, 0, 0))]),
                                     MultiPoly([(3, (0, 0, 0))]))
-        table = class_invariant_table(alg, [ResidueClass(2, (1, 0, 0))])
-        inv = None if depth == 0 else INV_HALF  # (3, 3)_2 = -1, v even
-        assert table.entries[0][1:] == (inv, depth)
+        table = class_invariant_table(alg, {"modulus": 2,
+                                            "classes": [[1, 0, 0]]})
+        inv = None if depth == 0 else "1/2"  # (3, 3)_2 = -1, v even
+        assert table["entries"] == [{"class": [1, 0, 0], "invariant": inv,
+                                     "depth": depth}]
+        assert table["determined"] is table["all_half"] is (depth != 0)
 
     def test_undetermined_when_valuation_unbounded(self):
         # entries y^2, z^2 on a class with y and z both even: the 2-adic
         # valuation varies over lifts, so no certification is possible
         alg = QuaternionAlgebraSpec(MultiPoly([(1, (0, 2, 0))]),
                                     MultiPoly([(1, (0, 0, 2))]))
-        cls = ResidueClass(2, (1, 0, 0))
-        table = class_invariant_table(alg, [cls])
-        assert table.entries[0][1] is None
+        table = class_invariant_table(alg, {"modulus": 2,
+                                            "classes": [[1, 0, 0]]})
+        assert invariants(table) == [None]
+        assert not table["determined"] and not table["all_half"]
+
+    def test_modulus_not_a_power_of_two_refused(self):
+        one = MultiPoly([(1, (0, 0, 0))])
+        with pytest.raises(ValueError):
+            class_invariant_table(QuaternionAlgebraSpec(one, one),
+                                  {"modulus": 6, "classes": [[1, 0, 0]]})
 
 
 class TestPointProfile:
@@ -164,14 +186,14 @@ class TestPointProfile:
 
     def test_consistency_triangle(self, fq, quartic_algebra):
         # points congruent to sieve classes have the tabulated 2-adic invariant
-        classes = residue_sieve(fq, 16, 1)
-        table = class_invariant_table(quartic_algebra, classes[:8])
+        table = class_invariant_table(
+            quartic_algebra, first_classes(residue_sieve(fq, 16, 1), 8))
         from obstruction_lab.localsymbols import Place, local_invariant
-        for cls, inv, _ in table.entries:
-            assert inv is not None
-            pt = cls.residues
-            a, b = quartic_algebra.values_at(pt)
-            assert local_invariant(a, b, Place.finite(2)) == inv
+        for e in table["entries"]:
+            assert e["invariant"] is not None
+            a, b = quartic_algebra.values_at(e["class"])
+            inv = local_invariant(a, b, Place.finite(2))
+            assert str(inv) == e["invariant"]
 
 
 def real_toy_algebra():
@@ -235,7 +257,7 @@ def real_scan_points(alg, nsamples, seed):
             continue
         done += 1
         if a < 0 and b < 0:
-            violations.append(pt)
+            violations.append(list(pt))
     return violations
 
 
@@ -245,33 +267,37 @@ class TestScans:
                                       cubic_algebra):
         alg = {"quartic": quartic_algebra, "cubic": cubic_algebra,
                "toy": real_toy_algebra()}[which]
-        violations = real_unramified_scan(alg, 2000, 3)
-        assert violations == real_scan_points(alg, 2000, 3)
-        assert bool(violations) == (which == "toy")
+        record = real_unramified_scan(alg, 2000, 3)
+        assert record["samples"] == 2000
+        assert record["violations"] == real_scan_points(alg, 2000, 3)
+        assert bool(record["violations"]) == (which == "toy")
 
     def test_quartic_real_scan_empty(self, quartic_algebra):
-        assert real_unramified_scan(quartic_algebra, 10000, 1) == []
+        assert real_unramified_scan(quartic_algebra, 10000, 1) == {
+            "samples": 10000, "violations": []}
 
     def test_cubic_real_scan_empty(self, cubic_algebra):
-        assert real_unramified_scan(cubic_algebra, 10000, 1) == []
+        assert real_unramified_scan(cubic_algebra, 10000, 1) == {
+            "samples": 10000, "violations": []}
 
     def test_negative_definite_always_violates(self):
         neg = -1 * (MultiPoly([(1, (2, 0, 0)), (1, (0, 2, 0)), (1, (0, 0, 2))])
                     * MultiPoly([(1, (2, 0, 0)), (1, (0, 2, 0)), (1, (0, 0, 2))]))
         alg = QuaternionAlgebraSpec(neg, neg)
-        violations = real_unramified_scan(alg, 100, 1)
-        assert len(violations) == 100
+        record = real_unramified_scan(alg, 100, 1)
+        assert len(record["violations"]) == 100
 
     def test_quartic_odd_scan_empty(self, fq, quartic_algebra):
-        result = odd_place_scan(fq, quartic_algebra, 2000, 1000, 2)
-        assert result.violations == ()
-        assert result.checked > 0
-        assert result.reciprocity_points == 2000
+        record = odd_place_scan(fq, quartic_algebra, 2000, 1000, 2)
+        assert (record["samples"], record["bound"]) == (2000, 1000)
+        assert record["violations"] == []
+        assert record["checked_prime_conditions"] > 0
+        assert record["skipped_unfactored"] == 0
 
     def test_cubic_odd_scan_empty(self, fc, cubic_algebra):
-        result = odd_place_scan(fc, cubic_algebra, 2000, 1000, 2)
-        assert result.violations == ()
-        assert result.reciprocity_points == 2000
+        record = odd_place_scan(fc, cubic_algebra, 2000, 1000, 2)
+        assert record["violations"] == []
+        assert record["checked_prime_conditions"] > 0
 
     def test_factor_value_cap(self, fq):
         # sum |coeff| * bound^deg may reach FACTOR_BOUND**2 = 10^10, and
@@ -311,7 +337,7 @@ class TestScans:
                 second_factors=(MultiPoly([(-1, (0, 0, 0))]),
                                 MultiPoly([(1, (2, 0, 0)), (1, (0, 0, 2))])))
         bound, nsamples, seed = 30, 300, 4
-        result = odd_place_scan(f, alg, nsamples, bound, seed)
+        record = odd_place_scan(f, alg, nsamples, bound, seed)
 
         def primes_of(n):
             n, out, d = abs(n), set(), 2
@@ -330,11 +356,10 @@ class TestScans:
                     continue
                 checked += 1
                 if hilbert_symbol(a, b, Place.finite(p)) == -1:
-                    violations.append((pt, p))
-        assert result.checked == checked > 0
-        assert list(result.violations) == violations
+                    violations.append([list(pt), p])
+        assert record["checked_prime_conditions"] == checked > 0
+        assert record["violations"] == violations
         assert bool(violations) == (which == "toy")
-        assert result.reciprocity_points == nsamples
 
 
 def scan_points(alg, nsamples, bound, seed):
@@ -375,7 +400,7 @@ class TestOddScanReciprocity:
     @pytest.mark.parametrize("which", ["quartic", "cubic"])
     def test_jacobi_matches_symbols_at_primes_of_f(
             self, which, jacobi_calls, fq, fc, quartic_algebra, cubic_algebra):
-        # where f(P) factors by trial division to 10^4, the Jacobi symbol is
+        # where f(P) factors by trial division to 10^5, the Jacobi symbol is
         # the product of the Hilbert symbols at its primes outside S
         f, alg = ((fq, quartic_algebra) if which == "quartic"
                   else (fc, cubic_algebra))
@@ -390,7 +415,7 @@ class TestOddScanReciprocity:
                 if q != f:
                     S.update(factor(q.evaluate_int(pt)))
             try:
-                fprimes = factor(f.evaluate_int(pt), 10 ** 4)
+                fprimes = factor(f.evaluate_int(pt))
             except FactorizationError:
                 continue
             compared += 1
@@ -411,7 +436,8 @@ class TestOddScanReciprocity:
         second = tuple(forms[c] for c in second)
         alg = QuaternionAlgebraSpec(math.prod(first), math.prod(second),
                                     first, second)
-        assert odd_place_scan(fq, alg, 500, 1000, 9).reciprocity_points == 500
+        # reciprocity holds at every sample, or the scan raises
+        odd_place_scan(fq, alg, 500, 1000, 9)
         assert len(jacobi_calls) == jacobis
 
     @pytest.mark.parametrize("which", ["quartic", "cubic"])
