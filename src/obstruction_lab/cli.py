@@ -111,7 +111,8 @@ def parse_instance(doc):
         return ObstructionInstance(
             name=doc["name"],
             f=_term_list(doc["poly"], "poly"),
-            targets=tuple(doc["targets"]),
+            targets=(tuple(doc["targets"]) if isinstance(doc["targets"], list)
+                     else doc["targets"]),
             algebra=_algebra(doc["algebra"]),
             sieve_modulus=doc["sieve_modulus"],
             rational_witness=witness,

@@ -419,28 +419,3 @@ def divisors(n):
         divs = [d * p ** i for d in divs for i in range(e + 1)]
     return sorted(divs)
 
-
-def divisors_up_to(n, bound, primes):
-    """Positive divisors d <= bound of n != 0, unsorted.  `primes` must hold
-    every prime <= bound, in ascending order: such a d has no other prime
-    factor, so only the part of n made of those primes is ever divided out
-    and no factoring bound applies."""
-    n = abs(n)
-    divs = [1] if bound >= 1 else []
-    for p in primes:
-        if p * p > n:
-            break
-        if n % p:
-            continue
-        new = []
-        pk = 1
-        while n % p == 0:
-            n //= p
-            pk *= p
-            new += [d * pk for d in divs if d * pk <= bound]
-        divs += new
-    # what is left has no prime factor below p, so with p * p > n it is 1
-    # or a prime; after the last prime <= bound it has no divisor <= bound
-    if 1 < n <= bound:
-        divs += [d * n for d in divs if d * n <= bound]
-    return divs

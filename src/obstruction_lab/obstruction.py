@@ -12,13 +12,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import product
 from math import gcd, prod
-from operator import add
 
-from .exactarith import (FACTOR_BOUND, FactorizationError, divisors_up_to,
-                         factor, is_probable_prime, jacobi,
-                         poly_roots_certified, primes_up_to,
+from .exactarith import (FACTOR_BOUND, FactorizationError, factor,
+                         is_probable_prime, jacobi, poly_roots_certified,
                          primitive_normalize, strip_prime)
 from .localsymbols import (INV_HALF, Place, hilbert_symbol, local_invariant,
                            symbol_support)
@@ -32,6 +30,10 @@ CURVE_POINT_TRIES = 64
 # The 2-adic table tries the levels below this one before it leaves a class
 # undetermined.
 TABLE_MAX_EXPONENT = 8
+
+# The integer search walks a pair (u, w) only when f = target is soluble in
+# the third variable modulo each of these prime powers.
+SEARCH_MODULI = (16, 9, 25, 7, 11, 13, 17, 19, 23)
 
 
 class InternalInconsistencyError(Exception):
@@ -499,6 +501,29 @@ def naive_integer_search(f, target, B):
     return _canonical_solutions(f, sols)
 
 
+def _admissible_rows(f, target, q, i, others):
+    """The residues mod q of the enumerated pair (u, w) = (x_others[0],
+    x_others[1]) at which some v = x_i mod q solves f = target.
+
+    One q-bit mask per residue u: bit r is set when target - rest(u, r)
+    lies in c*u^a*r^b * {v^k} mod q, where c*u^a*w^b*v^k is the one term
+    of f containing v and rest(u, w) is f without it."""
+    (c, e), = [t for t in f.terms if t[1][i]]
+    kth = {pow(v, e[i], q) for v in range(q)}
+    reach = [{x * p % q for p in kth} for x in range(q)]
+    ui, wi = others
+    rest = [(cr, er[ui], er[wi]) for cr, er in f.terms if not er[i]]
+    rows = []
+    for u in range(q):
+        row = 0
+        for r in range(q):
+            value = sum(cr * u ** eu * r ** ew for cr, eu, ew in rest)
+            if (target - value) % q in reach[c * u ** e[ui] * r ** e[wi] % q]:
+                row |= 1 << r
+        rows.append(row)
+    return rows
+
+
 def integer_search(f, target, B):
     """All primitive integer solutions of f = target in the cube [-B, B]^3,
     enumerating two coordinates (u, w) and solving exactly for the third, v.
@@ -506,21 +531,16 @@ def integer_search(f, target, B):
     Requires a variable v that appears in exactly one term of f, so that
     its pure power can be recovered by exact division and a table lookup.
 
-    Write that term c*u^a*w^b*v^k, with w an enumerated variable of positive
-    exponent when there is one.  If b > 0, w divides both the term and the
-    rest of f minus its w-free part g0(u), so every solution in row u has w
-    dividing N(u) = target - g0(u), also where c*u^a = 0 (w = 0 only when
-    N(u) = 0).  A row with N(u) != 0 therefore enumerates only w = +-d for
-    the divisors d <= B of N(u), found by dividing by the primes <= B; it
-    never calls `factor`.  Rows with N(u) = 0 enumerate the full range of
-    w, and so does every row when a = b = 0 (a pure power, such as the
-    quartic's -y^4).
+    A pair (u, w) is walked only when it is admissible modulo each q in
+    SEARCH_MODULI: some v mod q solves f = target there (a necessary
+    condition, so no solution is lost).  Per q, each residue of u gets one
+    int bitmask over the w range, bit j set when (u, w_j) is admissible;
+    a row ANDs its masks, is skipped when nothing is left, and otherwise
+    walks the set bits from the top (each removed bit shortens the int).
+    Building the masks costs q^2 residue operations per q, whatever B is.
 
     The v side is tabulated once: r^k -> r for every admissible |r| <= B
-    (r >= 0 for even k), so a k-th root is one dictionary lookup.  For a
-    pure power c*v^k, each row u first computes target - rest(u, w) for
-    all its w at once and is skipped when none of them lies in the set of
-    c*r^k; only a row that meets the set is walked w by w.
+    (r >= 0 for even k), so a k-th root is one dictionary lookup.
     """
     if B < 0:
         raise ValueError("search bound must be >= 0, got %d" % B)
@@ -528,50 +548,47 @@ def integer_search(f, target, B):
     if i is None:
         raise ValueError("no variable of f is confined to a single term")
     others = [j for j in range(3) if j != i]
-    term = next((c, e) for c, e in f.terms if e[i] > 0)
-    c_lead, exps = term
-    if exps[others[1]] == 0 and exps[others[0]] > 0:
-        others.reverse()
+    c_lead, exps = next((c, e) for c, e in f.terms if e[i] > 0)
     k = exps[i]
-    a_exps = [exps[j] for j in others]
-    rest = MultiPoly((c, e) for c, e in f.terms if e[i] == 0)
-    # rest as coefficients of powers of the second free variable, each a
-    # polynomial in the first free variable
+    ea, eb = (exps[j] for j in others)
+    # rest as coefficients of powers of w, each a polynomial in u
     w_groups = {}
-    for c, e in rest.terms:
-        w_groups.setdefault(e[others[1]], []).append((c, e[others[0]]))
-    w_degs = sorted(w_groups)
+    for c, e in f.terms:
+        if e[i] == 0:
+            w_groups.setdefault(e[others[1]], []).append((c, e[others[0]]))
 
     # exploit sign symmetry per enumerated variable
     u_even = all(e[others[0]] % 2 == 0 for _, e in f.terms)
     w_even = all(e[others[1]] % 2 == 0 for _, e in f.terms)
     u_range = range(0, B + 1) if u_even else range(-B, B + 1)
-    w_range_full = list(range(0, B + 1)) if w_even else list(range(-B, B + 1))
+    w0 = 0 if w_even else -B
+    n = B + 1 - w0
+    full = (1 << n) - 1
+    masks = []
+    for q in SEARCH_MODULI:
+        # each row's q bits rotated to start at residue w0, then repeated
+        # over the n bits of the w range
+        tile = ((1 << q * -(-n // q)) - 1) // ((1 << q) - 1)
+        shift = w0 % q
+        masks.append((q, [((row | row << q) >> shift & (1 << q) - 1) * tile
+                          & full for row in
+                          _admissible_rows(f, target, q, i, others)]))
 
     roots_of = {r ** k: r for r in range(0 if k % 2 == 0 else -B, B + 1)}
     sols = []
-    ea, eb = a_exps
-    # eb == 0 forces ea == 0 (see the swap above): c*v^k is a pure power
-    primes = primes_up_to(B) if eb > 0 else None
-    if primes is None:
-        c_powers = {c_lead * power for power in roots_of}
-        w_pows = {d: [w ** d for w in w_range_full] for d in w_degs if d}
     for u in u_range:
-        coeffs = [(d, sum(c * u ** eu for c, eu in w_groups[d])) for d in w_degs]
+        mask = full
+        for q, rows in masks:
+            mask &= rows[u % q]
+        if not mask:
+            continue
+        coeffs = [(d, sum(c * u ** eu for c, eu in grp))
+                  for d, grp in w_groups.items()]
         cu = c_lead * u ** ea
-        w_range = w_range_full
-        n_u = target - dict(coeffs).get(0, 0)
-        if primes is None:
-            nums = repeat(n_u, len(w_range_full))
-            for d, cc in coeffs:
-                if d:
-                    nums = map(add, nums, map((-cc).__mul__, w_pows[d]))
-            if c_powers.isdisjoint(nums):
-                continue
-        elif n_u != 0:
-            divs = divisors_up_to(n_u, B, primes)
-            w_range = divs if w_even else divs + [-d for d in divs]
-        for w in w_range:
+        while mask:
+            j = mask.bit_length() - 1
+            mask ^= 1 << j
+            w = w0 + j
             bval = 0
             for d, cc in coeffs:
                 bval += cc * w ** d
@@ -649,8 +666,14 @@ class ObstructionInstance:
     def __post_init__(self):
         if self.f.homogeneous_degree() is None:
             raise ValueError("instance polynomial must be homogeneous")
-        if any(t == 0 for t in self.targets):
-            raise ValueError("targets must be nonzero")
+        t = self.targets
+        if type(t) is not tuple or not t or any(
+                type(x) is not int or x == 0 for x in t):
+            raise ValueError("targets must be a nonempty list of nonzero "
+                             "ints, got %r" % (t,))
+        if type(self.search_bound) is not int or self.search_bound < 0:
+            raise ValueError("search_bound must be an int >= 0, got %r"
+                             % (self.search_bound,))
         # the 2-adic table lifts the sieve classes to moduli 2**L
         m = self.sieve_modulus
         if type(m) is not int or m < 2 or m & (m - 1):

@@ -372,6 +372,29 @@ class TestExitCodes:
         assert err.startswith("error: sieve_modulus ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("key, value", [
+        ("targets", [True]), ("targets", [1.5]), ("targets", "1"),
+        ("targets", []), ("search_bound", "10"), ("search_bound", True),
+        ("search_bound", -1)])
+    def test_bad_targets_or_search_bound_is_usage_error(
+            self, capsys, tmp_path, quartic_path, monkeypatch, key, value):
+        # refused at load, before any stage runs, also when --bound
+        # overrides the instance's search bound
+        def first_stage(*args):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(obstruction, "verify_rational_witness",
+                            first_stage)
+        _, doc = quartic_path
+        doc[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", str(path), "--bound", "20")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: %s " % key)
+        assert err.count("\n") == 1
+
     def test_onevar_witness_covers_no_prime(self, capsys, tmp_path,
                                             quartic_path):
         # a root of t - 1 says nothing about f = 1: only a search record,

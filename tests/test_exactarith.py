@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from obstruction_lab import exactarith
 from obstruction_lab.exactarith import (FactorizationError, divisors,
-                                        divisors_up_to, factor,
-                                        is_kth_power, is_probable_prime,
-                                        jacobi, poly_roots_mod,
-                                        primes_up_to, primitive_normalize,
-                                        strip_prime, valuation)
+                                        factor, is_kth_power,
+                                        is_probable_prime, jacobi,
+                                        poly_roots_mod, primes_up_to,
+                                        primitive_normalize, strip_prime,
+                                        valuation)
 from obstruction_lab.multipoly import MultiPoly
 from obstruction_lab.obstruction import _random_point_on_curve
 
@@ -287,15 +287,6 @@ class TestFactor:
 
     def test_divisors(self):
         assert divisors(12) == [1, 2, 3, 4, 6, 12]
-
-    @given(st.one_of(st.integers(-10**12, 10**12).filter(bool),
-                     st.builds(lambda a, b, c: 2 ** a * 3 ** b * c,
-                               st.integers(0, 20), st.integers(0, 8),
-                               st.integers(1, 1000))),
-           st.integers(0, 300))
-    def test_divisors_up_to_matches_trial(self, n, bound):
-        got = sorted(divisors_up_to(n, bound, primes_up_to(bound)))
-        assert got == [d for d in range(1, bound + 1) if n % d == 0]
 
     def test_primes_up_to(self):
         assert primes_up_to(100) == PRIMES_TO_100

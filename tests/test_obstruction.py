@@ -509,11 +509,13 @@ class TestSquareSampling:
 class TestIntegerSearch:
     def test_quartic_empty(self, fq):
         assert integer_search(fq, 1, 100) == []
+        assert integer_search(fq, 1, 3000) == []
 
     def test_quartic_obvious_point(self, fq):
         assert (0, 1, 0) in integer_search(fq, -1, 2)
-        # at full size the row x = 0 passes the whole-row test
+        # at full size the row x = 0 survives every residue mask
         assert (0, 1, 0) in integer_search(fq, -1, 1000)
+        assert (0, 1, 0) in integer_search(fq, -1, 3000)
 
     def test_cubic_empty(self, fc):
         assert integer_search(fc, 1, 100) == []
@@ -530,21 +532,54 @@ class TestIntegerSearch:
         cube = MultiPoly([(-1, (0, 3, 0)), (1, (2, 0, 2)), (3, (0, 0, 4)),
                           (1, (3, 0, 1))])
         linear = MultiPoly([(2, (0, 1, 0)), (1, (1, 0, 0)), (-1, (0, 0, 1))])
+        # solved term 18*y^4 is 0 mod 9: only target - rest = 0 mod 9 passes
+        lead18 = MultiPoly([(18, (0, 4, 0)), (1, (4, 0, 0)), (1, (1, 0, 3)),
+                            (-1, (0, 0, 4))])
         cases = [(fq, 1, 12), (fq, -1, 12), (fq, 16, 10), (fc, 1, 8),
                  (fc, -1, 8), (fc, 7, 8), (toy, 0, 10), (toy, 32, 8),
                  # (1, 1, 1) and more; t + 64x^3 = 0 on the row x = 1
                  (fc, -128, 12), (fc, -64, 12), (fc, 64, 12),
                  (other, 1, 10), (other, 5, 10), (zero, -1, 10),
                  (zero, 3, 10), (cube, 0, 8), (cube, 3, 8), (linear, 3, 5),
-                 (toy, 2, 8), (fq, -1, 0), (fc, 0, 0), (linear, 0, 0)]
+                 (toy, 2, 8), (fq, -1, 0), (fc, 0, 0), (linear, 0, 0),
+                 (lead18, 18, 6), (lead18, 99, 6), (lead18, 19, 6),
+                 # targets divisible by the modulus 16, with solutions
+                 (toy, 80, 5), (zero, -64, 5), (cube, -16, 5)]
         for f, target, B in cases:
             assert integer_search(f, target, B) == \
                 naive_integer_search(f, target, B)
 
     def test_cubic_solutions_found(self, fc):
-        assert (1, 1, 1) in integer_search(fc, -128, 1000)
-        # f(1, y, 0) = -64 for every y
-        assert (1, 1000, 0) in integer_search(fc, -64, 1000)
+        for B in (1000, 3000):
+            assert (1, 1, 1) in integer_search(fc, -128, B)
+            # f(1, y, 0) = -64 for every y
+            assert (1, B, 0) in integer_search(fc, -64, B)
+
+    @pytest.mark.parametrize("q", [9, 16, 25])
+    def test_admissible_rows_match_brute_force(self, q, fq, fc):
+        lead18 = MultiPoly([(18, (0, 4, 0)), (1, (4, 0, 0)), (1, (1, 0, 3)),
+                            (-1, (0, 0, 4))])
+        toy = MultiPoly([(1, (4, 0, 0)), (1, (0, 4, 0)), (-2, (0, 0, 4))])
+        # (f, target, index of v, indices of (u, w)); v occurs in one term
+        cases = [(fq, 1, 1, (0, 2)), (fq, -1, 1, (2, 0)), (fc, 1, 1, (0, 2)),
+                 (fc, -64, 1, (2, 0)), (lead18, 18, 1, (0, 2)),
+                 (lead18, 32, 1, (2, 0)), (toy, 80, 0, (1, 2)),
+                 (toy, 7, 2, (0, 1))]
+        for f, target, i, others in cases:
+            want = []
+            for u in range(q):
+                row = 0
+                for w in range(q):
+                    point = [0, 0, 0]
+                    point[others[0]], point[others[1]] = u, w
+                    for v in range(q):
+                        point[i] = v
+                        if (f.evaluate_mod(tuple(point), q) - target) % q == 0:
+                            row |= 1 << w
+                            break
+                want.append(row)
+            assert obstruction._admissible_rows(f, target, q, i, others) == \
+                want
 
     @settings(deadline=None, max_examples=150)
     @given(st.integers(0, 2), st.integers(1, 4), st.integers(-3, 3).filter(bool),
