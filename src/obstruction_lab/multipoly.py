@@ -3,6 +3,9 @@
 Polynomials are immutable; terms are kept in graded-lex order (x > y > z),
 with no zero coefficients and no duplicate exponent triples.  All arithmetic
 is exact; identity verification is by full expansion, never by sampling.
+
+Each form evaluates through one function, compiled on first use from its
+coefficients and exponents (`MultiPoly.evaluator`).
 """
 
 from __future__ import annotations
@@ -15,10 +18,52 @@ def _grlex_key(exps):
     return (-(ex + ey + ez), -ex, -ey, -ez)
 
 
+# Powers up to this exponent are written as products (x*x), which the
+# interpreter runs no slower than x**2; higher ones as x**e.
+_PRODUCT_POWER_MAX = 4
+# Terms per chained sum in an evaluator's source: the chunks are added by
+# sum() over a tuple, so the compiled expression nests at most this deep
+# whatever the number of terms (a flat chain of 3,000 terms exceeds the
+# compiler's recursion limit).
+_SUM_CHUNK = 100
+
+
+def _term_source(c, exps):
+    """Source of one term, with the sign of c written by the caller."""
+    mono = []
+    for v, e in zip("xyz", exps):
+        if e > _PRODUCT_POWER_MAX:
+            mono.append("%s**%d" % (v, e))
+        elif e:
+            mono.extend(v * e)
+    if abs(c) != 1 or not mono:
+        mono.insert(0, "%d" % abs(c))
+    return "*".join(mono)
+
+
+def _evaluator_source(terms):
+    """Source of `lambda x, y, z:` returning the exact value of the sum of
+    terms, built from their int coefficients and exponents only."""
+    chunks = []
+    for k in range(0, len(terms), _SUM_CHUNK):
+        src = ""
+        for c, exps in terms[k:k + _SUM_CHUNK]:
+            if src:
+                src += " - " if c < 0 else " + "
+            elif c < 0:
+                src = "-"
+            src += _term_source(c, exps)
+        chunks.append(src)
+    body = ("sum((%s,))" % ", ".join(chunks) if len(chunks) > 1
+            else chunks[0] if chunks else "0")
+    return "lambda x, y, z: " + body
+
+
 class MultiPoly:
     """Integer-coefficient polynomial in three variables."""
 
-    __slots__ = ("terms",)
+    # what a form derives from its terms, built on first use (`_derived`)
+    __slots__ = ("terms", "_evaluator", "_gradient", "_z_coefficients")
 
     def __init__(self, terms=()):
         # terms: iterable of (coeff, (ex, ey, ez)); combined and canonicalized.
@@ -34,6 +79,15 @@ class MultiPoly:
 
     def __setattr__(self, *a):
         raise AttributeError("MultiPoly is immutable")
+
+    def _derived(self, slot, build):
+        """The value kept in slot, set to build() on first use."""
+        try:
+            return getattr(self, slot)
+        except AttributeError:
+            value = build()
+            object.__setattr__(self, slot, value)
+            return value
 
     @classmethod
     def from_term_list(cls, quads):
@@ -82,24 +136,23 @@ class MultiPoly:
             parts.append(("%+d" % c) + (("*" + mono) if mono else ""))
         return "MultiPoly(%s)" % " ".join(parts)
 
+    def evaluator(self):
+        """The form as a function of (x, y, z), compiled once per form: its
+        exact value at ints or Fractions, in plain int arithmetic at ints.
+        Hot loops fetch it once and call it directly."""
+        return self._derived("_evaluator", lambda: eval(
+            _evaluator_source(self.terms), {"__builtins__": {}, "sum": sum}))
+
     def evaluate_int(self, at):
-        """Exact value at a triple of ints or Fractions: an int at an
-        integer triple, in plain int arithmetic."""
-        x, y, z = at
-        total = 0
-        for c, (ex, ey, ez) in self.terms:
-            total += c * x ** ex * y ** ey * z ** ez
-        return total
+        """Exact value at a triple of ints or Fractions."""
+        return self.evaluator()(*at)
 
     def evaluate_mod(self, at, m):
         """Value at an integer triple reduced into [0, m)."""
         if m < 2:
             raise ValueError("modulus must be >= 2")
-        x, y, z = (c % m for c in at)
-        total = 0
-        for c, (ex, ey, ez) in self.terms:
-            total = (total + c * pow(x, ex, m) * pow(y, ey, m) * pow(z, ez, m)) % m
-        return total
+        x, y, z = at
+        return self.evaluator()(x % m, y % m, z % m) % m
 
     def homogeneous_degree(self):
         """Common total degree of all terms, or None if inhomogeneous or zero."""
@@ -107,6 +160,21 @@ class MultiPoly:
         if len(degs) != 1:
             return None
         return degs.pop()
+
+    def gradient(self):
+        """The partial derivatives in x, y and z, built once per form."""
+        return self._derived("_gradient",
+                             lambda: tuple(self.partial(i) for i in range(3)))
+
+    def z_coefficients(self):
+        """(c_0, ..., c_d) with self = sum c_k z^k, each c_k a form in x and
+        y, built once per form."""
+        def build():
+            by_z = [[] for _ in range(max(e[2] for _, e in self.terms) + 1)]
+            for c, (ex, ey, ez) in self.terms:
+                by_z[ez].append((c, (ex, ey, 0)))
+            return tuple(MultiPoly(grp) for grp in by_z)
+        return self._derived("_z_coefficients", build)
 
     def partial(self, var):
         """Partial derivative with respect to variable index 0, 1, or 2."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import gcd, prod
 
@@ -90,11 +91,16 @@ class QuaternionAlgebraSpec:
         object.__setattr__(self, "forms", tuple(forms))
         object.__setattr__(self, "_parts", tuple(parts))
 
+    @cached_property
+    def _evaluators(self):
+        # fetched on first evaluation, so loading compiles nothing
+        return tuple(q.evaluator() for q in self.forms)
+
     def factor_values(self, point):
         """(first(P), second(P), values) at a point of ints or Fractions,
         values[i] = forms[i](P): each distinct nonconstant factor is
         evaluated once and its value multiplied into the entries."""
-        vals = [q.evaluate_int(point) for q in self.forms]
+        vals = [fn(*point) for fn in self._evaluators]
         (ca, at_a), (cb, at_b) = self._parts
         for i in at_a:
             ca *= vals[i]
@@ -114,13 +120,14 @@ def residue_sieve(f, m, target):
     if m < 2:
         raise ValueError("modulus must be >= 2")
     t = target % m
+    fn = f.evaluator()
     classes = []
     for x in range(m):
         for y in range(m):
             for z in range(m):
                 if m % 2 == 0 and x % 2 == 0 and y % 2 == 0 and z % 2 == 0:
                     continue
-                if f.evaluate_mod((x, y, z), m) == t:
+                if fn(x, y, z) % m == t:
                     classes.append([x, y, z])
     return {"modulus": m, "count": len(classes), "classes": classes}
 
@@ -395,18 +402,14 @@ def _random_point_on_curve(H_factors, p, rng):
     for q in H_factors:
         if q.homogeneous_degree() == 0 and q.terms[0][0] % p:
             continue
-        by_z = [[] for _ in range(max(e[2] for _, e in q.terms) + 1)]
-        for c, (ex, ey, ez) in q.terms:
-            by_z[ez].append((c, ex, ey))
-        factors.append(by_z)
+        factors.append([c.evaluator() for c in q.z_coefficients()])
     for _ in range(CURVE_POINT_TRIES):
         x = rng.randrange(p)
         y = rng.randrange(p)
         roots = set()
-        for by_z in factors:
+        for coeffs in factors:
             roots.update(poly_roots_certified(
-                [sum(c * pow(x, ex, p) * pow(y, ey, p) for c, ex, ey in grp)
-                 for grp in by_z], p))
+                [fn(x, y, 0) for fn in coeffs], p))
         if not roots:
             continue
         roots = sorted(roots)
@@ -433,6 +436,7 @@ def square_mod_sampling(F, H_factors, prime_min, prime_max, trials, seed):
     random prime fields and test whether F is a square there whenever it
     does not vanish."""
     check_prime_window(prime_min, prime_max)
+    fn = F.evaluator()
     rng = random.Random(seed)
     accepted = 0
     passed = 0
@@ -444,7 +448,7 @@ def square_mod_sampling(F, H_factors, prime_min, prime_max, trials, seed):
         if q is None:
             skipped.append(p)
             continue
-        fval = F.evaluate_mod(q, p)
+        fval = fn(*q) % p
         if fval == 0:
             continue
         accepted += 1

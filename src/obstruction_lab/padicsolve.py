@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactarith import factor, require_prime, valuation
+from .exactarith import factor, require_prime, strip_prime, valuation
 
 
 @dataclass(frozen=True)
@@ -75,19 +75,19 @@ class SolubilityAnswer:
     derivative_valuation: int | None = None
 
 
-def _newton_at(f, partials, point, target, p):
-    """Newton data at an integer triple: (ok, v(f - target), best v(partial))."""
-    val = f.evaluate_int(point) - target
-    if val == 0:
-        fv = None  # infinite
-    else:
-        fv = valuation(val, p).valuation
+def _newton_at(fn, partials, point, target, p):
+    """Newton data at an integer triple: (ok, v(f - target), best v(partial)).
+
+    fn and partials are the evaluators of f and of its partials, and p was
+    certified prime by the caller."""
+    val = fn(*point) - target
+    fv = None if val == 0 else strip_prime(val, p)[0]  # None: infinite
     best = None
     for d in partials:
-        dval = d.evaluate_int(point)
+        dval = d(*point)
         if dval == 0:
             continue
-        dvv = valuation(dval, p).valuation
+        dvv = strip_prime(dval, p)[0]
         if best is None or dvv < best:
             best = dvv
     if best is None:
@@ -110,7 +110,8 @@ def padic_solutions_exist(f, target, p, maxdepth=None):
         maxdepth = 8 if p == 2 else 4
     if maxdepth < 1:
         raise ValueError("maxdepth must be >= 1")
-    partials = [f.partial(i) for i in range(3)]
+    fn = f.evaluator()
+    partials = [d.evaluator() for d in f.gradient()]
 
     level = 1
     mod = p
@@ -118,11 +119,11 @@ def padic_solutions_exist(f, target, p, maxdepth=None):
     for x in range(p):
         for y in range(p):
             for z in range(p):
-                if (f.evaluate_mod((x, y, z), mod) - target) % mod == 0:
+                if (fn(x, y, z) - target) % mod == 0:
                     frontier.append((x, y, z))
     while True:
         for pt in frontier:
-            ok, fv, dv = _newton_at(f, partials, pt, target, p)
+            ok, fv, dv = _newton_at(fn, partials, pt, target, p)
             if ok:
                 return SolubilityAnswer("yes", p, level, witness=pt,
                                         value_valuation=fv,
@@ -142,7 +143,7 @@ def padic_solutions_exist(f, target, p, maxdepth=None):
                     y2 = y + dy * step
                     for dz in range(p):
                         z2 = z + dz * step
-                        if (f.evaluate_mod((x2, y2, z2), mod) - target) % mod == 0:
+                        if (fn(x2, y2, z2) - target) % mod == 0:
                             nxt.append((x2, y2, z2))
         nxt.sort()
         frontier = nxt

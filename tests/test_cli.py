@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 from math import prod
@@ -494,6 +495,23 @@ class TestExitCodes:
         assert done.stdout == ""
         assert done.stderr.startswith("inconclusive: algebra.first ")
         assert done.stderr.count("\n") == 1
+
+    def test_five_thousand_term_poly(self, quartic_path):
+        # the compiled evaluator of a degree-99 form with 5,000 terms stays
+        # within the compiler's recursion limit
+        path, doc = quartic_path
+        rng = random.Random(5)
+        doc["poly"] = [[rng.randint(-10 ** 30, 10 ** 30), a, b, 99 - a - b]
+                       for a in range(100) for b in range(100 - a)][:5000]
+        path.write_text(json.dumps(doc))
+        done = run_child("local", str(path), "-p", "3")
+        assert done.returncode == 0
+        assert done.stderr == ""
+        ans = json.loads(done.stdout)
+        assert ans["verdict"] == "yes"
+        x, y, z = ans["witness"]
+        value = sum(c * x ** a * y ** b * z ** d for c, a, b, d in doc["poly"])
+        assert (value - doc["targets"][0]) % 3 ** ans["depth"] == 0
 
     def test_zero_trials_inconclusive(self, cubic_path):
         # skipped square sampling is no evidence for OBSTRUCTED

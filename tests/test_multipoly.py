@@ -1,6 +1,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from obstruction_lab.multipoly import (IdentityClaim, MultiPoly, variable,
                                        verify_identity)
 
@@ -118,3 +122,78 @@ class TestAlgebraProperties:
             pass
         else:
             raise AssertionError("terms should be read-only")
+
+
+def reference_value(p, at):
+    """Term-by-term value of p at a triple, the evaluator's reference."""
+    x, y, z = at
+    return sum((c * x ** ex * y ** ey * z ** ez
+                for c, (ex, ey, ez) in p.terms), 0)
+
+
+coefficients = st.one_of(st.integers(-50, 50),
+                         st.integers(-10 ** 30, 10 ** 30))
+polys = st.lists(st.tuples(coefficients,
+                           st.tuples(*[st.integers(0, 12)] * 3)),
+                 max_size=12).map(MultiPoly)
+ints = st.integers(-10 ** 30, 10 ** 30)
+fractions = st.fractions(max_denominator=10 ** 6).filter(
+    lambda q: abs(q.numerator) < 10 ** 30)
+
+
+class TestEvaluator:
+    @settings(deadline=None)
+    @given(polys, st.one_of(st.tuples(ints, ints, ints),
+                            st.tuples(fractions, fractions, fractions)))
+    @example(MultiPoly(), (3, -4, 5))
+    @example(MultiPoly([(7, (0, 0, 0))]), (Fraction(1, 3), 0, -2))
+    @example(MultiPoly([(-10 ** 30, (12, 12, 12))]), (-2, 3, -1))
+    def test_matches_reference(self, p, at):
+        assert p.evaluate_int(at) == reference_value(p, at)
+
+    @settings(deadline=None)
+    @given(polys, st.tuples(*[st.integers(-10 ** 6, 0)] * 3),
+           st.sampled_from([2, 16, 10007]))
+    def test_mod_at_negative_coordinates(self, p, at, m):
+        value = p.evaluate_mod(at, m)
+        assert value == reference_value(p, at) % m
+        assert 0 <= value < m
+
+    def test_five_thousand_terms(self):
+        # a flat sum of this many terms would exceed the compiler's
+        # recursion limit
+        rng = random.Random(3)
+        p = MultiPoly([(rng.randint(-10 ** 30, 10 ** 30), (a, b, 99 - a - b))
+                       for a in range(100) for b in range(100 - a)][:5000])
+        assert len(p.terms) == 5000
+        for at in [(3, -5, 7), (Fraction(-1, 2), 2, Fraction(3, 5))]:
+            assert p.evaluate_int(at) == reference_value(p, at)
+        assert p.evaluate_mod((-3, 5, -7), 10007) == \
+            reference_value(p, (-3, 5, -7)) % 10007
+
+    def test_compiled_once_and_immutable(self, gq):
+        q = MultiPoly(gq.terms)
+        before = (hash(q), q == gq)
+        assert q.evaluator() is q.evaluator()
+        assert q.gradient() is q.gradient()
+        assert (hash(q), q == gq) == before
+        with pytest.raises(AttributeError):
+            q._evaluator = None
+        with pytest.raises(AttributeError):
+            q.terms = ()
+
+    def test_gradient_and_z_coefficients(self):
+        rng = random.Random(21)
+        z = variable(2)
+        for _ in range(100):
+            p = random_poly(rng)
+            if p.is_zero():
+                continue
+            assert p.gradient() == tuple(p.partial(i) for i in range(3))
+            total = MultiPoly()
+            for k, c in enumerate(p.z_coefficients()):
+                assert all(e[2] == 0 for _, e in c.terms)
+                for _ in range(k):
+                    c = c * z
+                total = total + c
+            assert total == p

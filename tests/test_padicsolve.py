@@ -1,7 +1,9 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from obstruction_lab.cli import load_instance
 from obstruction_lab.exactarith import is_probable_prime
 from obstruction_lab.multipoly import MultiPoly
 from obstruction_lab.padicsolve import (hensel_liftable_1var,
@@ -75,6 +77,20 @@ class TestPadicSearch:
         a1 = padic_solutions_exist(fq, 1, 2, 8)
         a2 = padic_solutions_exist(fq, 1, 2, 8)
         assert a1 == a2
+
+    def test_answers_pinned(self):
+        # the answers of the term-by-term evaluator that the compiled one
+        # replaced: 70 "yes" and two "no" at p = 2
+        lines = []
+        for name in ("quartic", "cubic"):
+            f = load_instance(name).f
+            for t in (1, -1, 3, 7):
+                for p in range(2, 24):
+                    if is_probable_prime(p):
+                        lines.append(repr(padic_solutions_exist(f, t, p)))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == ("55363f7e8865dcfc7b7f58f27581e08d"
+                          "7c79701603421dc6c34b00550eb4654d")
 
 
 class TestRationalWitness:
