@@ -24,12 +24,11 @@ from .localsymbols import Place, hilbert_symbol, local_invariant, \
     reciprocity_defect
 from .multipoly import MultiPoly
 from .obstruction import (INCONCLUSIVE, InternalInconsistencyError,
-                          ObstructionInstance, PadicWitnessSpec,
-                          QuaternionAlgebraSpec, SamplingConfig,
-                          SquareSamplingError, class_invariant_table,
-                          obstruction_verdict, padic_answer_record,
-                          point_invariant_profile, residue_sieve,
-                          search_record)
+                          ObstructionInstance, QuaternionAlgebraSpec,
+                          SamplingConfig, SquareSamplingError,
+                          class_invariant_table, obstruction_verdict,
+                          padic_answer_record, point_invariant_profile,
+                          residue_sieve, search_record)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -84,29 +83,18 @@ def parse_instance(doc):
     """Validate an instance document (strict schema) and build the engine
     ObstructionInstance."""
     _expect_keys(doc, ["name", "poly", "targets", "algebra", "sieve_modulus",
-                       "rational_witness", "padic_witnesses", "search_bound",
-                       "sampling"])
+                       "rational_witness", "search_bound", "sampling"])
     _expect_keys(doc["sampling"], ["seed", "trials", "prime_min", "prime_max"],
                  where="sampling")
     witness = doc["rational_witness"]
     if witness is not None:
         if (not isinstance(witness, list) or len(witness) != 3 or not all(
-                isinstance(c, list) and len(c) == 2 and
-                all(isinstance(n, int) for n in c) for c in witness)):
-            raise SchemaError("rational_witness: expected three [num, den] pairs")
+                isinstance(c, list) and len(c) == 2 and c[1] != 0 and
+                all(type(n) is int for n in c) for c in witness)):
+            raise SchemaError("rational_witness must be null or three "
+                              "[num, den] pairs of ints with den nonzero, "
+                              "got %r" % (witness,))
         witness = tuple(Fraction(n, d) for n, d in witness)
-    specs = []
-    for i, w in enumerate(doc["padic_witnesses"]):
-        _expect_keys(w, ["p", "kind"], optional=["poly", "start"],
-                     where="padic_witnesses[%d]" % i)
-        if w["kind"] not in ("search", "onevar"):
-            raise SchemaError("padic_witnesses[%d]: unknown kind %r"
-                              % (i, w["kind"]))
-        if w["kind"] == "onevar" and ("poly" not in w or "start" not in w):
-            raise SchemaError("padic_witnesses[%d]: onevar needs poly and start" % i)
-        specs.append(PadicWitnessSpec(w["p"], w["kind"],
-                                      tuple(w.get("poly", ()) or ()) or None,
-                                      w.get("start")))
     try:
         return ObstructionInstance(
             name=doc["name"],
@@ -116,7 +104,6 @@ def parse_instance(doc):
             algebra=_algebra(doc["algebra"]),
             sieve_modulus=doc["sieve_modulus"],
             rational_witness=witness,
-            padic_witnesses=tuple(specs),
             search_bound=doc["search_bound"],
             sampling=SamplingConfig(**doc["sampling"]),
         )
@@ -220,11 +207,6 @@ def build_parser():
     return parser
 
 
-def _default_seed():
-    env = os.environ.get("OBSTRUCTION_LAB_SEED")
-    return int(env) if env else None
-
-
 def main(argv=None):
     parser = build_parser()
     try:
@@ -253,9 +235,8 @@ def _dispatch(args):
         instance = load_instance(args.instance)
         if args.target is not None:
             instance = dataclasses.replace(instance, targets=(args.target,))
-        seed = args.seed if args.seed is not None else _default_seed()
-        report = obstruction_verdict(instance, seed=seed, depth=args.depth,
-                                     bound=args.bound)
+        report = obstruction_verdict(instance, seed=args.seed,
+                                     depth=args.depth, bound=args.bound)
         _emit(report, args.out)
         return (EXIT_INCONCLUSIVE if report["verdict"] == INCONCLUSIVE
                 else EXIT_OK)

@@ -22,8 +22,7 @@ from .exactarith import (FACTOR_BOUND, FactorizationError, factor,
 from .localsymbols import (INV_HALF, Place, hilbert_symbol, local_invariant,
                            symbol_support)
 from .multipoly import MultiPoly
-from .padicsolve import (hensel_liftable_1var, padic_solutions_exist,
-                         verify_rational_witness)
+from .padicsolve import padic_solutions_exist, verify_rational_witness
 
 # Draws of (x, y) per prime in square sampling before the prime is skipped.
 CURVE_POINT_TRIES = 64
@@ -35,6 +34,11 @@ TABLE_MAX_EXPONENT = 8
 # The integer search walks a pair (u, w) only when f = target is soluble in
 # the third variable modulo each of these prime powers.
 SEARCH_MODULI = (16, 9, 25, 7, 11, 13, 17, 19, 23)
+
+# `verify` runs the p-adic search only at the rational witness's bad primes
+# up to this one: its first level alone evaluates f at p**3 residue triples
+# (about half a second at p = 101).  A larger bad prime stays uncovered.
+PADIC_SEARCH_MAX_PRIME = 101
 
 
 class InternalInconsistencyError(Exception):
@@ -256,8 +260,10 @@ def odd_place_scan(f, alg, nsamples, bound, seed):
     Such a p divides the value of an algebra factor other than f.  Each
     distinct nonconstant factor is evaluated once per point
     (`QuaternionAlgebraSpec.factor_values`), and the values of those other
-    than f are factored completely (`check_odd_scan_factors`), so every
-    sample is checked.  A constant factor is factored once per scan.
+    than f are factored completely, so every sample is checked: `factor`
+    raises FactorizationError on a value it cannot finish, which
+    `check_odd_scan_factors` rules out before `obstruction_verdict` runs
+    any stage.  A constant factor is factored once per scan.
 
     Reciprocity is asserted at every sample: a nonzero invariant sum raises
     InternalInconsistencyError.  Let S be 2 and the primes of the values of the
@@ -275,7 +281,6 @@ def odd_place_scan(f, alg, nsamples, bound, seed):
     divided out: one Jacobi symbol stands in for the primes of f(P), which
     is never factored.
     """
-    check_odd_scan_factors(f, alg, bound)
     forms = alg.forms
     f_at = forms.index(f) if f in forms else None
     nonf = [i for i in range(len(forms)) if i != f_at]
@@ -644,15 +649,15 @@ class SamplingConfig:
     prime_max: int
 
     def __post_init__(self):
+        for key in ("seed", "trials", "prime_min", "prime_max"):
+            value = getattr(self, key)
+            if type(value) is not int:
+                raise ValueError("sampling.%s must be an int, got %r"
+                                 % (key, value))
+        if self.trials < 0:
+            raise ValueError("sampling.trials must be >= 0, got %d"
+                             % self.trials)
         check_prime_window(self.prime_min, self.prime_max)
-
-
-@dataclass(frozen=True)
-class PadicWitnessSpec:
-    p: int
-    kind: str  # "search" | "onevar"
-    poly: tuple | None = None  # ascending coefficients, for "onevar"
-    start: int | None = None
 
 
 @dataclass(frozen=True)
@@ -663,11 +668,12 @@ class ObstructionInstance:
     algebra: QuaternionAlgebraSpec
     sieve_modulus: int
     rational_witness: tuple | None
-    padic_witnesses: tuple
     search_bound: int
     sampling: SamplingConfig
 
     def __post_init__(self):
+        if type(self.name) is not str:
+            raise ValueError("name must be a string, got %r" % (self.name,))
         if self.f.homogeneous_degree() is None:
             raise ValueError("instance polynomial must be homogeneous")
         t = self.targets
@@ -742,35 +748,17 @@ def obstruction_verdict(instance, seed=None, depth=None, bound=None,
         steps["rational_witness"] = {"witness": None}
         bad_primes = set()
 
-    # 2. p-adic witnesses at the primes the rational witness misses
+    # 2. p-adic searches at the primes the rational witness misses
     padic_records = []
-    for wspec in instance.padic_witnesses:
-        rec = {"p": wspec.p, "kind": wspec.kind}
-        if wspec.kind == "onevar":
-            cert = hensel_liftable_1var(list(wspec.poly), wspec.start, wspec.p)
-            rec["poly"] = list(wspec.poly)
-            rec["start"] = wspec.start
-            rec["certificate"] = None if cert is None else {
-                "approximation": cert.approximation,
-                "modulus_exponent": cert.modulus_exponent,
-                "value_valuation": cert.value_valuation,
-                "derivative_valuation": cert.derivative_valuation,
-            }
-            rec["ok"] = cert is not None
-        elif wspec.kind == "search":
-            rec["answer"] = padic_answer_record(f, instance.targets[0],
-                                                wspec.p, depth)
-            rec["ok"] = rec["answer"]["verdict"] == "yes"
-        else:
-            raise ValueError("unknown p-adic witness kind %r" % (wspec.kind,))
-        padic_records.append(rec)
-    # only a search record covers its prime: it is proved from f, while a
-    # onevar certificate shows a root of its own polynomial, never tied to f
+    for p in sorted(bad_primes):
+        if p <= PADIC_SEARCH_MAX_PRIME:
+            answer = padic_answer_record(f, instance.targets[0], p, depth)
+            padic_records.append({"p": p, "answer": answer,
+                                  "ok": answer["verdict"] == "yes"})
     steps["padic_witnesses"] = {
         "records": padic_records,
         "uncovered_bad_primes": sorted(bad_primes - {
-            r["p"] for r in padic_records
-            if r["kind"] == "search" and r["ok"]}),
+            r["p"] for r in padic_records if r["ok"]}),
     }
 
     # 3-4. sieve and invariant table, per target

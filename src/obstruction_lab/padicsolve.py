@@ -1,5 +1,5 @@
-"""Certified p-adic solubility: one-variable Hensel lifting, a multivariable
-Newton-criterion residue search, and rational-witness bookkeeping.
+"""Certified p-adic solubility: a multivariable Newton-criterion residue
+search, and rational-witness bookkeeping.
 
 All "yes" answers carry a replayable certificate; "no" answers are sound
 because a p-adic solution would reduce to a solution at every finite level.
@@ -10,57 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactarith import factor, require_prime, strip_prime, valuation
-
-
-@dataclass(frozen=True)
-class HenselCertificate:
-    """Certifies v_p(F(a)) > 2 * v_p(F'(a)), hence a true root in Z_p near a."""
-    p: int
-    approximation: int
-    modulus_exponent: int
-    value_valuation: int | None  # None encodes F(a) = 0 exactly
-    derivative_valuation: int
-
-
-def _poly_eval(coeffs, t):
-    # coeffs ascending: coeffs[i] multiplies t**i
-    total = 0
-    for c in reversed(coeffs):
-        total = total * t + c
-    return total
-
-
-def _poly_derivative(coeffs):
-    return [i * c for i, c in enumerate(coeffs)][1:]
-
-
-def hensel_liftable_1var(coeffs, a, p):
-    """Newton/Hensel check for a one-variable integer polynomial (ascending
-    coefficients) at the integer approximation a.
-
-    Returns a HenselCertificate when v_p(F(a)) > 2 * v_p(F'(a)), else None.
-    """
-    require_prime(p)
-    if not any(coeffs):
-        raise ValueError("polynomial must be nonzero")
-    fa = _poly_eval(coeffs, a)
-    da = _poly_eval(_poly_derivative(coeffs), a)
-    if da == 0:
-        return None
-    dv = valuation(da, p).valuation
-    if fa == 0:
-        return HenselCertificate(p, a, 2 * dv + 1, None, dv)
-    fv = valuation(fa, p).valuation
-    if fv > 2 * dv:
-        return HenselCertificate(p, a, fv, fv, dv)
-    return None
-
-
-def replay_hensel_certificate(coeffs, cert):
-    """Re-check a HenselCertificate from scratch; True iff it is valid."""
-    again = hensel_liftable_1var(coeffs, cert.approximation, cert.p)
-    return again is not None and again == cert
+from .exactarith import factor, require_prime, strip_prime
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,44 @@ def run_verify(capsys, name, *flags):
     return code, json.loads(out), elapsed
 
 
+def v2(n):
+    """2-adic valuation of an integer, None for 0."""
+    return None if n == 0 else (n & -n).bit_length() - 1
+
+
+def covered_at_two(steps, poly, target):
+    """The p-adic step is one ok record at p = 2, and its answer replays from
+    the instance's term list: f(w) = target mod 2**depth, and the Newton
+    valuations v_2(f(w) - target) > 2 * min v_2(df/dx_i(w)) as reported."""
+    padic = steps["padic_witnesses"]
+    if padic["uncovered_bad_primes"] or len(padic["records"]) != 1:
+        return False
+    rec = padic["records"][0]
+    ans = rec["answer"]
+    if not (rec["p"] == 2 and rec["ok"] and ans["verdict"] == "yes"
+            and ans["p"] == 2):
+        return False
+    w = ans["witness"]
+
+    def value(terms):
+        return sum(c * w[0] ** a * w[1] ** b * w[2] ** d
+                   for c, a, b, d in terms)
+
+    partials = [[[c * e[i], *(k - (j == i) for j, k in enumerate(e))]
+                 for c, *e in poly if e[i]] for i in range(3)]
+    dv = min(v for v in map(v2, map(value, partials)) if v is not None)
+    fv = v2(value(poly) - target)
+    return ((value(poly) - target) % 2 ** ans["depth"] == 0
+            and fv == ans["value_valuation"]
+            and dv == ans["derivative_valuation"]
+            and (fv is None or fv > 2 * dv))
+
+
+def instance_doc(name):
+    return json.loads(cli.resources.files("obstruction_lab")
+                      .joinpath("instances/%s.json" % name).read_text())
+
+
 def test_criterion_1_quartic_end_to_end(capsys):
     code, doc, elapsed = run_verify(capsys, "quartic")
     steps = doc["steps"]
@@ -40,9 +78,7 @@ def test_criterion_1_quartic_end_to_end(capsys):
         and doc["verdict"] == "OBSTRUCTED"
         and steps["rational_witness"]["matches"]
         and steps["rational_witness"]["bad_primes"] == [2]
-        and steps["padic_witnesses"]["records"][0]["ok"]
-        and steps["padic_witnesses"]["records"][0]["start"] % 4 == 3
-        and steps["padic_witnesses"]["records"][0]["poly"] == [-17, 0, 0, 0, 1]
+        and covered_at_two(steps, instance_doc("quartic")["poly"], 1)
         and steps["sieve"]["1"]["count"] == 512
         and all(tuple(r % 2 for r in c) == (0, 1, 1)
                 for c in steps["sieve"]["1"]["classes"])
@@ -71,9 +107,7 @@ def test_criterion_2_cubic_end_to_end(capsys):
         and "hasse_over_Z" in doc["flags"]
         and steps["rational_witness"]["matches"]
         and steps["rational_witness"]["bad_primes"] == [2]
-        and steps["padic_witnesses"]["records"][0]["ok"]
-        and steps["padic_witnesses"]["records"][0]["poly"] == [-1, 0, 0, 7]
-        and steps["padic_witnesses"]["records"][0]["start"] % 2 == 1
+        and covered_at_two(steps, instance_doc("cubic")["poly"], 1)
         and steps["sieve"]["1"]["classes"] == [[0, 0, 1], [1, 0, 1]]
         and steps["sieve"]["-1"]["classes"]
         and steps["invariant_table"]["1"]["all_half"]

@@ -127,15 +127,10 @@ class TestStageRecords:
         assert list(steps["sieve"]) == (["1", "-1"] if name == "cubic"
                                         else ["1"])
 
-    def test_local_prints_search_witness_answer(self, capsys, tmp_path,
-                                                quartic_path):
-        _, doc = quartic_path
-        doc["padic_witnesses"] = [{"p": 2, "kind": "search"}]
-        path = tmp_path / "search.json"
-        path.write_text(json.dumps(doc))
-        _, out, _ = run_cli(capsys, "verify", str(path), "--bound", "5")
+    def test_local_prints_search_witness_answer(self, capsys):
+        _, out, _ = run_cli(capsys, "verify", "quartic", "--bound", "5")
         record, = json.loads(out)["steps"]["padic_witnesses"]["records"]
-        code, out, _ = run_cli(capsys, "local", str(path), "-p", "2")
+        code, out, _ = run_cli(capsys, "local", "quartic", "-p", "2")
         assert code == 0
         assert json.loads(out) == record["answer"]
 
@@ -175,27 +170,17 @@ class TestVerify:
         assert code == 0 and out == ""
         assert json.loads(out_file.read_text())["verdict"] == "OBSTRUCTED"
 
-    def test_env_seed_fallback(self, capsys, monkeypatch, quartic_path):
-        path, _ = quartic_path
-        monkeypatch.setenv("OBSTRUCTION_LAB_SEED", "99")
-        _, out1, _ = run_cli(capsys, "verify", str(path), "--bound", "30")
-        _, out2, _ = run_cli(capsys, "verify", str(path), "--bound", "30",
-                             "--seed", "99")
-        assert out1 == out2
-
-
-    def test_search_witness(self, capsys, tmp_path, quartic_path):
-        _, doc = quartic_path
-        doc["padic_witnesses"] = [{"p": 2, "kind": "search"}]
-        path = tmp_path / "search.json"
-        path.write_text(json.dumps(doc))
-        code, out, _ = run_cli(capsys, "verify", str(path), "--bound", "30")
+    def test_search_witness(self, capsys):
+        # the witness's one bad prime, 2, is searched and covered
+        code, out, _ = run_cli(capsys, "verify", "quartic", "--bound", "30")
         assert code == 0
         report = json.loads(out)
         assert report["verdict"] == "OBSTRUCTED"
-        record, = report["steps"]["padic_witnesses"]["records"]
-        assert record["ok"] is True
+        step = report["steps"]["padic_witnesses"]
+        record, = step["records"]
+        assert record["p"] == 2 and record["ok"] is True
         assert record["answer"]["witness"] == [0, 3, 1]
+        assert step["uncovered_bad_primes"] == []
 
 
     def test_odd_scan_counts(self, capsys):
@@ -297,7 +282,6 @@ class TestExitCodes:
             "algebra": {"first": [[1, 0, 2, 0]], "second": [[1, 0, 0, 2]]},
             "sieve_modulus": 2,
             "rational_witness": None,
-            "padic_witnesses": [],
             "search_bound": 10,
             "sampling": {"seed": 1, "trials": 20, "prime_min": 3,
                          "prime_max": 200},
@@ -337,17 +321,9 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("kind", ["onevar", "search"])
-    def test_depth_below_one_is_usage_error(self, capsys, tmp_path,
-                                            quartic_path, kind):
-        # the depth is refused before any stage runs, whether or not the
-        # instance has a witness that would use it
-        _, doc = quartic_path
-        if kind == "search":
-            doc["padic_witnesses"] = [{"p": 2, "kind": "search"}]
-        path = tmp_path / "depth.json"
-        path.write_text(json.dumps(doc))
-        code, out, err = run_cli(capsys, "verify", str(path), "--depth", "0")
+    def test_depth_below_one_is_usage_error(self, capsys):
+        # the depth is refused before any stage runs
+        code, out, err = run_cli(capsys, "verify", "quartic", "--depth", "0")
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -376,18 +352,29 @@ class TestExitCodes:
     @pytest.mark.parametrize("key, value", [
         ("targets", [True]), ("targets", [1.5]), ("targets", "1"),
         ("targets", []), ("search_bound", "10"), ("search_bound", True),
-        ("search_bound", -1)])
+        ("search_bound", -1),
+        ("rational_witness", [[1, 0], [0, 1], [1, 2]]),
+        ("rational_witness", [[True, 2], [0, 1], [1, 2]]),
+        ("sampling.seed", "x"), ("sampling.seed", True),
+        ("sampling.trials", "5"), ("sampling.trials", -5),
+        ("sampling.prime_min", 3.0), ("sampling.prime_max", False),
+        ("name", 7)])
     def test_bad_targets_or_search_bound_is_usage_error(
             self, capsys, tmp_path, quartic_path, monkeypatch, key, value):
         # refused at load, before any stage runs, also when --bound
-        # overrides the instance's search bound
+        # overrides the instance's search bound; a dotted key names a
+        # field of a nested object
         def first_stage(*args):
             raise AssertionError("a stage ran")
 
         monkeypatch.setattr(obstruction, "verify_rational_witness",
                             first_stage)
         _, doc = quartic_path
-        doc[key] = value
+        *outer, last = key.split(".")
+        field = doc
+        for part in outer:
+            field = field[part]
+        field[last] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "verify", str(path), "--bound", "20")
@@ -396,22 +383,18 @@ class TestExitCodes:
         assert err.startswith("error: %s " % key)
         assert err.count("\n") == 1
 
-    def test_onevar_witness_covers_no_prime(self, capsys, tmp_path,
-                                            quartic_path):
-        # a root of t - 1 says nothing about f = 1: only a search record,
-        # proved from f, covers the witness's bad prime 2
+    def test_padic_witnesses_key_refused(self, capsys, tmp_path,
+                                         quartic_path):
+        # the p-adic searches follow from the rational witness; an instance
+        # does not list them
         _, doc = quartic_path
-        doc["padic_witnesses"] = [{"p": 2, "kind": "onevar", "poly": [-1, 1],
-                                   "start": 1}]
-        path = tmp_path / "onevar.json"
+        doc["padic_witnesses"] = [{"p": 2, "kind": "search"}]
+        path = tmp_path / "listed.json"
         path.write_text(json.dumps(doc))
-        code, out, _ = run_cli(capsys, "verify", str(path), "--bound", "5")
-        assert code == 3
-        report = json.loads(out)
-        assert report["verdict"] == "INCONCLUSIVE"
-        padic = report["steps"]["padic_witnesses"]
-        assert padic["records"][0]["ok"] is True
-        assert padic["uncovered_bad_primes"] == [2]
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: instance: unknown key 'padic_witnesses'\n"
 
     def test_unfactored_algebra_exit_three(self, capsys, tmp_path,
                                            quartic_path, monkeypatch):
@@ -485,7 +468,7 @@ class TestExitCodes:
                "algebra": {"first": [[1, 0, 2, 0]],
                            "second": [[-1, 0, 2, 0]]},
                "sieve_modulus": 16, "rational_witness": None,
-               "padic_witnesses": [], "search_bound": 1000,
+               "search_bound": 1000,
                "sampling": {"seed": 1, "trials": 500, "prime_min": 3,
                             "prime_max": 10000}}
         path = tmp_path / "y2.json"

@@ -13,8 +13,8 @@ import pytest
 from obstruction_lab import cli
 
 GOLDEN_SHA256 = {
-    "quartic": "fb6088aec6a8ed8e917b66247762b2a0580003e43589785dc8900deffe50feaf",
-    "cubic": "9d8775f7cb620e97626dafb9dd8a7587c5ac758b5c219bf0058592512498ecee",
+    "quartic": "871d55fcdbc2c955995fbf89044494bdcda8b74e9f8f853ca0c0541e5916a374",
+    "cubic": "e0b83058aa3cd2d8b8aa636db84e3c6e010a12a4cd7fa639fcbcbc9deea96f52",
 }
 
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import math
 import random
@@ -14,9 +15,11 @@ from obstruction_lab.localsymbols import (Place, hilbert_symbol,
                                           solubility_oracle)
 from obstruction_lab.multipoly import MultiPoly
 from obstruction_lab.obstruction import (INCONCLUSIVE, NOT_OBSTRUCTED,
-                                         OBSTRUCTED,
+                                         OBSTRUCTED, PADIC_SEARCH_MAX_PRIME,
                                          InternalInconsistencyError,
+                                         ObstructionInstance,
                                          QuaternionAlgebraSpec,
+                                         SamplingConfig,
                                          SquareSamplingError,
                                          class_invariant_table, integer_search,
                                          naive_integer_search,
@@ -316,8 +319,6 @@ class TestScans:
                                     quartic_algebra.second)
         with pytest.raises(FactorizationError):
             check_odd_scan_factors(fq, alg, 1000)
-        with pytest.raises(FactorizationError):
-            odd_place_scan(fq, alg, 10, 1000, 2)
 
     @pytest.mark.parametrize("which", ["quartic", "cubic", "toy"])
     def test_scan_matches_trial_division(self, which, fq, fc,
@@ -625,15 +626,77 @@ class TestVerdict:
 
     def test_quartic_target_minus_one(self, quartic_instance):
         inst = quartic_instance
-        from obstruction_lab.obstruction import ObstructionInstance
         flipped = ObstructionInstance(inst.name, inst.f, (-1,), inst.algebra,
                                       inst.sieve_modulus, None,
-                                      (), 10, inst.sampling)
+                                      10, inst.sampling)
         report = obstruction_verdict(flipped, real_samples=100,
                                      odd_samples=50)
         assert report["verdict"] == NOT_OBSTRUCTED
         search = report["steps"]["integer_search"]["-1"]
         assert [0, 1, 0] in search["solutions"]
+
+
+def diagonal_quartic(a, b, target, witness):
+    """a x^4 + b y^4 + z^4 = target with the algebra (y^2, z^2) and the
+    given rational witness, at small sizes."""
+    f = MultiPoly([(a, (4, 0, 0)), (b, (0, 4, 0)), (1, (0, 0, 4))])
+    alg = QuaternionAlgebraSpec(MultiPoly([(1, (0, 2, 0))]),
+                                MultiPoly([(1, (0, 0, 2))]))
+    return ObstructionInstance("diagonal", f, (target,), alg, 2,
+                               tuple(Fraction(c) for c in witness), 5,
+                               SamplingConfig(1, 20, 3, 200))
+
+
+class TestPadicRecords:
+    """`verify` searches each bad prime of the rational witness up to
+    PADIC_SEARCH_MAX_PRIME, in ascending order."""
+
+    @pytest.fixture()
+    def searched(self, monkeypatch):
+        calls = []
+        search = obstruction.padic_solutions_exist
+
+        def spy(f, target, p, maxdepth):
+            calls.append(p)
+            return search(f, target, p, maxdepth)
+
+        monkeypatch.setattr(obstruction, "padic_solutions_exist", spy)
+        return calls
+
+    @staticmethod
+    def padic_step(instance):
+        report = obstruction_verdict(instance, real_samples=100,
+                                     odd_samples=50)
+        return report["verdict"], report["steps"]["padic_witnesses"]
+
+    def test_one_record_per_bad_prime(self, searched):
+        # 81/81 + 16/16 + 0 = 2, with denominators 3 and 2
+        inst = diagonal_quartic(81, 16, 2, ("1/3", "1/2", 0))
+        _, step = self.padic_step(inst)
+        assert [(r["p"], r["answer"]["verdict"], r["ok"])
+                for r in step["records"]] == [(2, "yes", True),
+                                              (3, "yes", True)]
+        assert all(list(r) == ["p", "answer", "ok"] for r in step["records"])
+        assert step["uncovered_bad_primes"] == []
+        assert searched == [2, 3]
+
+    def test_prime_above_cap_not_searched(self, searched):
+        p = 103
+        assert p > PADIC_SEARCH_MAX_PRIME
+        # 1 + 2 + 1 = 4, which no integer point in the box reaches
+        inst = diagonal_quartic(p ** 4, 2, 4, (Fraction(1, p), 1, 1))
+        verdict, step = self.padic_step(inst)
+        assert verdict == INCONCLUSIVE
+        assert step == {"records": [], "uncovered_bad_primes": [p]}
+        assert searched == []
+
+    def test_null_witness_no_records(self, quartic_instance, searched):
+        inst = dataclasses.replace(quartic_instance, rational_witness=None,
+                                   search_bound=5)
+        verdict, step = self.padic_step(inst)
+        assert verdict == INCONCLUSIVE
+        assert step == {"records": [], "uncovered_bad_primes": []}
+        assert searched == []
 
 
 @pytest.fixture(scope="module")

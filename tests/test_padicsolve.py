@@ -1,47 +1,11 @@
 import hashlib
 from fractions import Fraction
 
-import pytest
-
 from obstruction_lab.cli import load_instance
 from obstruction_lab.exactarith import is_probable_prime
 from obstruction_lab.multipoly import MultiPoly
-from obstruction_lab.padicsolve import (hensel_liftable_1var,
-                                        padic_solutions_exist,
-                                        replay_hensel_certificate,
+from obstruction_lab.padicsolve import (padic_solutions_exist,
                                         verify_rational_witness)
-
-T4_MINUS_17 = [-17, 0, 0, 0, 1]
-SEVEN_T3_MINUS_1 = [-1, 0, 0, 7]
-
-
-class TestHensel1Var:
-    def test_fourth_root_of_17(self):
-        cert = hensel_liftable_1var(T4_MINUS_17, 3, 2)
-        assert cert is not None
-        assert cert.value_valuation == 6       # v2(3^4 - 17) = v2(64)
-        assert cert.derivative_valuation == 2  # v2(108)
-
-    def test_boundary_fails(self):
-        assert hensel_liftable_1var(T4_MINUS_17, 1, 2) is None
-
-    def test_cube_root_of_one_seventh(self):
-        cert = hensel_liftable_1var(SEVEN_T3_MINUS_1, 1, 2)
-        assert cert is not None
-        assert cert.value_valuation == 1       # v2(6)
-        assert cert.derivative_valuation == 0  # v2(21)
-
-    def test_exact_root_accepted(self):
-        cert = hensel_liftable_1var([-16, 0, 1], 4, 3)
-        assert cert is not None and cert.value_valuation is None
-
-    def test_replay(self):
-        cert = hensel_liftable_1var(T4_MINUS_17, 3, 2)
-        assert replay_hensel_certificate(T4_MINUS_17, cert)
-
-    def test_rejects_zero_poly(self):
-        with pytest.raises(ValueError):
-            hensel_liftable_1var([0, 0], 1, 2)
 
 
 class TestPadicSearch:
