@@ -23,9 +23,9 @@ from .exactarith import FactorizationError
 from .localsymbols import Place, hilbert_symbol, local_invariant, \
     reciprocity_defect
 from .multipoly import MultiPoly
-from .obstruction import (INCONCLUSIVE, InternalInconsistencyError,
-                          ObstructionInstance, QuaternionAlgebraSpec,
-                          SamplingConfig, SquareSamplingError,
+from .obstruction import (DEFAULT_SEED, INCONCLUSIVE,
+                          InternalInconsistencyError, ObstructionInstance,
+                          QuaternionAlgebraSpec, SquareSamplingError,
                           class_invariant_table, obstruction_verdict,
                           padic_answer_record, point_invariant_profile,
                           residue_sieve, search_record)
@@ -54,7 +54,7 @@ def _expect_keys(obj, required, optional=(), where="instance"):
 def _term_list(data, where):
     if not isinstance(data, list) or not all(
             isinstance(q, list) and len(q) == 4 and
-            all(isinstance(c, int) for c in q) for q in data):
+            all(type(c) is int for c in q) for q in data):
         raise SchemaError("%s: expected a list of [coeff, ex, ey, ez]" % where)
     return MultiPoly.from_term_list(data)
 
@@ -83,9 +83,7 @@ def parse_instance(doc):
     """Validate an instance document (strict schema) and build the engine
     ObstructionInstance."""
     _expect_keys(doc, ["name", "poly", "targets", "algebra", "sieve_modulus",
-                       "rational_witness", "search_bound", "sampling"])
-    _expect_keys(doc["sampling"], ["seed", "trials", "prime_min", "prime_max"],
-                 where="sampling")
+                       "rational_witness", "search_bound"])
     witness = doc["rational_witness"]
     if witness is not None:
         if (not isinstance(witness, list) or len(witness) != 3 or not all(
@@ -105,7 +103,6 @@ def parse_instance(doc):
             sieve_modulus=doc["sieve_modulus"],
             rational_witness=witness,
             search_bound=doc["search_bound"],
-            sampling=SamplingConfig(**doc["sampling"]),
         )
     except ValueError as exc:
         raise SchemaError(str(exc))
@@ -159,8 +156,7 @@ def build_parser():
 
     v = sub.add_parser("verify", help="run the full pipeline on an instance")
     v.add_argument("instance")
-    v.add_argument("--seed", type=int, default=None)
-    v.add_argument("--depth", type=int, default=None)
+    v.add_argument("--seed", type=int, default=DEFAULT_SEED)
     v.add_argument("--bound", type=int, default=None)
     v.add_argument("--target", type=int, default=None,
                    help="override the instance target list with one value")
@@ -233,10 +229,12 @@ def _dispatch(args):
     cmd = args.command
     if cmd == "verify":
         instance = load_instance(args.instance)
+        # replace() runs the instance checks on the overrides
         if args.target is not None:
             instance = dataclasses.replace(instance, targets=(args.target,))
-        report = obstruction_verdict(instance, seed=args.seed,
-                                     depth=args.depth, bound=args.bound)
+        if args.bound is not None:
+            instance = dataclasses.replace(instance, search_bound=args.bound)
+        report = obstruction_verdict(instance, seed=args.seed)
         _emit(report, args.out)
         return (EXIT_INCONCLUSIVE if report["verdict"] == INCONCLUSIVE
                 else EXIT_OK)

@@ -24,6 +24,19 @@ from .localsymbols import (INV_HALF, Place, hilbert_symbol, local_invariant,
 from .multipoly import MultiPoly
 from .padicsolve import padic_solutions_exist, verify_rational_witness
 
+# The root seed of `obstruction_verdict`; each sampling stage derives its
+# own seed from it.
+DEFAULT_SEED = 20070907
+
+# Sizes of the sampled evidence: points of the real scan, points of the
+# odd-place scan and the bound on their coordinates, accepted points of
+# square sampling and the window its primes are drawn from.
+REAL_SAMPLES = 10000
+ODD_SAMPLES = 10000
+ODD_BOUND = 1000
+SQUARE_TRIALS = 500
+SQUARE_PRIME_WINDOW = (3, 10000)
+
 # Draws of (x, y) per prime in square sampling before the prime is skipped.
 CURVE_POINT_TRIES = 64
 
@@ -345,19 +358,6 @@ def odd_place_scan(f, alg, nsamples, bound, seed):
             "violations": violations}
 
 
-def check_prime_window(prime_min, prime_max):
-    """Refuse a square-sampling window [prime_min, prime_max] that holds no
-    prime (`_random_prime` would never return) or reaches below 3.  When
-    prime_max >= 2 * prime_min Bertrand's postulate gives a prime in the
-    window; otherwise the window is scanned up to its first prime."""
-    if prime_min < 3:
-        raise ValueError("prime_min must be >= 3")
-    if prime_max < 2 * prime_min and not any(
-            map(is_probable_prime, range(prime_min, prime_max + 1))):
-        raise ValueError("no prime in the sampling window [%d, %d]"
-                         % (prime_min, prime_max))
-
-
 def _primitive_part(q):
     """The terms of the form q with its content and the sign of its leading
     term divided out."""
@@ -382,7 +382,8 @@ def check_square_sampling(alg):
             "so square sampling has no point to test")
 
 
-def _random_prime(rng, lo, hi):
+def _random_prime(rng):
+    lo, hi = SQUARE_PRIME_WINDOW
     while True:
         n = rng.randint(lo, hi)
         if n % 2 == 0:
@@ -436,11 +437,10 @@ class SquareSamplingResult:
         return Fraction(self.passed, self.accepted) if self.accepted else None
 
 
-def square_mod_sampling(F, H_factors, prime_min, prime_max, trials, seed):
+def square_mod_sampling(F, H_factors, trials, seed):
     """Sample points on H = 0, H the product of the forms H_factors, over
-    random prime fields and test whether F is a square there whenever it
-    does not vanish."""
-    check_prime_window(prime_min, prime_max)
+    random prime fields F_p, p drawn from SQUARE_PRIME_WINDOW, and test
+    whether F is a square there whenever it does not vanish."""
     fn = F.evaluator()
     rng = random.Random(seed)
     accepted = 0
@@ -448,7 +448,7 @@ def square_mod_sampling(F, H_factors, prime_min, prime_max, trials, seed):
     counterexamples = []
     skipped = []
     while accepted < trials:
-        p = _random_prime(rng, prime_min, prime_max)
+        p = _random_prime(rng)
         q = _random_point_on_curve(H_factors, p, rng)
         if q is None:
             skipped.append(p)
@@ -642,25 +642,6 @@ def _flip(s, j):
 
 
 @dataclass(frozen=True)
-class SamplingConfig:
-    seed: int
-    trials: int
-    prime_min: int
-    prime_max: int
-
-    def __post_init__(self):
-        for key in ("seed", "trials", "prime_min", "prime_max"):
-            value = getattr(self, key)
-            if type(value) is not int:
-                raise ValueError("sampling.%s must be an int, got %r"
-                                 % (key, value))
-        if self.trials < 0:
-            raise ValueError("sampling.trials must be >= 0, got %d"
-                             % self.trials)
-        check_prime_window(self.prime_min, self.prime_max)
-
-
-@dataclass(frozen=True)
 class ObstructionInstance:
     name: str
     f: MultiPoly
@@ -669,7 +650,6 @@ class ObstructionInstance:
     sieve_modulus: int
     rational_witness: tuple | None
     search_bound: int
-    sampling: SamplingConfig
 
     def __post_init__(self):
         if type(self.name) is not str:
@@ -684,11 +664,13 @@ class ObstructionInstance:
         if type(self.search_bound) is not int or self.search_bound < 0:
             raise ValueError("search_bound must be an int >= 0, got %r"
                              % (self.search_bound,))
-        # the 2-adic table lifts the sieve classes to moduli 2**L
+        # the 2-adic table lifts the sieve classes to moduli 2**L, with
+        # 2**L a proper multiple of m and L < TABLE_MAX_EXPONENT
         m = self.sieve_modulus
-        if type(m) is not int or m < 2 or m & (m - 1):
-            raise ValueError("sieve_modulus must be a power of 2 and at "
-                             "least 2, got %r" % (m,))
+        top = 1 << (TABLE_MAX_EXPONENT - 2)
+        if type(m) is not int or m < 2 or m > top or m & (m - 1):
+            raise ValueError("sieve_modulus must be a power of 2 from 2 to "
+                             "%d, got %r" % (top, m))
 
 
 OBSTRUCTED = "OBSTRUCTED"
@@ -702,7 +684,7 @@ def search_record(f, target, B):
             "solutions": [list(s) for s in integer_search(f, target, B)]}
 
 
-def padic_answer_record(f, target, p, depth):
+def padic_answer_record(f, target, p, depth=None):
     """The p-adic solubility search of f = target at p, as its report
     record (the Newton inequality's valuations replay a "yes")."""
     ans = padic_solutions_exist(f, target, p, depth)
@@ -712,23 +694,16 @@ def padic_answer_record(f, target, p, depth):
             "derivative_valuation": ans.derivative_valuation}
 
 
-def obstruction_verdict(instance, seed=None, depth=None, bound=None,
-                        real_samples=10000, odd_samples=10000, odd_bound=1000):
+def obstruction_verdict(instance, seed=DEFAULT_SEED):
     """Run the full verification pipeline on an instance and return its
     report: name, verdict and flags (from `decide`), and one record per
-    step."""
-    root_seed = instance.sampling.seed if seed is None else seed
-    B = instance.search_bound if bound is None else bound
-    # refuse before any other work (an empty search box is no evidence, an
-    # algebra factor too large to factor would stop the odd-place scan, and
-    # square sampling would never end without a point to test)
-    if B < 0:
-        raise ValueError("search bound must be >= 0, got %d" % B)
-    if depth is not None and depth < 1:
-        raise ValueError("p-adic search depth must be >= 1, got %d" % depth)
+    step.  The sampling stages draw from seeds derived from `seed`."""
     f = instance.f
     alg = instance.algebra
-    check_odd_scan_factors(f, alg, odd_bound)
+    # refuse before any other work (an algebra factor too large to factor
+    # would stop the odd-place scan, and square sampling would never end
+    # without a point to test)
+    check_odd_scan_factors(f, alg, ODD_BOUND)
     check_square_sampling(alg)
     steps = {}
 
@@ -752,7 +727,7 @@ def obstruction_verdict(instance, seed=None, depth=None, bound=None,
     padic_records = []
     for p in sorted(bad_primes):
         if p <= PADIC_SEARCH_MAX_PRIME:
-            answer = padic_answer_record(f, instance.targets[0], p, depth)
+            answer = padic_answer_record(f, instance.targets[0], p)
             padic_records.append({"p": p, "answer": answer,
                                   "ok": answer["verdict"] == "yes"})
     steps["padic_witnesses"] = {
@@ -768,17 +743,14 @@ def obstruction_verdict(instance, seed=None, depth=None, bound=None,
                                 for t, sieve in steps["sieve"].items()}
 
     # 5-6. real and odd-place scans
-    steps["real_scan"] = real_unramified_scan(alg, real_samples,
-                                              root_seed * 7 + 1)
-    steps["odd_place_scan"] = odd_place_scan(f, alg, odd_samples, odd_bound,
-                                             root_seed * 7 + 2)
+    steps["real_scan"] = real_unramified_scan(alg, REAL_SAMPLES,
+                                              seed * 7 + 1)
+    steps["odd_place_scan"] = odd_place_scan(f, alg, ODD_SAMPLES, ODD_BOUND,
+                                             seed * 7 + 2)
 
     # 7. square-certificate sampling on the algebra pair
-    sm = square_mod_sampling(alg.first, alg.second_factors,
-                             instance.sampling.prime_min,
-                             instance.sampling.prime_max,
-                             instance.sampling.trials,
-                             root_seed * 7 + 3)
+    sm = square_mod_sampling(alg.first, alg.second_factors, SQUARE_TRIALS,
+                             seed * 7 + 3)
     steps["square_sampling"] = {
         "accepted": sm.accepted,
         "passed": sm.passed,
@@ -787,7 +759,8 @@ def obstruction_verdict(instance, seed=None, depth=None, bound=None,
     }
 
     # 8. integer search, per target
-    steps["integer_search"] = {str(t): search_record(f, t, B)
+    steps["integer_search"] = {str(t): search_record(f, t,
+                                                     instance.search_bound)
                                for t in instance.targets}
 
     verdict, flags = decide(steps)

@@ -167,11 +167,11 @@ def test_criterion_5_exact_identities(fq, fc, cubic_algebra):
 
 
 def test_criterion_6_square_certificates(fq, gq, hq):
-    res_fg = square_mod_sampling(fq * gq, (hq,), 3, 10000, 500, 61)
-    res_fh = square_mod_sampling(fq * hq, (gq,), 3, 10000, 500, 62)
+    res_fg = square_mod_sampling(fq * gq, (hq,), 500, 61)
+    res_fh = square_mod_sampling(fq * hq, (gq,), 500, 62)
     conic = MultiPoly([(1, (2, 0, 0)), (1, (0, 2, 0)), (-1, (0, 0, 2))])
     control = square_mod_sampling(MultiPoly([(1, (1, 1, 0))]), (conic,),
-                                  3, 10000, 500, 63)
+                                  500, 63)
     ok = (res_fg.accepted >= 500 and res_fg.pass_ratio == 1
           and res_fh.accepted >= 500 and res_fh.pass_ratio == 1
           and len(control.counterexamples) >= 1)

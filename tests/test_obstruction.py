@@ -19,12 +19,10 @@ from obstruction_lab.obstruction import (INCONCLUSIVE, NOT_OBSTRUCTED,
                                          InternalInconsistencyError,
                                          ObstructionInstance,
                                          QuaternionAlgebraSpec,
-                                         SamplingConfig,
                                          SquareSamplingError,
                                          class_invariant_table, integer_search,
                                          naive_integer_search,
                                          check_odd_scan_factors,
-                                         check_prime_window,
                                          check_square_sampling, decide,
                                          odd_place_scan,
                                          obstruction_verdict,
@@ -454,29 +452,19 @@ class TestOddScanReciprocity:
 
 class TestSquareSampling:
     def test_fg_square_mod_h(self, fq, gq, hq):
-        res = square_mod_sampling(fq * gq, (hq,), 3, 10000, 500, 5)
+        res = square_mod_sampling(fq * gq, (hq,), 500, 5)
         assert res.accepted >= 500
         assert res.pass_ratio == 1
 
     def test_fh_square_mod_g(self, fq, gq, hq):
-        res = square_mod_sampling(fq * hq, (gq,), 3, 10000, 500, 5)
+        res = square_mod_sampling(fq * hq, (gq,), 500, 5)
         assert res.pass_ratio == 1
 
     def test_negative_control(self):
         conic = MultiPoly([(1, (2, 0, 0)), (1, (0, 2, 0)), (-1, (0, 0, 2))])
         xy = MultiPoly([(1, (1, 1, 0))])
-        res = square_mod_sampling(xy, (conic,), 3, 10000, 500, 5)
+        res = square_mod_sampling(xy, (conic,), 500, 5)
         assert res.counterexamples
-
-    @pytest.mark.parametrize("lo,hi,ok", [
-        (3, 10000, True), (24, 29, True), (90, 96, False), (24, 28, False),
-        (2, 100, False), (30, 20, False)])
-    def test_prime_window(self, lo, hi, ok):
-        if ok:
-            check_prime_window(lo, hi)
-        else:
-            with pytest.raises(ValueError):
-                check_prime_window(lo, hi)
 
     def test_first_entry_vanishing_on_all_of_second(self, quartic_algebra,
                                                     cubic_algebra):
@@ -613,24 +601,20 @@ class TestIntegerSearch:
 
 class TestVerdict:
     def test_quartic_obstructed(self, quartic_instance):
-        report = obstruction_verdict(quartic_instance, real_samples=2000,
-                                     odd_samples=500)
+        report = obstruction_verdict(quartic_instance)
         assert report["verdict"] == OBSTRUCTED
         assert "hasse_over_Z" not in report["flags"]
 
     def test_cubic_obstructed_hasse(self, cubic_instance):
-        report = obstruction_verdict(cubic_instance, real_samples=2000,
-                                     odd_samples=500)
+        report = obstruction_verdict(cubic_instance)
         assert report["verdict"] == OBSTRUCTED
         assert "hasse_over_Z" in report["flags"]
 
     def test_quartic_target_minus_one(self, quartic_instance):
         inst = quartic_instance
         flipped = ObstructionInstance(inst.name, inst.f, (-1,), inst.algebra,
-                                      inst.sieve_modulus, None,
-                                      10, inst.sampling)
-        report = obstruction_verdict(flipped, real_samples=100,
-                                     odd_samples=50)
+                                      inst.sieve_modulus, None, 10)
+        report = obstruction_verdict(flipped)
         assert report["verdict"] == NOT_OBSTRUCTED
         search = report["steps"]["integer_search"]["-1"]
         assert [0, 1, 0] in search["solutions"]
@@ -638,13 +622,12 @@ class TestVerdict:
 
 def diagonal_quartic(a, b, target, witness):
     """a x^4 + b y^4 + z^4 = target with the algebra (y^2, z^2) and the
-    given rational witness, at small sizes."""
+    given rational witness and search bound 5."""
     f = MultiPoly([(a, (4, 0, 0)), (b, (0, 4, 0)), (1, (0, 0, 4))])
     alg = QuaternionAlgebraSpec(MultiPoly([(1, (0, 2, 0))]),
                                 MultiPoly([(1, (0, 0, 2))]))
     return ObstructionInstance("diagonal", f, (target,), alg, 2,
-                               tuple(Fraction(c) for c in witness), 5,
-                               SamplingConfig(1, 20, 3, 200))
+                               tuple(Fraction(c) for c in witness), 5)
 
 
 class TestPadicRecords:
@@ -665,8 +648,7 @@ class TestPadicRecords:
 
     @staticmethod
     def padic_step(instance):
-        report = obstruction_verdict(instance, real_samples=100,
-                                     odd_samples=50)
+        report = obstruction_verdict(instance)
         return report["verdict"], report["steps"]["padic_witnesses"]
 
     def test_one_record_per_bad_prime(self, searched):
@@ -715,7 +697,7 @@ class TestDecide:
         # no witness at all (key None replaces the record): nothing shows
         # local solubility
         ("rational_witness", None, {"witness": None}, []),
-        # no accepted point (sampling.trials 0): no square-sampling evidence
+        # no accepted point: no square-sampling evidence
         ("square_sampling", "accepted", 0, []),
     ])
     def test_refused(self, quartic_steps, step, key, value, flags):
