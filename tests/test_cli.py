@@ -332,6 +332,11 @@ class TestExitCodes:
         ("rational_witness", [[1, 0], [0, 1], [1, 2]]),
         ("rational_witness", [[True, 2], [0, 1], [1, 2]]),
         ("name", 7),
+        # the sampled evidence sizes are engine constants: a sampling block
+        # is refused as an unknown key, whatever its values
+        ("sampling.seed", "x"), ("sampling.seed", True),
+        ("sampling.trials", "5"), ("sampling.trials", -5),
+        ("sampling.prime_min", 3.0), ("sampling.prime_max", False),
         # a bool in a term list: true would read as the int 1
         ("poly.0.0", True), ("algebra.first.0.1", True),
         ("algebra.factors.first.0.0.0", True)])
@@ -349,6 +354,8 @@ class TestExitCodes:
         _, doc = quartic_path
         *outer, last = [int(p) if p.isdigit() else p
                          for p in key.split(".")]
+        if outer == ["sampling"]:
+            doc["sampling"] = {}
         field = doc
         for part in outer:
             field = field[part]
@@ -358,6 +365,9 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "verify", str(path), "--bound", "20")
         assert code == 1
         assert out == ""
+        if outer == ["sampling"]:
+            assert err == "error: instance: unknown key 'sampling'\n"
+            return
         name = ".".join(p for p in key.split(".") if not p.isdigit())
         assert re.match(r"error: %s\b" % re.escape(name), err)
         assert err.count("\n") == 1
