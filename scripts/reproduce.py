@@ -10,12 +10,12 @@ import pathlib
 import time
 
 from obstruction_lab.cli import load_instance
-from obstruction_lab.obstruction import obstruction_verdict
+from obstruction_lab.obstruction import DEFAULT_SEED, obstruction_verdict
 
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=int, default=DEFAULT_SEED)
     ap.add_argument("--out", default=None, help="directory for report JSON")
     args = ap.parse_args()
 

@@ -19,8 +19,7 @@ from math import gcd, prod
 from .exactarith import (FACTOR_BOUND, FactorizationError, factor,
                          is_probable_prime, jacobi, poly_roots_certified,
                          primitive_normalize, strip_prime)
-from .localsymbols import (INV_HALF, Place, hilbert_symbol, local_invariant,
-                           symbol_support)
+from .localsymbols import INV_HALF, Place, hilbert_symbol, local_invariant
 from .multipoly import MultiPoly
 from .padicsolve import padic_solutions_exist, verify_rational_witness
 
@@ -129,6 +128,12 @@ class QuaternionAlgebraSpec:
         a, b, _ = self.factor_values(point)
         return a, b
 
+    @cached_property
+    def constant_primes(self):
+        """The primes of the entries' constant factors."""
+        (ca, _), (cb, _) = self._parts
+        return frozenset(factor(ca * cb))
+
 
 def residue_sieve(f, m, target):
     """The residue sieve of one target, as its report record: every class
@@ -211,13 +216,20 @@ class InvariantProfile:
 
 def point_invariant_profile(alg, point):
     """Local invariants of the algebra at an integer point, over the real
-    place and every prime dividing 2ab, together with their sum in (1/2)Z/Z."""
-    a, b = alg.values_at(point)
+    place and every prime dividing 2ab, together with their sum in (1/2)Z/Z.
+
+    Those primes are the primes of the constant factors and of each
+    distinct factor value (`QuaternionAlgebraSpec.factor_values`), so the
+    entry values themselves are never factored."""
+    a, b, vals = alg.factor_values(point)
     if a == 0 or b == 0:
         raise RamificationLocusError(
             "algebra entry vanishes at %r" % (point,))
-    invs = tuple((pl, local_invariant(a, b, pl))
-                 for pl in symbol_support(a, b))
+    primes = {2} | alg.constant_primes
+    for v in set(vals):
+        primes.update(factor(v))
+    places = [Place.real()] + [Place.certified(p) for p in sorted(primes)]
+    invs = tuple((pl, local_invariant(a, b, pl)) for pl in places)
     total = sum((iv for _, iv in invs), Fraction(0)) % 1
     return InvariantProfile(tuple(point), (a, b), invs, total)
 
@@ -300,10 +312,7 @@ def odd_place_scan(f, alg, nsamples, bound, seed):
     alpha = alg.first_factors.count(f)
     beta = alg.second_factors.count(f)
     # the primes of a constant factor are in S at every sample
-    base = {2}
-    for q in alg.first_factors + alg.second_factors:
-        if q.homogeneous_degree() == 0:
-            base.update(factor(q.terms[0][0]))
+    base = {2} | alg.constant_primes
     places = {}
     rng = random.Random(seed)
     width = 2 * bound + 1
@@ -466,20 +475,12 @@ def square_mod_sampling(F, H_factors, trials, seed):
 
 
 def _solve_variable(f):
-    """Variable index appearing in exactly one term of f, preferring pure
-    unit-coefficient occurrences; None if there is no such variable."""
-    candidates = []
+    """Index of the first variable that occurs in exactly one term of f, or
+    None if there is no such variable."""
     for i in range(3):
-        terms = [(c, e) for c, e in f.terms if e[i] > 0]
-        if len(terms) == 1:
-            c, e = terms[0]
-            others = [e[j] for j in range(3) if j != i]
-            purity = (0 if (abs(c) == 1 and all(o == 0 for o in others)) else
-                      1 if abs(c) == 1 else 2)
-            candidates.append((purity, i))
-    if not candidates:
-        return None
-    return min(candidates)[1]
+        if sum(1 for _, e in f.terms if e[i]) == 1:
+            return i
+    return None
 
 
 def _canonical_solutions(f, sols):
@@ -488,10 +489,7 @@ def _canonical_solutions(f, sols):
     flip_invariant = all(sum(e) % 2 == 0 for _, e in f.terms)
     out = set()
     for s in sols:
-        if s == (0, 0, 0):
-            continue
-        g = gcd(gcd(abs(s[0]), abs(s[1])), abs(s[2]))
-        if g != 1:
+        if gcd(*s) != 1:
             continue
         if flip_invariant:
             s = primitive_normalize(s)
@@ -537,8 +535,10 @@ def integer_search(f, target, B):
     """All primitive integer solutions of f = target in the cube [-B, B]^3,
     enumerating two coordinates (u, w) and solving exactly for the third, v.
 
-    Requires a variable v that appears in exactly one term of f, so that
-    its pure power can be recovered by exact division and a table lookup.
+    v is the first variable that appears in exactly one term of f, so that
+    its pure power can be recovered by exact division and a table lookup;
+    u and w each range over the whole of [-B, B], and `_canonical_solutions`
+    folds the antipodal pairs of an even-degree f.
 
     A pair (u, w) is walked only when it is admissible modulo each q in
     SEARCH_MODULI: some v mod q solves f = target there (a necessary
@@ -566,12 +566,8 @@ def integer_search(f, target, B):
         if e[i] == 0:
             w_groups.setdefault(e[others[1]], []).append((c, e[others[0]]))
 
-    # exploit sign symmetry per enumerated variable
-    u_even = all(e[others[0]] % 2 == 0 for _, e in f.terms)
-    w_even = all(e[others[1]] % 2 == 0 for _, e in f.terms)
-    u_range = range(0, B + 1) if u_even else range(-B, B + 1)
-    w0 = 0 if w_even else -B
-    n = B + 1 - w0
+    w0 = -B
+    n = 2 * B + 1
     full = (1 << n) - 1
     masks = []
     for q in SEARCH_MODULI:
@@ -585,7 +581,7 @@ def integer_search(f, target, B):
 
     roots_of = {r ** k: r for r in range(0 if k % 2 == 0 else -B, B + 1)}
     sols = []
-    for u in u_range:
+    for u in range(-B, B + 1):
         mask = full
         for q, rows in masks:
             mask &= rows[u % q]
@@ -616,15 +612,7 @@ def integer_search(f, target, B):
             roots = {r, -r} if (k % 2 == 0 and r != 0) else {r}
             for root in roots:
                 sols.append(_assemble(i, others, root, u, w))
-    expanded = []
-    for s in sols:
-        mirrors = [s]
-        if u_even:
-            mirrors += [_flip(t, others[0]) for t in mirrors if t[others[0]] != 0]
-        if w_even:
-            mirrors += [_flip(t, others[1]) for t in mirrors if t[others[1]] != 0]
-        expanded.extend(mirrors)
-    return _canonical_solutions(f, expanded)
+    return _canonical_solutions(f, sols)
 
 
 def _assemble(i, others, vi, u, w):
@@ -632,12 +620,6 @@ def _assemble(i, others, vi, u, w):
     out[i] = vi
     out[others[0]] = u
     out[others[1]] = w
-    return tuple(out)
-
-
-def _flip(s, j):
-    out = list(s)
-    out[j] = -out[j]
     return tuple(out)
 
 
@@ -763,18 +745,23 @@ def obstruction_verdict(instance, seed=DEFAULT_SEED):
                                                      instance.search_bound)
                                for t in instance.targets}
 
-    verdict, flags = decide(steps)
+    verdict, flags = decide(steps, alg)
     return {"name": instance.name, "verdict": verdict, "flags": flags,
             "steps": steps}
 
 
-def decide(steps):
-    """The verdict and flags of a report, read from its steps alone (the
-    sieve classes and table entries, not their summary fields).
+def decide(steps, alg):
+    """The verdict and flags of a report, read from its steps (the sieve
+    classes and table entries, not their summary fields) and, for a search
+    solution in a class whose 2-adic invariant is certified 1/2, the exact
+    invariant profile of the algebra at that solution.
 
-    A search solution in a class whose invariant is certified 1/2
-    contradicts reciprocity and raises InternalInconsistencyError; any other
-    solution gives NOT_OBSTRUCTED.  OBSTRUCTED requires, for every target, a
+    Such a solution is an integral point where the algebra is ramified at
+    2, so some other place must ramify too.  It raises
+    InternalInconsistencyError only when its profile contradicts the
+    records: a nonzero invariant sum (reciprocity fails), or an invariant
+    at 2 other than 1/2 (the table is wrong).  Every solution otherwise
+    gives NOT_OBSTRUCTED.  OBSTRUCTED requires, for every target, a
     nonempty sieve whose classes all have certified 2-adic invariant 1/2,
     and then no real or odd-place violation, at least one accepted
     square-sampling point and no counterexample, a rational witness that
@@ -793,9 +780,16 @@ def decide(steps):
         certified = certified and bool(classes) and half == classes
         for s in search["solutions"]:
             if tuple(c % m for c in s) in half:
-                raise InternalInconsistencyError(
-                    "integral solution %r lies in a residue class certified "
-                    "ramified at 2; this contradicts reciprocity" % (s,))
+                prof = point_invariant_profile(alg, s)
+                if prof.total != 0:
+                    raise InternalInconsistencyError(
+                        "integral solution %r has invariant sum %s; this "
+                        "contradicts reciprocity" % (s, prof.total))
+                if dict(prof.invariants)[Place.certified(2)] != INV_HALF:
+                    raise InternalInconsistencyError(
+                        "integral solution %r lies in a residue class "
+                        "certified ramified at 2, but its invariant at 2 "
+                        "is 0" % (s,))
             found = True
     matches = steps["rational_witness"].get("matches")
     if found:

@@ -49,11 +49,13 @@ def _newton_at(fn, partials, point, target, p):
 def padic_solutions_exist(f, target, p, maxdepth=None):
     """Decide whether f(x, y, z) = target has a solution in p-adic integers.
 
-    Breadth-first search over residue triples mod p, p^2, ...; a branch is
-    accepted when a single partial derivative satisfies the Newton inequality
-    v_p(f - target) > 2 * v_p(partial); it is pruned when f - target is not
-    divisible by the level modulus.  Lexicographic traversal, so identical
-    inputs always report the identical witness class.
+    Breadth-first search over residue triples mod p, p^2, ...: each level
+    lifts the classes of the one before, and level 1 lifts the single class
+    mod 1.  A branch is accepted when a single partial derivative satisfies
+    the Newton inequality v_p(f - target) > 2 * v_p(partial); it is pruned
+    when f - target is not divisible by the level modulus.  Lexicographic
+    traversal, so identical inputs always report the identical witness
+    class.
     """
     require_prime(p)
     if maxdepth is None:
@@ -63,28 +65,10 @@ def padic_solutions_exist(f, target, p, maxdepth=None):
     fn = f.evaluator()
     partials = [d.evaluator() for d in f.gradient()]
 
-    level = 1
-    mod = p
-    frontier = []
-    for x in range(p):
-        for y in range(p):
-            for z in range(p):
-                if (fn(x, y, z) - target) % mod == 0:
-                    frontier.append((x, y, z))
-    while True:
-        for pt in frontier:
-            ok, fv, dv = _newton_at(fn, partials, pt, target, p)
-            if ok:
-                return SolubilityAnswer("yes", p, level, witness=pt,
-                                        value_valuation=fv,
-                                        derivative_valuation=dv)
-        if not frontier:
-            return SolubilityAnswer("no", p, level)
-        if level >= maxdepth:
-            return SolubilityAnswer("inconclusive", p, level)
+    frontier, mod = [(0, 0, 0)], 1
+    for level in range(1, maxdepth + 1):
         step = mod
         mod *= p
-        level += 1
         nxt = []
         for x, y, z in frontier:
             for dx in range(p):
@@ -97,6 +81,15 @@ def padic_solutions_exist(f, target, p, maxdepth=None):
                             nxt.append((x2, y2, z2))
         nxt.sort()
         frontier = nxt
+        for pt in frontier:
+            ok, fv, dv = _newton_at(fn, partials, pt, target, p)
+            if ok:
+                return SolubilityAnswer("yes", p, level, witness=pt,
+                                        value_valuation=fv,
+                                        derivative_valuation=dv)
+        if not frontier:
+            return SolubilityAnswer("no", p, level)
+    return SolubilityAnswer("inconclusive", p, maxdepth)
 
 
 @dataclass(frozen=True)

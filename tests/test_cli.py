@@ -89,6 +89,17 @@ class TestSubcommands:
         doc = json.loads(out)
         assert doc["values"] == [22, 154] and doc["sum"] == "0"
 
+    def test_profile_factors_each_factor_value(self, capsys):
+        # the first entry's value here, 84521752717201821175, leaves the
+        # composite cofactor 474515611081 after trial division; its factor
+        # values do not
+        code, out, _ = run_cli(capsys, "profile", "quartic",
+                               "-P=-882,863,39")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["sum"] == "0"
+        assert doc["invariants"]["168449"] == "1/2"
+
     def test_search(self, capsys):
         code, out, _ = run_cli(capsys, "search", "quartic", "-B", "20")
         assert code == 0
@@ -144,6 +155,27 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["verdict"] == "NOT_OBSTRUCTED"
         assert [0, 1, 0] in doc["steps"]["integer_search"]["-1"]["solutions"]
+
+    def test_solution_in_half_class_not_obstructed(self, capsys, cubic_path):
+        # the cubic's 2-torsion family at (b, c) = (-6, -1):
+        # y^2 z - (4x - z)(16x^2 - 6xz - z^2) = 1 with the bundled algebra
+        # and witness.  Its solution (0, 0, -1) lies in a class certified
+        # 1/2 at 2, and its profile is real 1/2 plus 2-adic 1/2, sum 0: an
+        # integral point, not an inconsistency
+        path, doc = cubic_path
+        f = [[-64, 3, 0, 0], [40, 2, 0, 1], [-2, 1, 0, 2], [1, 0, 2, 1],
+             [-1, 0, 0, 3]]
+        doc["poly"] = doc["algebra"]["factors"]["first"][1] = f
+        doc["algebra"]["first"] = [[c, x, y, z + 1] for c, x, y, z in f]
+        doc["search_bound"] = 200
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        assert code == 0
+        report = json.loads(out)
+        assert report["verdict"] == "NOT_OBSTRUCTED"
+        search = report["steps"]["integer_search"]
+        assert [0, 0, -1] in search["1"]["solutions"]
+        assert [len(search[t]["solutions"]) for t in ("1", "-1")] == [7, 7]
 
     def test_out_file(self, capsys, tmp_path, quartic_path):
         path, _ = quartic_path

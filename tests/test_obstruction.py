@@ -1,6 +1,8 @@
 import copy
 import dataclasses
+import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -592,6 +594,19 @@ class TestIntegerSearch:
         target = f.evaluate_int(tuple(max(-B, min(B, v)) for v in pt)) + offset
         assert integer_search(f, target, B) == naive_integer_search(f, target, B)
 
+    def test_pinned_output_past_the_oracle(self, fq, fc):
+        # B = 300 is far past the naive oracle's reach; 1,293 solutions,
+        # 625 each for cubic -64 and 64
+        out = {"%s %d" % (name, t): integer_search(f, t, 300)
+               for name, f in (("quartic", fq), ("cubic", fc))
+               for t in (-128, -64, -2, -1, 1, 2, 16, 17, 18, 64, 81)}
+        assert sum(map(len, out.values())) == 1293
+        assert len(out["cubic -64"]) == len(out["cubic 64"]) == 625
+        digest = hashlib.sha256(
+            json.dumps(out, sort_keys=True).encode()).hexdigest()
+        assert digest == ("646f9a6c927ce9ecd7ff0858c3bdb63c"
+                          "2818d51ec40a4477589d4abd0c3f1372")
+
     def test_no_solvable_variable_rejected(self):
         f = MultiPoly([(1, (2, 1, 0)), (1, (1, 2, 0)), (1, (1, 0, 2)),
                        (1, (0, 2, 1)), (1, (2, 0, 1)), (1, (0, 1, 2))])
@@ -700,24 +715,55 @@ class TestDecide:
         # no accepted point: no square-sampling evidence
         ("square_sampling", "accepted", 0, []),
     ])
-    def test_refused(self, quartic_steps, step, key, value, flags):
+    def test_refused(self, quartic_steps, quartic_algebra, step, key, value,
+                     flags):
         steps = copy.deepcopy(quartic_steps)
-        assert decide(steps) == (OBSTRUCTED, [])
+        assert decide(steps, quartic_algebra) == (OBSTRUCTED, [])
         if key is None:
             steps[step] = value
         else:
             steps[step][key] = value
-        assert decide(steps) == (INCONCLUSIVE, flags)
+        assert decide(steps, quartic_algebra) == (INCONCLUSIVE, flags)
 
-    def test_solution_in_half_class_raises(self, quartic_steps):
+    @staticmethod
+    def half_class_steps(quartic_steps):
+        """The steps with one doctored search solution, in a sieve class
+        whose invariant is certified 1/2."""
         steps = copy.deepcopy(quartic_steps)
         x, y, z = steps["sieve"]["1"]["classes"][0]
         steps["integer_search"]["1"]["solutions"] = [[x + 16, y, z]]
-        with pytest.raises(InternalInconsistencyError):
-            decide(steps)
+        return steps
 
-    def test_reads_entries_not_summary(self, quartic_steps):
+    def test_solution_in_half_class_raises(self, quartic_steps,
+                                           quartic_algebra, monkeypatch):
+        steps = self.half_class_steps(quartic_steps)
+        real = obstruction.point_invariant_profile
+
+        def half_sum(alg, point):
+            return dataclasses.replace(real(alg, point), total=Fraction(1, 2))
+
+        monkeypatch.setattr(obstruction, "point_invariant_profile", half_sum)
+        with pytest.raises(InternalInconsistencyError, match="invariant sum"):
+            decide(steps, quartic_algebra)
+
+    def test_solution_split_at_two_raises(self, quartic_steps,
+                                          quartic_algebra, monkeypatch):
+        # a zero sum, but the point's invariant at 2 contradicts the table
+        steps = self.half_class_steps(quartic_steps)
+        real = obstruction.point_invariant_profile
+
+        def split_at_two(alg, point):
+            prof = real(alg, point)
+            invs = tuple((pl, Fraction(0)) for pl, _ in prof.invariants)
+            return dataclasses.replace(prof, invariants=invs, total=0)
+
+        monkeypatch.setattr(obstruction, "point_invariant_profile",
+                            split_at_two)
+        with pytest.raises(InternalInconsistencyError, match="at 2 is 0"):
+            decide(steps, quartic_algebra)
+
+    def test_reads_entries_not_summary(self, quartic_steps, quartic_algebra):
         # all_half stays true; the entry it summarizes no longer says 1/2
         steps = copy.deepcopy(quartic_steps)
         steps["invariant_table"]["1"]["entries"][0]["invariant"] = None
-        assert decide(steps) == (INCONCLUSIVE, [])
+        assert decide(steps, quartic_algebra) == (INCONCLUSIVE, [])
