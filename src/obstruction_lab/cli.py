@@ -283,6 +283,9 @@ def _dispatch(args):
     if cmd == "profile":
         instance = load_instance(args.instance)
         point = tuple(int(c) for c in args.P.split(","))
+        if len(point) != 3:
+            raise SchemaError("-P takes three coordinates X,Y,Z, got %r"
+                              % (args.P,))
         prof = point_invariant_profile(instance.algebra, point)
         doc = {"point": list(prof.point),
                "values": list(prof.values),

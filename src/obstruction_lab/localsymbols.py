@@ -61,24 +61,16 @@ def _to_square_free_pair(a, b):
     return a.numerator * a.denominator, b.numerator * b.denominator
 
 
-def hilbert_symbol(a, b, place):
-    """Hilbert symbol (a, b) at a place of Q; a, b nonzero rationals.
+def symbol_at_prime(a, b, p):
+    """Hilbert symbol (a, b)_p for nonzero ints a, b and a prime p certified
+    already, such as a key of a `factor` result; p is not tested again.
 
     Write a = p^alpha u and b = p^beta v with u, v prime to p (Serre, A
     Course in Arithmetic, III.1).  At an odd prime p,
     (a, b)_p = (-1)^(alpha beta eps(p)) (u/p)^beta (v/p)^alpha, and each
-    Legendre symbol is read off Euler's criterion: p was certified prime
-    when the Place was built, and u, v are prime to p.  Integer entries
-    are divided by p in place; rationals first go to integers of the same
-    square classes.
+    Legendre symbol is read off Euler's criterion, since p is prime and u, v
+    are prime to p.
     """
-    if a == 0 or b == 0:
-        raise ValueError("Hilbert symbol entries must be nonzero")
-    p = place.p
-    if p is None:
-        return -1 if a < 0 and b < 0 else 1
-    if type(a) is not int or type(b) is not int:
-        a, b = _to_square_free_pair(a, b)
     alpha = 0
     while a % p == 0:
         a //= p
@@ -101,6 +93,23 @@ def hilbert_symbol(a, b, place):
     if alpha % 2 and pow(b, half, p) != 1:
         odd += 1
     return -1 if odd % 2 else 1
+
+
+def hilbert_symbol(a, b, place):
+    """Hilbert symbol (a, b) at a place of Q; a, b nonzero rationals.
+
+    The real symbol is a sign test.  At a prime, rationals first go to
+    integers of the same square classes, and `symbol_at_prime` computes the
+    symbol: p was certified prime when the Place was built.
+    """
+    if a == 0 or b == 0:
+        raise ValueError("Hilbert symbol entries must be nonzero")
+    p = place.p
+    if p is None:
+        return -1 if a < 0 and b < 0 else 1
+    if type(a) is not int or type(b) is not int:
+        a, b = _to_square_free_pair(a, b)
+    return symbol_at_prime(a, b, p)
 
 
 def local_invariant(a, b, place):

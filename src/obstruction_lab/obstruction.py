@@ -10,16 +10,17 @@ identical (canonically sorted) output.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 from math import gcd, prod
 
-from .exactarith import (FACTOR_BOUND, FactorizationError, factor,
-                         is_probable_prime, jacobi, poly_roots_certified,
+from .exactarith import (FACTOR_BOUND, FactorizationError, factor, jacobi,
+                         poly_roots_certified, primes_up_to,
                          primitive_normalize, strip_prime)
-from .localsymbols import INV_HALF, Place, hilbert_symbol, local_invariant
+from .localsymbols import INV_HALF, Place, local_invariant, symbol_at_prime
 from .multipoly import MultiPoly
 from .padicsolve import padic_solutions_exist, verify_rational_witness
 
@@ -234,18 +235,38 @@ def point_invariant_profile(alg, point):
     return InvariantProfile(tuple(point), (a, b), invs, total)
 
 
+def _random_triples(seed, bound):
+    """Endless triples of ints in [-bound, bound]: each coordinate is what
+    `randint(-bound, bound)` on `random.Random(seed)` draws, without its
+    per-call overhead.  randint draws k = (2 bound + 1).bit_length() random
+    bits, draws again while the value is 2 bound + 1 or more, and subtracts
+    bound."""
+    getrandbits = random.Random(seed).getrandbits
+    width = 2 * bound + 1
+    k = width.bit_length()
+    while True:
+        x = getrandbits(k)
+        while x >= width:
+            x = getrandbits(k)
+        y = getrandbits(k)
+        while y >= width:
+            y = getrandbits(k)
+        z = getrandbits(k)
+        while z >= width:
+            z = getrandbits(k)
+        yield x - bound, y - bound, z - bound
+
+
 def real_unramified_scan(alg, nsamples, seed):
     """Sample rational points of the plane and flag any where both algebra
     entries are negative (real invariant 1/2), as the scan's report record.
     Signs at rational points are exact, so every reported violation is a
     genuine ramified real point."""
-    rng = random.Random(seed)
+    triples = _random_triples(seed, 1000)
     violations = []
     done = 0
     while done < nsamples:
-        # randrange(2001) - 1000 draws what randint(-1000, 1000) does
-        pt = (rng.randrange(2001) - 1000, rng.randrange(2001) - 1000,
-              rng.randrange(2001) - 1000)
+        pt = next(triples)
         if pt == (0, 0, 0):
             continue
         a, b = alg.values_at(pt)
@@ -293,8 +314,9 @@ def odd_place_scan(f, alg, nsamples, bound, seed):
     Reciprocity is asserted at every sample: a nonzero invariant sum raises
     InternalInconsistencyError.  Let S be 2 and the primes of the values of the
     factors other than f; the symbol at the real place (a sign test) and at
-    each prime of S is computed, with one Place per distinct prime.  Every
-    other prime of ab divides f(P) and no other factor value.
+    each prime of S (`symbol_at_prime`, since `factor` certified the prime)
+    is computed.  Every other prime of ab divides f(P) and no other factor
+    value.
     Write a = f^alpha A and b = f^beta B, where alpha and beta count
     f among the factors of each entry.  Squares do not change the symbol
     and (fA, fB) = (fA, -AB), so at a prime outside S the symbol is that of
@@ -313,16 +335,12 @@ def odd_place_scan(f, alg, nsamples, bound, seed):
     beta = alg.second_factors.count(f)
     # the primes of a constant factor are in S at every sample
     base = {2} | alg.constant_primes
-    places = {}
-    rng = random.Random(seed)
-    width = 2 * bound + 1
+    triples = _random_triples(seed, bound)
     violations = []
     checked = 0
     done = 0
     while done < nsamples:
-        # randrange(width) - bound draws what randint(-bound, bound) does
-        pt = (rng.randrange(width) - bound, rng.randrange(width) - bound,
-              rng.randrange(width) - bound)
+        pt = next(triples)
         if pt == (0, 0, 0):
             continue
         pt = primitive_normalize(pt)
@@ -337,10 +355,7 @@ def odd_place_scan(f, alg, nsamples, bound, seed):
         # places where the algebra ramifies; reciprocity makes this even
         ramified = a < 0 and b < 0
         for p in sorted(primes):
-            place = places.get(p)
-            if place is None:
-                place = places[p] = Place.certified(p)
-            split = hilbert_symbol(a, b, place) == 1
+            split = symbol_at_prime(a, b, p) == 1
             ramified += not split
             if p == 2 or fval % p == 0:
                 continue
@@ -391,21 +406,40 @@ def check_square_sampling(alg):
             "so square sampling has no point to test")
 
 
-def _random_prime(rng):
+@cache
+def _square_primes():
+    """The primes of SQUARE_PRIME_WINDOW in ascending order; built on the
+    first call."""
     lo, hi = SQUARE_PRIME_WINDOW
+    return tuple(p for p in primes_up_to(hi) if p >= lo)
+
+
+def _random_prime(rng):
+    """A random n in SQUARE_PRIME_WINDOW, made odd, then the least prime
+    from n on in the window; a new n when there is none."""
+    lo, hi = SQUARE_PRIME_WINDOW
+    primes = _square_primes()
     while True:
         n = rng.randint(lo, hi)
         if n % 2 == 0:
             n += 1
-        while n <= hi:
-            if is_probable_prime(n):
-                return n
-            n += 2
+        i = bisect_left(primes, n)
+        if i < len(primes):
+            return primes[i]
 
 
-def _random_point_on_curve(H_factors, p, rng):
-    """A random point of H = 0 over F_p, H the product of the forms
-    H_factors: random x, y, then a random root z of H(x, y, z).
+def _z_evaluators(H_factors):
+    """Per form of H_factors, its value if it is constant (else None) and
+    the evaluators of its coefficients as a polynomial in z."""
+    return tuple((q.terms[0][0] if q.homogeneous_degree() == 0 else None,
+                  tuple(c.evaluator() for c in q.z_coefficients()))
+                 for q in H_factors)
+
+
+def _random_point_on_curve(curve, p, rng):
+    """A random point of H = 0 over F_p, H the product of forms given by
+    their `_z_evaluators` curve: random x, y, then a random root z of
+    H(x, y, z).
 
     The roots are the sorted union of the factors' roots in z, which over
     the field F_p is the sorted root list of H's z-polynomial (all of F_p
@@ -413,11 +447,8 @@ def _random_point_on_curve(H_factors, p, rng):
     constant factor prime to p has no root and is skipped.  p was
     certified prime when it was drawn.  None after CURVE_POINT_TRIES draws
     of (x, y) without a root."""
-    factors = []
-    for q in H_factors:
-        if q.homogeneous_degree() == 0 and q.terms[0][0] % p:
-            continue
-        factors.append([c.evaluator() for c in q.z_coefficients()])
+    factors = [coeffs for const, coeffs in curve
+               if const is None or const % p == 0]
     for _ in range(CURVE_POINT_TRIES):
         x = rng.randrange(p)
         y = rng.randrange(p)
@@ -451,6 +482,7 @@ def square_mod_sampling(F, H_factors, trials, seed):
     random prime fields F_p, p drawn from SQUARE_PRIME_WINDOW, and test
     whether F is a square there whenever it does not vanish."""
     fn = F.evaluator()
+    curve = _z_evaluators(H_factors)
     rng = random.Random(seed)
     accepted = 0
     passed = 0
@@ -458,7 +490,7 @@ def square_mod_sampling(F, H_factors, trials, seed):
     skipped = []
     while accepted < trials:
         p = _random_prime(rng)
-        q = _random_point_on_curve(H_factors, p, rng)
+        q = _random_point_on_curve(curve, p, rng)
         if q is None:
             skipped.append(p)
             continue

@@ -326,6 +326,13 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "denominator" in err
 
+    @pytest.mark.parametrize("point", ["a,1,1", "1,2", "1,2,3,4"])
+    def test_bad_profile_point_is_usage_error(self, capsys, point):
+        code, out, err = run_cli(capsys, "profile", "quartic", "-P=" + point)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("argv", [("verify", "quartic", "--bound", "-1"),
                                       ("search", "quartic", "-B", "-1")])
     def test_negative_bound_is_usage_error(self, capsys, argv):

@@ -15,7 +15,8 @@ from obstruction_lab.exactarith import (FactorizationError, divisors,
                                         primitive_normalize, strip_prime,
                                         valuation)
 from obstruction_lab.multipoly import MultiPoly
-from obstruction_lab.obstruction import _random_point_on_curve
+from obstruction_lab.obstruction import (_random_point_on_curve,
+                                         _z_evaluators)
 
 PRIMES_TO_100 = [p for p in range(2, 100) if is_probable_prime(p)]
 
@@ -362,8 +363,10 @@ class TestModularRoots:
                 with_const, without = random.Random(p), random.Random(p)
                 expected = ((prod((const, gq, hq)),) if const.terms[0][0] % p
                             == 0 else (gq, hq))
-                assert (_random_point_on_curve((const, gq, hq), p, with_const)
-                        == _random_point_on_curve(expected, p, without))
+                assert (_random_point_on_curve(
+                            _z_evaluators((const, gq, hq)), p, with_const)
+                        == _random_point_on_curve(_z_evaluators(expected), p,
+                                                  without))
                 assert with_const.getstate() == without.getstate()
 
     @pytest.mark.parametrize("which", ["quartic", "cubic"])
@@ -378,6 +381,8 @@ class TestModularRoots:
         primes = primes_up_to(10 ** 4)[3:]
         for p in [3, 5] + random.Random(8).sample(primes, 198):
             by_factor, by_product = random.Random(p), random.Random(p)
-            assert (_random_point_on_curve(factors, p, by_factor)
-                    == _random_point_on_curve((prod(factors),), p, by_product))
+            assert (_random_point_on_curve(_z_evaluators(factors), p,
+                                           by_factor)
+                    == _random_point_on_curve(_z_evaluators((prod(factors),)),
+                                              p, by_product))
             assert by_factor.getstate() == by_product.getstate()

@@ -12,16 +12,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obstruction_lab import exactarith, obstruction
-from obstruction_lab.exactarith import FactorizationError, factor
+from obstruction_lab.exactarith import (FactorizationError, factor,
+                                        is_probable_prime)
 from obstruction_lab.localsymbols import (Place, hilbert_symbol,
-                                          solubility_oracle)
+                                          solubility_oracle, symbol_at_prime)
 from obstruction_lab.multipoly import MultiPoly
-from obstruction_lab.obstruction import (INCONCLUSIVE, NOT_OBSTRUCTED,
-                                         OBSTRUCTED, PADIC_SEARCH_MAX_PRIME,
+from obstruction_lab.obstruction import (DEFAULT_SEED, INCONCLUSIVE,
+                                         NOT_OBSTRUCTED, OBSTRUCTED,
+                                         PADIC_SEARCH_MAX_PRIME,
+                                         SQUARE_PRIME_WINDOW,
                                          InternalInconsistencyError,
                                          ObstructionInstance,
                                          QuaternionAlgebraSpec,
                                          SquareSamplingError,
+                                         _random_prime, _random_triples,
+                                         _square_primes,
                                          class_invariant_table, integer_search,
                                          naive_integer_search,
                                          check_odd_scan_factors,
@@ -363,6 +368,22 @@ class TestScans:
         assert bool(violations) == (which == "toy")
 
 
+class TestRandomTriples:
+    """Both scans draw their points through `_random_triples`, which must
+    draw what three `randint(-bound, bound)` calls draw, or every report
+    changes."""
+
+    @pytest.mark.parametrize("bound", [1, 30, 1000])
+    @pytest.mark.parametrize("seed", [0, 4, 9, DEFAULT_SEED * 7 + 1,
+                                      DEFAULT_SEED * 7 + 2])
+    def test_draws_what_randint_draws(self, seed, bound):
+        rng = random.Random(seed)
+        expected = [(rng.randint(-bound, bound), rng.randint(-bound, bound),
+                     rng.randint(-bound, bound)) for _ in range(20000)]
+        assert list(itertools.islice(_random_triples(seed, bound),
+                                     20000)) == expected
+
+
 def scan_points(alg, nsamples, bound, seed):
     """The samples of `odd_place_scan(f, alg, nsamples, bound, seed)`, as
     (point, first(P), second(P)), drawn independently of the scan."""
@@ -452,7 +473,59 @@ class TestOddScanReciprocity:
             odd_place_scan(f, alg, 500, 1000, 9)
 
 
+    @pytest.mark.parametrize("which", ["quartic", "cubic"])
+    def test_negated_prime_symbol_raises(self, which, monkeypatch, fq, fc,
+                                         quartic_algebra, cubic_algebra):
+        # the symbols at the primes of S enter the per-sample reciprocity
+        # check: negating the one at the least odd prime of each sample
+        # must make some invariant sum nonzero.  Every sample asks for the
+        # symbol at 2 first, since S always holds 2 and is walked in order.
+        f, alg = ((fq, quartic_algebra) if which == "quartic"
+                  else (fc, cubic_algebra))
+        negated = [True]
+
+        def negate_least_odd(a, b, p):
+            symbol = symbol_at_prime(a, b, p)
+            if p == 2:
+                negated[0] = False
+            elif not negated[0]:
+                negated[0] = True
+                return -symbol
+            return symbol
+
+        monkeypatch.setattr(obstruction, "symbol_at_prime", negate_least_odd)
+        with pytest.raises(InternalInconsistencyError):
+            odd_place_scan(f, alg, 500, 1000, 9)
+
+
+def walked_prime(rng):
+    """The prime draw of square sampling as it was before the prime table:
+    a random n in the window, made odd, then the odd numbers from n on
+    tested one by one."""
+    lo, hi = SQUARE_PRIME_WINDOW
+    while True:
+        n = rng.randint(lo, hi)
+        if n % 2 == 0:
+            n += 1
+        while n <= hi:
+            if is_probable_prime(n):
+                return n
+            n += 2
+
+
 class TestSquareSampling:
+    def test_prime_table_is_the_window(self):
+        lo, hi = SQUARE_PRIME_WINDOW
+        assert list(_square_primes()) == [n for n in range(lo, hi + 1)
+                                          if is_probable_prime(n)]
+
+    @pytest.mark.parametrize("seed", [0, 5, DEFAULT_SEED * 7 + 3])
+    def test_random_prime_draws_the_walked_primes(self, seed):
+        by_table, by_walk = random.Random(seed), random.Random(seed)
+        assert ([_random_prime(by_table) for _ in range(2000)]
+                == [walked_prime(by_walk) for _ in range(2000)])
+        assert by_table.getstate() == by_walk.getstate()
+
     def test_fg_square_mod_h(self, fq, gq, hq):
         res = square_mod_sampling(fq * gq, (hq,), 500, 5)
         assert res.accepted >= 500
