@@ -7,6 +7,7 @@ no floating point is used anywhere.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -94,15 +95,21 @@ def strip_prime(n, p):
 
 
 def jacobi(a, n):
-    """Jacobi symbol (a/n) for odd positive n."""
+    """Jacobi symbol (a/n) for odd positive n and any int a, by quadratic
+    reciprocity; it is 0 when gcd(a, n) > 1.
+
+    Each run of s factors 2 of a is stripped with one shift; it contributes
+    (2/n)^s, which is -1 when s is odd and n = 3, 5 mod 8.
+    """
     if n <= 0 or n % 2 == 0:
         raise ValueError("jacobi requires odd positive n, got %r" % (n,))
     a %= n
     result = 1
     while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
+        s = (a & -a).bit_length() - 1
+        if s:
+            a >>= s
+            if s & 1 and n & 7 in (3, 5):
                 result = -result
         a, n = n, a
         if a % 4 == 3 and n % 4 == 3:
@@ -215,17 +222,34 @@ def _prime_blocks():
     return tuple(blocks)
 
 
+@cache
+def _least_prime_factors():
+    """lpf[n], the least prime factor of n, for 2 <= n <= FACTOR_BOUND
+    (lpf[n] = n at a prime), as an array of 32-bit ints built on the first
+    call.  The primes up to isqrt(FACTOR_BOUND) mark their multiples from
+    p * p on, the largest first, so the least prime writes last."""
+    top = FACTOR_BOUND
+    lpf = array("I", range(top + 1))
+    for p in reversed(primes_up_to(isqrt(top))):
+        lpf[p * p::p] = array("I", [p]) * len(range(p * p, top + 1, p))
+    return lpf
+
+
 def factor(n):
     """Factor |n| into primes by trial division by every prime <=
     FACTOR_BOUND.
 
-    The primes are taken in blocks: one gcd with the product of a block
-    decides whether any of its primes divides n, and only then are they
-    divided out one by one.  Division stops once the first prime p of a
-    block has p * p > n, which leaves 1 or a prime.
+    Above FACTOR_BOUND the primes are taken in blocks: one gcd with the
+    product of a block decides whether any of its primes divides n, and
+    only then are they divided out one by one.  The walk stops once what is
+    left is at most FACTOR_BOUND, or once the first prime p of a block has
+    p * p > n, which leaves a prime.  What is left at or below FACTOR_BOUND
+    is finished from the least-prime-factor table (`_least_prime_factors`),
+    one lookup and one division per prime factor; it has no prime below
+    those divided out already, so the primes still come in ascending order.
 
     Returns a dict prime -> exponent, in ascending order of the primes.  A
-    cofactor c > 1 left after trial division is accepted when
+    cofactor c > FACTOR_BOUND left after trial division is accepted when
     c <= FACTOR_BOUND**2 (it then has no room for two prime factors above
     the bound) or when it is certified prime; otherwise FactorizationError
     is raised (honesty over a silently incomplete factorization).
@@ -234,29 +258,37 @@ def factor(n):
     if n == 0:
         raise ValueError("cannot factor 0")
     out = {}
-    for first_sq, block, primes in _prime_blocks():
-        if first_sq > n:
-            break
-        g = gcd(n, block)
-        if g == 1:
-            continue
-        for p in primes:
-            if g % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                out[p] = e
-                g //= p
-                if g == 1:
-                    break
-    if n > 1:
-        if n <= FACTOR_BOUND ** 2 or is_probable_prime(n):
-            out[n] = 1
-        else:
+    if n > FACTOR_BOUND:
+        for first_sq, block, primes in _prime_blocks():
+            if first_sq > n:
+                break
+            g = gcd(n, block)
+            if g == 1:
+                continue
+            for p in primes:
+                if g % p == 0:
+                    e = 0
+                    while n % p == 0:
+                        n //= p
+                        e += 1
+                    out[p] = e
+                    g //= p
+                    if g == 1:
+                        break
+            if n <= FACTOR_BOUND:
+                break
+        if n > FACTOR_BOUND:
+            if n <= FACTOR_BOUND ** 2 or is_probable_prime(n):
+                out[n] = 1
+                return out
             raise FactorizationError(
                 "composite cofactor %d survived trial division to %d"
                 % (n, FACTOR_BOUND))
+    lpf = _least_prime_factors()
+    while n > 1:
+        p = lpf[n]
+        out[p] = out.get(p, 0) + 1
+        n //= p
     return out
 
 

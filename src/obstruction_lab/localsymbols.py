@@ -69,7 +69,9 @@ def symbol_at_prime(a, b, p):
     Course in Arithmetic, III.1).  At an odd prime p,
     (a, b)_p = (-1)^(alpha beta eps(p)) (u/p)^beta (v/p)^alpha, and each
     Legendre symbol is read off Euler's criterion, since p is prime and u, v
-    are prime to p.
+    are prime to p.  The symbols that enter, (u/p) when beta is odd and
+    (v/p) when alpha is odd, multiply to one Legendre symbol, of u v when
+    both are odd, so one power mod p gives their product.
     """
     alpha = 0
     while a % p == 0:
@@ -86,12 +88,14 @@ def symbol_at_prime(a, b, p):
         odd = ((a & 3 == 3 and b & 3 == 3) + (alpha % 2 and b & 7 in (3, 5))
                + (beta % 2 and a & 7 in (3, 5)))
         return -1 if odd % 2 else 1
+    if alpha % 2:
+        unit = a * b if beta % 2 else b
+    elif beta % 2:
+        unit = a
+    else:
+        return 1
     half = (p - 1) // 2
-    odd = alpha * beta * half
-    if beta % 2 and pow(a, half, p) != 1:
-        odd += 1
-    if alpha % 2 and pow(b, half, p) != 1:
-        odd += 1
+    odd = alpha * beta * half + (pow(unit, half, p) != 1)
     return -1 if odd % 2 else 1
 
 

@@ -41,22 +41,8 @@ def _term_source(c, exps):
     return "*".join(mono)
 
 
-def _evaluator_source(terms):
-    """Source of `lambda x, y, z:` returning the exact value of the sum of
-    terms, built from their int coefficients and exponents only."""
-    chunks = []
-    for k in range(0, len(terms), _SUM_CHUNK):
-        src = ""
-        for c, exps in terms[k:k + _SUM_CHUNK]:
-            if src:
-                src += " - " if c < 0 else " + "
-            elif c < 0:
-                src = "-"
-            src += _term_source(c, exps)
-        chunks.append(src)
-    body = ("sum((%s,))" % ", ".join(chunks) if len(chunks) > 1
-            else chunks[0] if chunks else "0")
-    return "lambda x, y, z: " + body
+# The globals of compiled sources: no builtins but the one `sum` they call.
+SOURCE_GLOBALS = {"__builtins__": {}, "sum": sum}
 
 
 class MultiPoly:
@@ -136,12 +122,30 @@ class MultiPoly:
             parts.append(("%+d" % c) + (("*" + mono) if mono else ""))
         return "MultiPoly(%s)" % " ".join(parts)
 
+    def source(self):
+        """Source of an expression in x, y and z for the form's exact value,
+        built from its int coefficients and exponents only.  It calls no
+        name but `sum`: `evaluator` compiles it, and callers may compile it
+        into a larger function with globals SOURCE_GLOBALS."""
+        chunks = []
+        for k in range(0, len(self.terms), _SUM_CHUNK):
+            src = ""
+            for c, exps in self.terms[k:k + _SUM_CHUNK]:
+                if src:
+                    src += " - " if c < 0 else " + "
+                elif c < 0:
+                    src = "-"
+                src += _term_source(c, exps)
+            chunks.append(src)
+        return ("sum((%s,))" % ", ".join(chunks) if len(chunks) > 1
+                else chunks[0] if chunks else "0")
+
     def evaluator(self):
         """The form as a function of (x, y, z), compiled once per form: its
         exact value at ints or Fractions, in plain int arithmetic at ints.
         Hot loops fetch it once and call it directly."""
         return self._derived("_evaluator", lambda: eval(
-            _evaluator_source(self.terms), {"__builtins__": {}, "sum": sum}))
+            "lambda x, y, z: " + self.source(), SOURCE_GLOBALS))
 
     def evaluate_int(self, at):
         """Exact value at a triple of ints or Fractions."""

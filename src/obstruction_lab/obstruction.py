@@ -19,9 +19,10 @@ from math import gcd, prod
 
 from .exactarith import (FACTOR_BOUND, FactorizationError, factor, jacobi,
                          poly_roots_certified, primes_up_to,
-                         primitive_normalize, strip_prime)
-from .localsymbols import INV_HALF, Place, local_invariant, symbol_at_prime
-from .multipoly import MultiPoly
+                         primitive_normalize)
+from .localsymbols import (INV_HALF, INV_ZERO, Place, local_invariant,
+                           symbol_at_prime)
+from .multipoly import SOURCE_GLOBALS, MultiPoly
 from .padicsolve import padic_solutions_exist, verify_rational_witness
 
 # The root seed of `obstruction_verdict`; each sampling stage derives its
@@ -109,25 +110,28 @@ class QuaternionAlgebraSpec:
         object.__setattr__(self, "_parts", tuple(parts))
 
     @cached_property
-    def _evaluators(self):
-        # fetched on first evaluation, so loading compiles nothing
-        return tuple(q.evaluator() for q in self.forms)
+    def factor_values(self):
+        """The function P -> (first(P), second(P), values) at a point P of
+        ints or Fractions, values[i] = forms[i](P): each distinct
+        nonconstant factor is evaluated once and its value multiplied into
+        the entries.
 
-    def factor_values(self, point):
-        """(first(P), second(P), values) at a point of ints or Fractions,
-        values[i] = forms[i](P): each distinct nonconstant factor is
-        evaluated once and its value multiplied into the entries."""
-        vals = [fn(*point) for fn in self._evaluators]
-        (ca, at_a), (cb, at_b) = self._parts
-        for i in at_a:
-            ca *= vals[i]
-        for i in at_b:
-            cb *= vals[i]
-        return ca, cb, vals
-
-    def values_at(self, point):
-        a, b, _ = self.factor_values(point)
-        return a, b
+        It is one function per algebra, compiled on first use from the
+        forms' sources (`MultiPoly.source`), so loading compiles nothing
+        and a point costs one call.  Hot loops fetch it once."""
+        names = ["v%d" % i for i in range(len(self.forms))]
+        entries = []
+        for const, at in self._parts:
+            scale = ["%d" % const] if const != 1 or not at else []
+            entries.append("*".join(scale + [names[i] for i in at]))
+        src = "\n".join(
+            ["def factor_values(point):", "    x, y, z = point"]
+            + ["    %s = %s" % (v, q.source())
+               for v, q in zip(names, self.forms)]
+            + ["    return %s, %s, [%s]" % (*entries, ", ".join(names))])
+        namespace = {}
+        exec(src, SOURCE_GLOBALS, namespace)
+        return namespace["factor_values"]
 
     @cached_property
     def constant_primes(self):
@@ -159,19 +163,18 @@ def _invariant_at_level(alg, m, residues, level):
     """The local invariant at 2 shared by all lifts of the class of residues
     mod m to modulus 2**level, or None if some lift has an entry of
     valuation above level - 3 (or zero) or two lifts disagree."""
-    cap = level - 3
-    place = Place.finite(2)
+    values = alg.factor_values
+    over = 1 << (level - 2)  # an entry it divides has valuation > level - 3
     x0, y0, z0 = residues
-    invs = set()
+    symbols = set()
     for i, j, k in product(range(2 ** level // m), repeat=3):
-        a, b = alg.values_at((x0 + i * m, y0 + j * m, z0 + k * m))
-        for v in (a, b):
-            if v == 0 or strip_prime(v, 2)[0] > cap:
-                return None
-        invs.add(local_invariant(a, b, place))
-        if len(invs) > 1:
+        a, b, _ = values((x0 + i * m, y0 + j * m, z0 + k * m))
+        if a % over == 0 or b % over == 0:
             return None
-    return invs.pop()
+        symbols.add(symbol_at_prime(a, b, 2))
+        if len(symbols) > 1:
+            return None
+    return INV_HALF if symbols.pop() == -1 else INV_ZERO
 
 
 def class_invariant_table(alg, sieve):
@@ -262,6 +265,7 @@ def real_unramified_scan(alg, nsamples, seed):
     entries are negative (real invariant 1/2), as the scan's report record.
     Signs at rational points are exact, so every reported violation is a
     genuine ramified real point."""
+    values = alg.factor_values
     triples = _random_triples(seed, 1000)
     violations = []
     done = 0
@@ -269,7 +273,7 @@ def real_unramified_scan(alg, nsamples, seed):
         pt = next(triples)
         if pt == (0, 0, 0):
             continue
-        a, b = alg.values_at(pt)
+        a, b, _ = values(pt)
         if a == 0 or b == 0:
             continue
         done += 1
@@ -326,7 +330,9 @@ def odd_place_scan(f, alg, nsamples, bound, seed):
     (f, c)_p = (c/p)^e.  So an odd number of primes outside S ramify
     exactly when jacobi(c, n) = -1, where n is |f(P)| with every prime of S
     divided out: one Jacobi symbol stands in for the primes of f(P), which
-    is never factored.
+    is never factored.  The one walk over S in ascending order takes each
+    prime's symbol, tests whether it divides f(P), and divides it out of n
+    when it does.
     """
     forms = alg.forms
     f_at = forms.index(f) if f in forms else None
@@ -335,6 +341,7 @@ def odd_place_scan(f, alg, nsamples, bound, seed):
     beta = alg.second_factors.count(f)
     # the primes of a constant factor are in S at every sample
     base = {2} | alg.constant_primes
+    values = alg.factor_values
     triples = _random_triples(seed, bound)
     violations = []
     checked = 0
@@ -344,7 +351,7 @@ def odd_place_scan(f, alg, nsamples, bound, seed):
         if pt == (0, 0, 0):
             continue
         pt = primitive_normalize(pt)
-        a, b, vals = alg.factor_values(pt)
+        a, b, vals = values(pt)
         if a == 0 or b == 0:
             continue
         done += 1
@@ -354,19 +361,22 @@ def odd_place_scan(f, alg, nsamples, bound, seed):
         fval = f.evaluate_int(pt) if f_at is None else vals[f_at]
         # places where the algebra ramifies; reciprocity makes this even
         ramified = a < 0 and b < 0
+        # n: |f(P)| with the primes of S divided out as they are walked (a
+        # zero f(P) stays 0, and every p divides it)
+        n = abs(fval)
         for p in sorted(primes):
             split = symbol_at_prime(a, b, p) == 1
             ramified += not split
-            if p == 2 or fval % p == 0:
-                continue
-            checked += 1
-            if not split:
-                violations.append([list(pt), p])
-        if alpha % 2 or beta % 2:
-            n = abs(fval)
-            for p in primes:
+            if n % p:
+                if p != 2:
+                    checked += 1
+                    if not split:
+                        violations.append([list(pt), p])
+            elif n:
+                n //= p
                 while n % p == 0:
                     n //= p
+        if alpha % 2 or beta % 2:
             A = a // fval ** alpha
             B = b // fval ** beta
             c = -A * B if alpha % 2 and beta % 2 else B if alpha % 2 else A

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -7,6 +9,8 @@ import sys
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obstruction_lab import cli, obstruction
 
@@ -17,9 +21,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def bundled_doc(name):
+    return json.loads(cli.resources.files("obstruction_lab")
+                      .joinpath("instances/%s.json" % name).read_text())
+
+
 def bundled_path(tmp_path, name):
-    doc = json.loads(cli.resources.files("obstruction_lab")
-                     .joinpath("instances/%s.json" % name).read_text())
+    doc = bundled_doc(name)
     path = tmp_path / ("%s.json" % name)
     path.write_text(json.dumps(doc))
     return path, doc
@@ -33,6 +41,32 @@ def quartic_path(tmp_path):
 @pytest.fixture()
 def cubic_path(tmp_path):
     return bundled_path(tmp_path, "cubic")
+
+
+def field_paths(node, path=()):
+    """The path (keys and list indices) of every field below node."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from field_paths(child, path + (key,))
+
+
+BUNDLED_FIELDS = [(name, path) for name in ("cubic", "quartic")
+                  for path in field_paths(bundled_doc(name))]
+
+
+def mutated(value, kind):
+    """value with a wrong type, the wrong sign, zero, empty or too large."""
+    if kind == "type":
+        return 1 if isinstance(value, str) else "x"
+    if kind == "sign":
+        return -value if type(value) is int else -1
+    if kind == "zero":
+        return 0
+    if kind == "empty":
+        return type(value)() if isinstance(value, (list, dict, str)) else []
+    return 10 ** 40
 
 
 def run_child(*argv):
@@ -522,3 +556,25 @@ class TestExitCodes:
         x, y, z = ans["witness"]
         value = sum(c * x ** a * y ** b * z ** d for c, a, b, d in doc["poly"])
         assert (value - doc["targets"][0]) % 3 ** ans["depth"] == 0
+
+
+class TestExitCodeFuzz:
+    # an instance that loads runs a full verify (about half a second), and
+    # most mutations are refused at load: 60 examples take a few seconds
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(BUNDLED_FIELDS),
+           st.sampled_from(["type", "sign", "zero", "empty", "large"]))
+    def test_one_mutated_field_exits_zero_to_three(self, tmp_path_factory,
+                                                   field, kind):
+        name, path = field
+        doc = bundled_doc(name)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = mutated(node[path[-1]], kind)
+        instance = tmp_path_factory.mktemp("fuzz") / "mutated.json"
+        instance.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["verify", str(instance), "--bound", "20"])
+        assert code in (0, 1, 2, 3)

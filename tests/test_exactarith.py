@@ -1,15 +1,15 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from obstruction_lab import exactarith
-from obstruction_lab.exactarith import (FactorizationError, divisors,
-                                        factor, is_kth_power,
+from obstruction_lab.exactarith import (FACTOR_BOUND, FactorizationError,
+                                        divisors, factor, is_kth_power,
                                         is_probable_prime, jacobi,
                                         poly_roots_mod, primes_up_to,
                                         primitive_normalize, strip_prime,
@@ -116,6 +116,28 @@ class TestJacobi:
             p += 2
         assert jacobi(a, p) % p == pow(a, (p - 1) // 2, p)
 
+    # n = 2i + 1 up to 10^10, so factor(n) is complete; `multiple` makes
+    # a = 0 mod n
+    @given(st.integers(-10**15, 10**15), st.integers(0, 5 * 10**9),
+           st.booleans())
+    @example(7, 0, False)        # n = 1
+    @example(-3, 0, True)        # n = 1, a = -3
+    @example(-1, 5, False)       # n = 11 = 3 mod 4
+    @example(-12, 4, True)       # a = -108 = 0 mod 9
+    @example(2 ** 40, 2, False)  # one run of 40 twos
+    @example(-(2 ** 41), 1, False)
+    def test_matches_product_of_legendre_symbols(self, a, i, multiple):
+        # (a/n) = prod (a/p)^e over p^e || n, each (a/p) read off Euler's
+        # criterion: 0 when p | a
+        n = 2 * i + 1
+        if multiple:
+            a *= n
+        expected = 1
+        for p, e in factor(n).items():
+            euler = pow(a, (p - 1) // 2, p)
+            expected *= (0 if euler == 0 else 1 if euler == 1 else -1) ** e
+        assert jacobi(a, n) == expected
+
 
 class TestPrimitiveNormalize:
     def test_clears_denominators(self):
@@ -212,6 +234,29 @@ def _reference_factor(n):
     return out
 
 
+def _block_walk_factor(n):
+    """`factor` without its least-prime-factor table: the block walk to the
+    end, then the cofactor rule.  None stands for FactorizationError."""
+    n = abs(n)
+    out = {}
+    for first_sq, block, primes in exactarith._prime_blocks():
+        if first_sq > n:
+            break
+        g = gcd(n, block)
+        for p in primes:
+            if g % p == 0:
+                e = 0
+                while n % p == 0:
+                    n //= p
+                    e += 1
+                out[p] = e
+    if n > 1:
+        if n > FACTOR_BOUND ** 2 and not is_probable_prime(n):
+            return None
+        out[n] = 1
+    return out
+
+
 # primes just above 10^4 and 10^5, so products of two of the larger ones
 # are cofactors that trial division to 10^5 cannot split
 _BIG_PRIMES = (10007, 10009, 10037, 100003, 100019, 100043, 1000003)
@@ -257,6 +302,37 @@ class TestFactor:
             got = factor(n)
             assert got == expected
             assert list(got) == sorted(got)
+
+    def test_table_matches_block_walk_to_twice_the_bound(self):
+        # at or below FACTOR_BOUND, factor reads the least-prime-factor
+        # table; above it, the walk hands over to the table once what is
+        # left is small enough
+        for n in range(1, 2 * FACTOR_BOUND + 1):
+            got = factor(n)
+            assert list(got.items()) == list(_block_walk_factor(n).items())
+
+    def test_table_matches_block_walk_around_the_bound(self):
+        below = [p for p in range(FACTOR_BOUND - 200, FACTOR_BOUND + 1)
+                 if is_probable_prime(p)]
+        above = [p for p in range(FACTOR_BOUND + 1, FACTOR_BOUND + 200)
+                 if is_probable_prime(p)]
+        root = isqrt(FACTOR_BOUND)
+        near_root = [p for p in range(root - 30, root + 30)
+                     if is_probable_prime(p)]
+        cases = [FACTOR_BOUND + k for k in range(-1000, 1001)]
+        cases += [s * p * q for p in below[-3:] for q in above[:3]
+                  for s in (1, 2, 3 * 7, 2 ** 10)]
+        cases += [s * p * p for p in near_root + below[-3:] + above[:3]
+                  for s in (1, 2, 5)]
+        cases += [p * q for p in near_root for q in below[-3:] + above[:3]]
+        for n in cases:
+            expected = _block_walk_factor(n)
+            if expected is None:
+                with pytest.raises(FactorizationError):
+                    factor(n)
+            else:
+                got = factor(n)
+                assert list(got.items()) == list(expected.items())
 
     def test_cofactor_around_bound_squared(self, monkeypatch):
         # a cofactor c <= 10^10 has no room for two primes > 10^5 and is

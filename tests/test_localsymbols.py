@@ -8,7 +8,7 @@ from obstruction_lab.exactarith import jacobi, strip_prime, valuation
 from obstruction_lab.localsymbols import (Place, default_oracle_depth,
                                           hilbert_symbol, local_invariant,
                                           reciprocity_defect,
-                                          solubility_oracle)
+                                          solubility_oracle, symbol_at_prime)
 
 REAL = Place.real()
 SMALL_PLACES = [Place.finite(p) for p in (2, 3, 5, 7, 11, 13)] + [REAL]
@@ -142,6 +142,22 @@ class TestEulerCriterion:
                     for _ in range(2))
             assert (hilbert_symbol(a, b, place) == 1) == \
                 solubility_oracle(a, b, place)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_both_valuations_odd_match_oracle(self, p):
+        # the branch where one power of u v mod p gives (u/p) (v/p)
+        rng = random.Random(200 + p)
+        place = Place.finite(p)
+        seen = set()
+        for _ in range(40):
+            u, v = (rng.choice((1, -1)) * rng.choice(
+                [n for n in range(1, 4 * p) if n % p]) for _ in range(2))
+            alpha, beta = rng.choice(((1, 1), (1, 3), (3, 1)))
+            a, b = u * p ** alpha, v * p ** beta
+            symbol = symbol_at_prime(a, b, p)
+            seen.add(symbol)
+            assert (symbol == 1) == solubility_oracle(a, b, place)
+        assert seen == {1, -1}
 
     @pytest.mark.parametrize("p", [10007, 998244353, 2 ** 31 - 1])
     def test_fraction_entries_at_large_primes(self, p):

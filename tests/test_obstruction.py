@@ -121,12 +121,12 @@ class TestInvariantTable:
                 steps = range(2 ** depth // m)
                 for i, j, k in itertools.product(steps, repeat=3):
                     lift = tuple(r + n * m for r, n in zip(cls, (i, j, k)))
-                    for v in alg.values_at(lift):
+                    for v in alg.factor_values(lift)[:2]:
                         assert v != 0 and v % 2 ** (depth - 2) != 0
                 for _ in range(2):
                     pt = tuple(r + m * rng.randrange(10 ** 6 // m)
                                for r in cls)
-                    a, b = alg.values_at(pt)
+                    a, b, _ = alg.factor_values(pt)
                     assert solubility_oracle(a, b, two) is (inv == "0")
 
     @pytest.mark.parametrize("v,depth", [(0, 3), (4, 7), (5, 0)])
@@ -199,7 +199,7 @@ class TestPointProfile:
         from obstruction_lab.localsymbols import Place, local_invariant
         for e in table["entries"]:
             assert e["invariant"] is not None
-            a, b = quartic_algebra.values_at(e["class"])
+            a, b, _ = quartic_algebra.factor_values(e["class"])
             inv = local_invariant(a, b, Place.finite(2))
             assert str(inv) == e["invariant"]
 
@@ -235,10 +235,37 @@ class TestFactorValues:
             for pt in (ints, fracs):
                 expected = (alg.first.evaluate_int(pt),
                             alg.second.evaluate_int(pt))
-                assert alg.values_at(pt) == expected
                 a, b, vals = alg.factor_values(pt)
                 assert (a, b) == expected
                 assert vals == [q.evaluate_int(pt) for q in alg.forms]
+
+    @pytest.mark.parametrize("which", ["repeated", "constant"])
+    def test_compiled_values_match_factor_products(self, which, gq, hq):
+        # the one compiled function per algebra against the product of
+        # each entry's factors, evaluated one by one: a repeated factor,
+        # the constant -1, an entry with no nonconstant factor
+        minus_one = MultiPoly([(-1, (0, 0, 0))])
+        x_minus_y = MultiPoly([(1, (1, 0, 0)), (-1, (0, 1, 0))])
+        x_plus_y = MultiPoly([(1, (1, 0, 0)), (1, (0, 1, 0))])
+        if which == "repeated":
+            first, second = (gq, hq, gq), (minus_one, x_minus_y, x_plus_y)
+            forms = (gq, hq, x_minus_y, x_plus_y)
+        else:
+            first, second = (MultiPoly([(5, (0, 0, 0))]),), (minus_one, hq)
+            forms = (hq,)
+        alg = QuaternionAlgebraSpec(math.prod(first), math.prod(second),
+                                    first, second)
+        assert alg.forms == forms
+        rng = random.Random(23)
+        for _ in range(300):
+            ints = tuple(rng.randint(-1000, 1000) for _ in range(3))
+            fracs = tuple(Fraction(rng.randint(-60, 60), rng.randint(1, 25))
+                          for _ in range(3))
+            for pt in (ints, fracs):
+                a, b, vals = alg.factor_values(pt)
+                assert a == math.prod(q.evaluate_int(pt) for q in first)
+                assert b == math.prod(q.evaluate_int(pt) for q in second)
+                assert vals == [q.evaluate_int(pt) for q in forms]
 
     def test_forms_are_distinct_and_nonconstant(self, fq, gq, hq,
                                                 quartic_algebra):
@@ -325,7 +352,7 @@ class TestScans:
         with pytest.raises(FactorizationError):
             check_odd_scan_factors(fq, alg, 1000)
 
-    @pytest.mark.parametrize("which", ["quartic", "cubic", "toy"])
+    @pytest.mark.parametrize("which", ["quartic", "cubic", "toy", "shared"])
     def test_scan_matches_trial_division(self, which, fq, fc,
                                          quartic_algebra, cubic_algebra):
         """The scan's conditions and violations against a reference that
@@ -334,7 +361,7 @@ class TestScans:
             f, alg = fq, quartic_algebra
         elif which == "cubic":
             f, alg = fc, cubic_algebra
-        else:
+        elif which == "toy":
             # f is no factor, and the algebra ramifies at many odd places
             f = MultiPoly([(1, (2, 0, 0)), (1, (0, 2, 0)), (1, (0, 0, 2))])
             alg = QuaternionAlgebraSpec(
@@ -342,17 +369,26 @@ class TestScans:
                 MultiPoly([(-1, (2, 0, 0)), (-1, (0, 0, 2))]),
                 second_factors=(MultiPoly([(-1, (0, 0, 0))]),
                                 MultiPoly([(1, (2, 0, 0)), (1, (0, 0, 2))])))
+        else:
+            # (3f, (x + 2z)(y - z)): the odd primes of S, 3 and those of
+            # the linear factors, often divide f(P) as well, where the scan
+            # divides them out of |f(P)| as it walks S
+            f = MultiPoly([(1, (2, 0, 0)), (1, (0, 2, 0)), (1, (0, 0, 2))])
+            first = (MultiPoly([(3, (0, 0, 0))]), f)
+            second = (MultiPoly([(1, (1, 0, 0)), (2, (0, 0, 1))]),
+                      MultiPoly([(1, (0, 1, 0)), (-1, (0, 0, 1))]))
+            alg = QuaternionAlgebraSpec(math.prod(first), math.prod(second),
+                                        first, second)
         bound, nsamples, seed = 30, 300, 4
         record = odd_place_scan(f, alg, nsamples, bound, seed)
-
-        def primes_of(n):
-            n, out, d = abs(n), set(), 2
-            while d * d <= n:
-                while n % d == 0:
-                    out.add(d)
-                    n //= d
-                d += 1
-            return out | ({n} if n > 1 else set())
+        if which == "shared":
+            shared = 0
+            for pt, _, _ in scan_points(alg, nsamples, bound, seed):
+                x, y, z = pt
+                S = {3} | primes_of(x + 2 * z) | primes_of(y - z)
+                shared += any(p != 2 and f.evaluate_int(pt) % p == 0
+                              for p in S)
+            assert shared > nsamples // 10
 
         checked, violations = 0, []
         for pt, a, b in scan_points(alg, nsamples, bound, seed):
@@ -365,7 +401,18 @@ class TestScans:
                     violations.append([list(pt), p])
         assert record["checked_prime_conditions"] == checked > 0
         assert record["violations"] == violations
-        assert bool(violations) == (which == "toy")
+        assert bool(violations) == (which in ("toy", "shared"))
+
+
+def primes_of(n):
+    """The primes of |n| by plain trial division."""
+    n, out, d = abs(n), set(), 2
+    while d * d <= n:
+        while n % d == 0:
+            out.add(d)
+            n //= d
+        d += 1
+    return out | ({n} if n > 1 else set())
 
 
 class TestRandomTriples:
