@@ -93,19 +93,16 @@ def parse_instance(doc):
                               "[num, den] pairs of ints with den nonzero, "
                               "got %r" % (witness,))
         witness = tuple(Fraction(n, d) for n, d in witness)
-    try:
-        return ObstructionInstance(
-            name=doc["name"],
-            f=_term_list(doc["poly"], "poly"),
-            targets=(tuple(doc["targets"]) if isinstance(doc["targets"], list)
-                     else doc["targets"]),
-            algebra=_algebra(doc["algebra"]),
-            sieve_modulus=doc["sieve_modulus"],
-            rational_witness=witness,
-            search_bound=doc["search_bound"],
-        )
-    except ValueError as exc:
-        raise SchemaError(str(exc))
+    return ObstructionInstance(
+        name=doc["name"],
+        f=_term_list(doc["poly"], "poly"),
+        targets=(tuple(doc["targets"]) if isinstance(doc["targets"], list)
+                 else doc["targets"]),
+        algebra=_algebra(doc["algebra"]),
+        sieve_modulus=doc["sieve_modulus"],
+        rational_witness=witness,
+        search_bound=doc["search_bound"],
+    )
 
 
 def load_instance(path):
@@ -211,16 +208,14 @@ def main(argv=None):
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return _dispatch(args)
-    except SchemaError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
     except InternalInconsistencyError as exc:
         print("internal inconsistency: %s" % exc, file=sys.stderr)
         return EXIT_INCONSISTENT
     except (FactorizationError, SquareSamplingError) as exc:
         print("inconclusive: %s" % exc, file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
+        # SchemaError and json.JSONDecodeError are ValueErrors
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

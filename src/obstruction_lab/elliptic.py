@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .exactarith import divisors
 
@@ -128,7 +129,6 @@ def _integer_roots(b, c, d):
 
 
 def _quadratic_integer_roots(a, b, c):
-    from math import isqrt
     disc = b * b - 4 * a * c
     if disc < 0:
         return []
@@ -155,13 +155,12 @@ def torsion_subgroup(curve):
     """Nagell-Lutz enumeration of the rational torsion subgroup.
 
     Candidates are integral points with v = 0 or v^2 | disc; each candidate is
-    kept only if its order divides 12.  The group structure follows from the
-    order and the number of 2-torsion points.
+    kept only if its order is at most 12.  The group structure follows from
+    the order and the number of 2-torsion points.
     """
     disc = curve.discriminant()
     candidate_vs = [0]
     for t in divisors(disc):
-        from math import isqrt
         s = isqrt(t)
         if s * s == t:  # t = v^2 divides disc
             candidate_vs.append(s)
@@ -170,12 +169,12 @@ def torsion_subgroup(curve):
         for u in _integer_roots(curve.b, curve.c, curve.d - v * v):
             for sv in ({0} if v == 0 else {v, -v}):
                 P = CurvePoint.affine(u, sv)
-                if curve.contains(P) and point_order(curve, P) is not None:
+                if point_order(curve, P) is not None:
                     points.add(P)
     finite = sorted(points, key=lambda P: (P.u, P.v))
     order = len(finite) + 1
     two_torsion = sum(1 for P in finite if P.v == 0)
-    if two_torsion >= 3 and order % 2 == 0:
+    if two_torsion >= 3:
         structure = "Z/2 x Z/%d" % (order // 2)
     else:
         structure = "Z/%d" % order

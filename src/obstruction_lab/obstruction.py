@@ -41,6 +41,17 @@ SQUARE_PRIME_WINDOW = (3, 10000)
 # Draws of (x, y) per prime in square sampling before the prime is skipped.
 CURVE_POINT_TRIES = 64
 
+# Square sampling gives up (SquareSamplingError) after this many draws of
+# (x, y) in a row without an accepted point; a skipped prime counts its
+# CURVE_POINT_TRIES draws and a point where F vanishes counts one, so the
+# count is at most the draws made.  Each draw is a fresh (x, y), so other
+# components of H change its chance of a root on a given component only
+# through the choice of z among all roots.  On a sparse component such as
+# x^2 + y^2 = 0 (points only at p = 1 mod 4, hit by a draw with probability
+# about 2/p), F = z^2 + 3xy is accepted about once per 2,200 draws, so a
+# legitimate run reaches the bound with probability about e**-45.
+SQUARE_FRUITLESS_DRAWS = 100000
+
 # The 2-adic table tries the levels below this one before it leaves a class
 # undetermined.
 TABLE_MAX_EXPONENT = 8
@@ -64,7 +75,8 @@ class RamificationLocusError(ValueError):
 
 
 class SquareSamplingError(Exception):
-    """Square sampling could never accept a point of the algebra."""
+    """Square sampling found no point to test in SQUARE_FRUITLESS_DRAWS
+    draws in a row."""
 
 
 @dataclass(frozen=True)
@@ -393,27 +405,12 @@ def odd_place_scan(f, alg, nsamples, bound, seed):
 
 
 def _primitive_part(q):
-    """The terms of the form q with its content and the sign of its leading
-    term divided out."""
+    """The form q with its content and the sign of its leading term divided
+    out."""
     g = gcd(*(c for c, _ in q.terms))
     if q.terms[0][0] < 0:
         g = -g
-    return tuple((c // g, e) for c, e in q.terms)
-
-
-def check_square_sampling(alg):
-    """Refuse an algebra whose first entry vanishes on every component of
-    the second: square sampling would then draw points forever and accept
-    none.  A component is a nonconstant factor of the second entry, and the
-    first entry vanishes on it when one of the first entry's factors has
-    the same primitive part up to sign (y^2 and -3y^2 have one zero
-    locus)."""
-    first = {_primitive_part(q) for q in alg.first_factors}
-    if all(_primitive_part(q) in first for q in alg.second_factors
-           if q.homogeneous_degree() != 0):
-        raise SquareSamplingError(
-            "algebra.first vanishes on every component of algebra.second, "
-            "so square sampling has no point to test")
+    return q if g == 1 else MultiPoly((c // g, e) for c, e in q.terms)
 
 
 @cache
@@ -439,31 +436,31 @@ def _random_prime(rng):
 
 
 def _z_evaluators(H_factors):
-    """Per form of H_factors, its value if it is constant (else None) and
-    the evaluators of its coefficients as a polynomial in z."""
-    return tuple((q.terms[0][0] if q.homogeneous_degree() == 0 else None,
-                  tuple(c.evaluator() for c in q.z_coefficients()))
-                 for q in H_factors)
+    """The evaluators of the coefficients, as polynomials in z, of each
+    component of H = 0: the distinct primitive parts of the nonconstant
+    forms of H_factors.  A constant or a content has no zero locus (mod a
+    prime dividing it, every point would lie on H = 0)."""
+    components = dict.fromkeys(_primitive_part(q) for q in H_factors
+                               if q.homogeneous_degree() != 0)
+    return tuple(tuple(c.evaluator() for c in q.z_coefficients())
+                 for q in components)
 
 
 def _random_point_on_curve(curve, p, rng):
-    """A random point of H = 0 over F_p, H the product of forms given by
-    their `_z_evaluators` curve: random x, y, then a random root z of
-    H(x, y, z).
+    """A random point of H = 0 over F_p, H the product of the components
+    given by their `_z_evaluators` curve: random x, y, then a random root z
+    of H(x, y, z).
 
-    The roots are the sorted union of the factors' roots in z, which over
+    The roots are the sorted union of the components' roots in z, which over
     the field F_p is the sorted root list of H's z-polynomial (all of F_p
-    when it vanishes), so the draws are those H itself would give.  A
-    constant factor prime to p has no root and is skipped.  p was
+    when it vanishes), so the draws are those H itself would give.  p was
     certified prime when it was drawn.  None after CURVE_POINT_TRIES draws
     of (x, y) without a root."""
-    factors = [coeffs for const, coeffs in curve
-               if const is None or const % p == 0]
     for _ in range(CURVE_POINT_TRIES):
         x = rng.randrange(p)
         y = rng.randrange(p)
         roots = set()
-        for coeffs in factors:
+        for coeffs in curve:
             roots.update(poly_roots_certified(
                 [fn(x, y, 0) for fn in coeffs], p))
         if not roots:
@@ -490,7 +487,9 @@ class SquareSamplingResult:
 def square_mod_sampling(F, H_factors, trials, seed):
     """Sample points on H = 0, H the product of the forms H_factors, over
     random prime fields F_p, p drawn from SQUARE_PRIME_WINDOW, and test
-    whether F is a square there whenever it does not vanish."""
+    whether F is a square there whenever it does not vanish.  Raises
+    SquareSamplingError after SQUARE_FRUITLESS_DRAWS fruitless draws in a
+    row."""
     fn = F.evaluator()
     curve = _z_evaluators(H_factors)
     rng = random.Random(seed)
@@ -498,15 +497,23 @@ def square_mod_sampling(F, H_factors, trials, seed):
     passed = 0
     counterexamples = []
     skipped = []
+    fruitless = 0
     while accepted < trials:
+        if fruitless >= SQUARE_FRUITLESS_DRAWS:
+            raise SquareSamplingError(
+                "square sampling found no point off F = 0 on H = 0 in %d "
+                "draws in a row" % SQUARE_FRUITLESS_DRAWS)
         p = _random_prime(rng)
         q = _random_point_on_curve(curve, p, rng)
         if q is None:
             skipped.append(p)
+            fruitless += CURVE_POINT_TRIES
             continue
         fval = fn(*q) % p
         if fval == 0:
+            fruitless += 1
             continue
+        fruitless = 0
         accepted += 1
         if pow(fval, (p - 1) // 2, p) == 1:
             passed += 1
@@ -724,11 +731,8 @@ def obstruction_verdict(instance, seed=DEFAULT_SEED):
     step.  The sampling stages draw from seeds derived from `seed`."""
     f = instance.f
     alg = instance.algebra
-    # refuse before any other work (an algebra factor too large to factor
-    # would stop the odd-place scan, and square sampling would never end
-    # without a point to test)
+    # before any work, refuse a factor too large for the odd-place scan
     check_odd_scan_factors(f, alg, ODD_BOUND)
-    check_square_sampling(alg)
     steps = {}
 
     # 1. rational witness

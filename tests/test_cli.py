@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -6,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from math import prod
 
 import pytest
@@ -122,6 +124,24 @@ class TestSubcommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["values"] == [22, 154] and doc["sum"] == "0"
+
+    def test_reciprocity_nonzero_defect_exit_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "reciprocity_defect",
+                            lambda a, b: Fraction(1, 2))
+        code, out, err = run_cli(capsys, "reciprocity", "3", "3")
+        assert code == 2
+        assert json.loads(out) == {"defect": "1/2"}
+        assert err == "internal inconsistency: nonzero reciprocity defect\n"
+
+    def test_profile_nonzero_sum_exit_two(self, capsys, monkeypatch):
+        profile = cli.point_invariant_profile
+        monkeypatch.setattr(cli, "point_invariant_profile", lambda alg, pt:
+                            dataclasses.replace(profile(alg, pt),
+                                                total=Fraction(1, 2)))
+        code, out, err = run_cli(capsys, "profile", "quartic", "-P", "0,1,0")
+        assert code == 2
+        assert json.loads(out)["sum"] == "1/2"
+        assert err == "internal inconsistency: nonzero invariant sum\n"
 
     def test_profile_factors_each_factor_value(self, capsys):
         # the first entry's value here, 84521752717201821175, leaves the
@@ -508,8 +528,8 @@ class TestExitCodes:
         assert err.startswith("inconclusive: ") and err.count("\n") == 1
 
     def test_first_entry_vanishing_on_second_exit_three(self, cubic_path):
-        # (a, a) is a valid algebra, but square sampling could accept no
-        # point of second = 0: refused before any stage runs
+        # (a, a) is a valid algebra, but square sampling can accept no point
+        # of second = 0: it gives up after a run of fruitless draws
         path, doc = cubic_path
         alg = doc["algebra"]
         alg["first"] = alg["second"]
@@ -518,14 +538,13 @@ class TestExitCodes:
         done = run_child("verify", str(path), "--bound", "5")
         assert done.returncode == 3
         assert done.stdout == ""
-        assert done.stderr.startswith("inconclusive: algebra.first ")
+        assert done.stderr.startswith("inconclusive: square sampling ")
         assert done.stderr.count("\n") == 1
 
     def test_entries_differing_by_a_constant_exit_three(self, tmp_path):
         # x^4 + y^4 + z^4 = 7 with algebra (y^2, -y^2): y^2 vanishes on
-        # every point of -y^2 = 0, so square sampling would draw forever
-        # (compared as MultiPolys the two factors differ); refused before
-        # any stage runs
+        # every point of -y^2 = 0, so square sampling gives up after a run
+        # of fruitless draws
         doc = {"name": "y2", "targets": [7],
                "poly": [[1, 4, 0, 0], [1, 0, 4, 0], [1, 0, 0, 4]],
                "algebra": {"first": [[1, 0, 2, 0]],
@@ -537,8 +556,43 @@ class TestExitCodes:
         done = run_child("verify", str(path))
         assert done.returncode == 3
         assert done.stdout == ""
-        assert done.stderr.startswith("inconclusive: algebra.first ")
+        assert done.stderr.startswith("inconclusive: square sampling ")
         assert done.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("second_factors", [None, [[[1, 0, 1, 0]]] * 2])
+    def test_first_entry_vanishing_unseen_by_factors_exit_three(
+            self, quartic_path, second_factors):
+        # (xy, y^2): xy vanishes on y = 0, though no factor of the first
+        # entry is one of the second, given as y^2 or as [y, y]
+        path, doc = quartic_path
+        doc["algebra"] = {"first": [[1, 1, 1, 0]], "second": [[1, 0, 2, 0]]}
+        if second_factors is not None:
+            doc["algebra"]["factors"] = {"first": [[[1, 1, 1, 0]]],
+                                         "second": second_factors}
+        path.write_text(json.dumps(doc))
+        done = run_child("verify", str(path), "--bound", "20")
+        assert done.returncode == 3
+        assert done.stdout == ""
+        assert done.stderr.startswith("inconclusive: square sampling ")
+        assert done.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("seed", ["4", "17"])
+    def test_square_constant_in_second_entry_obstructed(self, quartic_path,
+                                                         seed):
+        # the second entry times 9973^2 is the same Brauer class; the
+        # constant vanishes mod 9973 but is no component of the curve, so
+        # the points drawn at p = 9973 still lie on g*h = 0
+        path, doc = quartic_path
+        square = 9973 ** 2
+        alg = doc["algebra"]
+        alg["second"] = [[square * c, *e] for c, *e in alg["second"]]
+        alg["factors"]["second"][0] = [[-square, 0, 0, 0]]
+        path.write_text(json.dumps(doc))
+        done = run_child("verify", str(path), "--seed", seed)
+        assert done.returncode == 0
+        report = json.loads(done.stdout)
+        assert report["verdict"] == "OBSTRUCTED"
+        assert report["steps"]["square_sampling"]["counterexamples"] == []
 
     def test_five_thousand_term_poly(self, quartic_path):
         # the compiled evaluator of a degree-99 form with 5,000 terms stays

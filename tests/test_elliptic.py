@@ -86,6 +86,16 @@ class TestTorsion:
         assert group.structure == "Z/6"
         assert (group.generators[0].u, group.generators[0].v) in {(2, 3), (2, -3)}
 
+    def test_candidate_of_infinite_order_rejected(self):
+        # (-2, 3) is an integral point of v^2 = u^3 + 17 with v^2 | disc,
+        # so a Nagell-Lutz candidate, but of infinite order
+        E = WeierstrassCurve(0, 0, 17)
+        P = CurvePoint.affine(-2, 3)
+        assert E.contains(P) and E.discriminant() % 9 == 0
+        assert point_order(E, P) is None
+        group = torsion_subgroup(E)
+        assert group.structure == "Z/1" and group.points == ()
+
     def test_orders_divide_twelve(self, cubic_curve):
         for E in (WeierstrassCurve(0, -1, 0), WeierstrassCurve(0, 0, 1),
                   cubic_curve):

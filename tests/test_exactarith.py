@@ -429,21 +429,20 @@ class TestModularRoots:
             poly_roots_mod([1, 0, 1], n)
 
     def test_constant_factor_changes_no_draw(self, gq, hq):
-        # a constant factor prime to p has no root and is skipped; the point
-        # and the rng state are those without it.  A constant that p
-        # divides vanishes mod p, so every z is a root, as for the product
+        # a constant factor, or the content of a form, has no zero locus:
+        # the point and the rng state are those without it, whatever p
+        # divides
         constants = [MultiPoly([(c, (0, 0, 0))]) for c in (-1, 3, -35)]
         primes = primes_up_to(10 ** 4)[1:]
         for p in [3, 5, 7] + random.Random(9).sample(primes, 100):
             for const in constants:
-                with_const, without = random.Random(p), random.Random(p)
-                expected = ((prod((const, gq, hq)),) if const.terms[0][0] % p
-                            == 0 else (gq, hq))
-                assert (_random_point_on_curve(
-                            _z_evaluators((const, gq, hq)), p, with_const)
-                        == _random_point_on_curve(_z_evaluators(expected), p,
-                                                  without))
-                assert with_const.getstate() == without.getstate()
+                for curve in ((const, gq, hq), (const * gq, hq)):
+                    with_const, without = random.Random(p), random.Random(p)
+                    assert (_random_point_on_curve(_z_evaluators(curve), p,
+                                                   with_const)
+                            == _random_point_on_curve(_z_evaluators((gq, hq)),
+                                                      p, without))
+                    assert with_const.getstate() == without.getstate()
 
     @pytest.mark.parametrize("which", ["quartic", "cubic"])
     def test_factorwise_curve_points_match_product(self, which,

@@ -30,7 +30,7 @@ from obstruction_lab.obstruction import (DEFAULT_SEED, INCONCLUSIVE,
                                          class_invariant_table, integer_search,
                                          naive_integer_search,
                                          check_odd_scan_factors,
-                                         check_square_sampling, decide,
+                                         _invariant_at_level, decide,
                                          odd_place_scan,
                                          obstruction_verdict,
                                          point_invariant_profile,
@@ -150,6 +150,27 @@ class TestInvariantTable:
         table = class_invariant_table(alg, {"modulus": 2,
                                             "classes": [[1, 0, 0]]})
         assert invariants(table) == [None]
+        assert not table["determined"] and not table["all_half"]
+
+    def test_undetermined_when_lifts_disagree(self):
+        # entries x^2 - y^2 and xy + z^2 on the class (0, 1, 1): both are
+        # odd at every lift mod 8, but the lifts' symbols at 2 differ, at
+        # every level, so the entry is left undetermined
+        alg = QuaternionAlgebraSpec(
+            MultiPoly([(1, (2, 0, 0)), (-1, (0, 2, 0))]),
+            MultiPoly([(1, (1, 1, 0)), (1, (0, 0, 2))]))
+        symbols = set()
+        for lift in itertools.product(range(0, 8, 2), range(1, 8, 2),
+                                      range(1, 8, 2)):
+            a, b, _ = alg.factor_values(lift)
+            assert a % 2 and b % 2
+            symbols.add(symbol_at_prime(a, b, 2))
+        assert symbols == {1, -1}
+        assert _invariant_at_level(alg, 2, (0, 1, 1), 3) is None
+        table = class_invariant_table(alg, {"modulus": 2,
+                                            "classes": [[0, 1, 1]]})
+        assert table["entries"] == [{"class": [0, 1, 1], "invariant": None,
+                                     "depth": 0}]
         assert not table["determined"] and not table["all_half"]
 
     def test_modulus_not_a_power_of_two_refused(self):
@@ -589,32 +610,61 @@ class TestSquareSampling:
         assert res.counterexamples
 
     def test_first_entry_vanishing_on_all_of_second(self, quartic_algebra,
-                                                    cubic_algebra):
-        # some component survives: the quartic's h is shared, its g is not
+                                                    cubic_algebra,
+                                                    monkeypatch):
+        # some component survives: the quartic's g is not a factor of the
+        # first entry, and the cubic's first entry z*f vanishes on z = 0 but
+        # not on 4x - z = 0
         for alg in (quartic_algebra, cubic_algebra):
-            check_square_sampling(alg)
+            res = square_mod_sampling(alg.first, alg.second_factors, 50, 1)
+            assert res.accepted == 50
         # none survives: the entries are equal, differ by a constant, or
-        # the second entry is a constant with no zero locus at all
+        # the second entry is a constant with no zero locus at all (a low
+        # bound keeps the refusals quick; the CLI tests use the real one)
+        monkeypatch.setattr(obstruction, "SQUARE_FRUITLESS_DRAWS", 200)
         minus_one = MultiPoly([(-1, (0, 0, 0))])
         first = quartic_algebra.first_factors
         for second in (first, (minus_one,) + first, (minus_one, minus_one)):
-            alg = QuaternionAlgebraSpec(math.prod(first), math.prod(second),
-                                        first, second)
             with pytest.raises(SquareSamplingError):
-                check_square_sampling(alg)
+                square_mod_sampling(math.prod(first), second, 50, 1)
 
     @pytest.mark.parametrize("c", [-1, 3, -6])
-    def test_entries_differing_by_a_constant(self, c):
-        # c*y^2 as one factor has the zero locus of y^2: its primitive part
-        # up to sign is y^2, so the pair is refused like (y^2, y^2)
+    def test_entries_differing_by_a_constant(self, c, monkeypatch):
+        # y^2 + c z^2 has points where y^2 does not vanish
         y2 = MultiPoly([(1, (0, 2, 0))])
+        res = square_mod_sampling(y2, (y2 + MultiPoly([(c, (0, 0, 2))]),),
+                                  50, 1)
+        assert res.accepted == 50
+        # c*y^2 has the zero locus of y^2, which vanishes on all of it (a
+        # low bound keeps the refusals quick)
+        monkeypatch.setattr(obstruction, "SQUARE_FRUITLESS_DRAWS", 200)
         with pytest.raises(SquareSamplingError):
-            check_square_sampling(QuaternionAlgebraSpec(y2, c * y2))
+            square_mod_sampling(y2, (c * y2,), 50, 1)
         with pytest.raises(SquareSamplingError):
-            check_square_sampling(QuaternionAlgebraSpec(c * y2, y2))
-        # y^2 + c z^2 has other points, where y^2 does not vanish
-        check_square_sampling(QuaternionAlgebraSpec(
-            y2, y2 + MultiPoly([(c, (0, 0, 2))])))
+            square_mod_sampling(c * y2, (y2,), 50, 1)
+
+    def test_sparse_curve_skips_primes(self):
+        # x^2 + y^2 = 0 has a point with (x, y) != (0, 0) mod p only when
+        # p = 1 mod 4, and a draw of (x, y) finds one with probability
+        # about 2/p, so most primes are skipped; the figures are those of
+        # the sampler before it bounded its run of fruitless draws
+        F = MultiPoly([(1, (0, 0, 2)), (3, (1, 1, 0))])
+        H = MultiPoly([(1, (2, 0, 0)), (1, (0, 2, 0))])
+        res = square_mod_sampling(F, (H,), 100, 5)
+        assert (res.accepted, res.passed, len(res.skipped_primes)) == (
+            100, 48, 3131)
+        assert res.skipped_primes[:3] == (4201, 6899, 2963)
+        assert res.counterexamples[0] == (9049, (4842, 7132, 1782))
+
+    def test_sparse_component_beside_a_vanishing_one(self):
+        # F = z^2 vanishes on z = 0, where every draw has a root, and not on
+        # x^2 + y^2 = 0, which a draw hits with probability about 2/p: at
+        # this seed one run between accepted points takes 9,135 primes of
+        # one draw each, which the bound on fruitless draws allows
+        z = MultiPoly([(1, (0, 0, 1))])
+        H = MultiPoly([(1, (2, 0, 0)), (1, (0, 2, 0))])
+        res = square_mod_sampling(z * z, (z, H), 40, 6)
+        assert (res.accepted, res.passed, res.skipped_primes) == (40, 40, ())
 
 
 class TestIntegerSearch:
