@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .exactarith import divisors
+from .exactarith import divisors, factor
 
 MAX_TORSION_ORDER = 12
 
@@ -80,6 +80,11 @@ def add_points(curve, P, Q):
     for pt in (P, Q):
         if not curve.contains(pt):
             raise ValueError("point not on curve: %r" % (pt,))
+    return _chord_tangent(curve, P, Q)
+
+
+def _chord_tangent(curve, P, Q):
+    """P + Q for points already known to lie on the curve."""
     if P.infinity:
         return Q
     if Q.infinity:
@@ -103,12 +108,23 @@ def negate(P):
 
 
 def point_order(curve, P, bound=MAX_TORSION_ORDER):
-    """Order of P if it is at most `bound`, else None."""
+    """Order of P if it is at most `bound`, else None.
+
+    On a curve with integer b, c, d every point of finite order is integral
+    (Nagell-Lutz; Silverman & Tate, Rational Points on Elliptic Curves,
+    ch. II), and so are its multiples.  So the walk over the multiples of P
+    stops at the first one with a non-integral coordinate: P then has
+    infinite order.
+    """
+    if not curve.contains(P):
+        raise ValueError("point not on curve: %r" % (P,))
     acc = P
     for n in range(1, bound + 1):
         if acc.infinity:
             return n
-        acc = add_points(curve, acc, P)
+        if acc.u.denominator != 1 or acc.v.denominator != 1:
+            return None
+        acc = _chord_tangent(curve, acc, P)
     return None
 
 
@@ -154,51 +170,51 @@ class TorsionGroup:
 def torsion_subgroup(curve):
     """Nagell-Lutz enumeration of the rational torsion subgroup.
 
-    Candidates are integral points with v = 0 or v^2 | disc; each candidate is
-    kept only if its order is at most 12.  The group structure follows from
-    the order and the number of 2-torsion points.
+    Candidates are integral points with v = 0 or v^2 | disc, the v > 0 built
+    from the factorization of disc with its exponents halved; each candidate
+    is kept only if its order is at most 12.  The group structure follows
+    from the order and the number of 2-torsion points.
     """
-    disc = curve.discriminant()
-    candidate_vs = [0]
-    for t in divisors(disc):
-        s = isqrt(t)
-        if s * s == t:  # t = v^2 divides disc
-            candidate_vs.append(s)
-    points = set()
-    for v in sorted(set(candidate_vs)):
+    candidate_vs = [1]
+    for p, e in factor(curve.discriminant()).items():
+        candidate_vs = [v * p ** i for v in candidate_vs
+                        for i in range(e // 2 + 1)]
+    orders = {}
+    for v in [0] + sorted(candidate_vs):
         for u in _integer_roots(curve.b, curve.c, curve.d - v * v):
-            for sv in ({0} if v == 0 else {v, -v}):
+            for sv in ((0,) if v == 0 else (v, -v)):
                 P = CurvePoint.affine(u, sv)
-                if point_order(curve, P) is not None:
-                    points.add(P)
-    finite = sorted(points, key=lambda P: (P.u, P.v))
+                n = point_order(curve, P)
+                if n is not None:
+                    orders[P] = n
+    finite = sorted(orders, key=lambda P: (P.u, P.v))
     order = len(finite) + 1
     two_torsion = sum(1 for P in finite if P.v == 0)
     if two_torsion >= 3:
         structure = "Z/2 x Z/%d" % (order // 2)
     else:
         structure = "Z/%d" % order
-    generators = _generators(curve, finite, order, structure)
+    generators = _generators(orders, structure)
     return TorsionGroup(structure, order, tuple(finite), tuple(generators))
 
 
-def _generators(curve, finite, order, structure):
-    if order == 1:
+def _generators(orders, structure):
+    """Generators from the finite torsion points and their orders: the
+    point g1 of largest u among those of maximal order 2n, and for
+    Z/2 x Z/2n also the point of order 2 with the least u.
+
+    That point lies outside <g1>.  With roots e1 < e2 < e3 of the cubic, the
+    real points form the branch u >= e3, a subgroup that holds every point
+    of odd order and only (e3, 0) of order 2, and the oval u <= e2.  The one
+    point of order 2 in <g1>, n g1, lies on the branch: for even n because
+    it is a multiple of 2 g1 (the branch has index 2), and for odd n
+    because g1 does ((e3, 0) plus a point of order n has order 2n and a
+    larger u than the oval).  So it is (e3, 0).
+    """
+    if not orders:
         return []
-    by_order = sorted(finite, key=lambda P: (point_order(curve, P), P.u, P.v))
+    by_order = sorted(orders, key=lambda P: (orders[P], P.u, P.v))
+    g1 = by_order[-1]
     if structure.startswith("Z/2 x"):
-        g1 = by_order[-1]  # maximal order
-        for P in by_order:
-            if P.v == 0 and P != g1:
-                g2 = P
-                # ensure independence: g2 not a multiple of g1
-                n = point_order(curve, g1)
-                multiples = set()
-                acc = g1
-                for _ in range(n):
-                    multiples.add(acc)
-                    acc = add_points(curve, acc, g1)
-                if g2 not in multiples:
-                    return [g1, g2]
-        return [g1]
-    return [by_order[-1]]
+        return [g1, by_order[0]]
+    return [g1]

@@ -121,6 +121,12 @@ def local_invariant(a, b, place):
     return INV_HALF if hilbert_symbol(a, b, place) == -1 else INV_ZERO
 
 
+def invariant_total(invariants):
+    """Sum in (1/2)Z/Z of invariants that are each 0 or 1/2: the parity of
+    the number of halves decides it, with no rational addition."""
+    return INV_HALF if sum(1 for iv in invariants if iv) % 2 else INV_ZERO
+
+
 def symbol_support(a, b):
     """Places where (a, b) could be ramified: the real place and the primes
     dividing 2 * num * den of either entry."""
@@ -138,10 +144,8 @@ def reciprocity_defect(a, b):
     """
     if a == 0 or b == 0:
         raise ValueError("entries must be nonzero")
-    total = Fraction(0)
-    for place in symbol_support(a, b):
-        total += local_invariant(a, b, place)
-    return total % 1
+    return invariant_total(local_invariant(a, b, place)
+                           for place in symbol_support(a, b))
 
 
 def _newton_ok(val, derivs, p):

@@ -20,8 +20,8 @@ from math import gcd, prod
 from .exactarith import (FACTOR_BOUND, FactorizationError, factor, jacobi,
                          poly_roots_certified, primes_up_to,
                          primitive_normalize)
-from .localsymbols import (INV_HALF, INV_ZERO, Place, local_invariant,
-                           symbol_at_prime)
+from .localsymbols import (INV_HALF, INV_ZERO, Place, invariant_total,
+                           local_invariant, symbol_at_prime)
 from .multipoly import SOURCE_GLOBALS, MultiPoly
 from .padicsolve import padic_solutions_exist, verify_rational_witness
 
@@ -246,8 +246,8 @@ def point_invariant_profile(alg, point):
         primes.update(factor(v))
     places = [Place.real()] + [Place.certified(p) for p in sorted(primes)]
     invs = tuple((pl, local_invariant(a, b, pl)) for pl in places)
-    total = sum((iv for _, iv in invs), Fraction(0)) % 1
-    return InvariantProfile(tuple(point), (a, b), invs, total)
+    return InvariantProfile(tuple(point), (a, b), invs,
+                            invariant_total(iv for _, iv in invs))
 
 
 def _random_triples(seed, bound):

@@ -2,6 +2,7 @@ from math import prod
 
 import pytest
 
+from obstruction_lab import localsymbols
 from obstruction_lab.cli import load_instance
 from obstruction_lab.multipoly import MultiPoly
 from obstruction_lab.obstruction import QuaternionAlgebraSpec
@@ -74,3 +75,12 @@ def quartic_instance():
 @pytest.fixture(scope="session")
 def cubic_instance():
     return load_instance("cubic")
+
+
+@pytest.fixture()
+def symbol_flipped_at_two(monkeypatch):
+    """Flip every Hilbert symbol at the prime 2 inside the engine: each
+    invariant sum over places that include 2 then reads 1/2."""
+    real = localsymbols.symbol_at_prime
+    monkeypatch.setattr(localsymbols, "symbol_at_prime", lambda a, b, p:
+                        -real(a, b, p) if p == 2 else real(a, b, p))

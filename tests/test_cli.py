@@ -143,6 +143,22 @@ class TestSubcommands:
         assert json.loads(out)["sum"] == "1/2"
         assert err == "internal inconsistency: nonzero invariant sum\n"
 
+    def test_flipped_symbol_reciprocity_exit_two(self, capsys,
+                                                 symbol_flipped_at_two):
+        # the defect itself, not a patched result, reaches the exit code
+        code, out, err = run_cli(capsys, "reciprocity", "3", "3")
+        assert code == 2
+        assert json.loads(out) == {"defect": "1/2"}
+        assert err == "internal inconsistency: nonzero reciprocity defect\n"
+
+    def test_flipped_symbol_profile_exit_two(self, capsys,
+                                             symbol_flipped_at_two):
+        code, out, err = run_cli(capsys, "profile", "quartic", "-P", "0,1,0")
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["invariants"]["2"] == "1/2" and doc["sum"] == "1/2"
+        assert err == "internal inconsistency: nonzero invariant sum\n"
+
     def test_profile_factors_each_factor_value(self, capsys):
         # the first entry's value here, 84521752717201821175, leaves the
         # composite cofactor 474515611081 after trial division; its factor

@@ -1,11 +1,15 @@
 import itertools
+import random
+from math import isqrt
 
 import pytest
 
+from obstruction_lab import elliptic
 from obstruction_lab.elliptic import (INFINITY, CurvePoint, SingularCurveError,
                                       WeierstrassCurve, add_points, negate,
                                       point_order, to_weierstrass,
                                       torsion_subgroup)
+from obstruction_lab.exactarith import divisors
 
 
 @pytest.fixture(scope="module")
@@ -115,3 +119,127 @@ class TestTorsion:
         assert CurvePoint.affine(s * x, s * y) == \
             CurvePoint.affine(16 * z, 0 * z)
         assert fc.evaluate_int((x, y, z)) == 0
+
+
+def reference_order(E, P):
+    """The order of P if at most 12: twelve checked additions, no pruning."""
+    acc = P
+    for n in range(1, 13):
+        if acc.infinity:
+            return n
+        acc = add_points(E, acc, P)
+    return None
+
+
+def reference_torsion(E):
+    """Nagell-Lutz by brute force: every divisor of the discriminant is
+    tested for a square, every candidate walked by `reference_order`."""
+    vs = [0] + [isqrt(t) for t in divisors(E.discriminant())
+                if isqrt(t) ** 2 == t]
+    orders = {}
+    for v in vs:
+        for u in elliptic._integer_roots(E.b, E.c, E.d - v * v):
+            for sv in {v, -v}:
+                P = CurvePoint.affine(u, sv)
+                n = reference_order(E, P)
+                if n is not None:
+                    orders[P] = n
+    finite = tuple(sorted(orders, key=lambda P: (P.u, P.v)))
+    by_order = sorted(orders, key=lambda P: (orders[P], P.u, P.v))
+    two = [P for P in finite if P.v == 0]
+    if len(two) == 3:
+        g1 = by_order[-1]
+        multiples = {INFINITY}
+        acc = g1
+        while not acc.infinity:
+            multiples.add(acc)
+            acc = add_points(E, acc, g1)
+        gens = (g1,) + tuple(P for P in by_order
+                             if P.v == 0 and P not in multiples)[:1]
+        structure = "Z/2 x Z/%d" % ((len(finite) + 1) // 2)
+    else:
+        gens = tuple(by_order[-1:])
+        structure = "Z/%d" % (len(finite) + 1)
+    return structure, len(finite) + 1, finite, gens
+
+
+def cubic_family():
+    """Each nonsingular y^2 z = (4x - z)(16x^2 + bxz + cz^2), |b|, |c| <= 6;
+    u = 64 x / z sends its point (1 : 0 : 4) to the 2-torsion point u = 16."""
+    for b in range(-6, 7):
+        for c in range(-6, 7):
+            try:
+                yield to_weierstrass(64, 4 * b - 16, 4 * c - b, -c)
+            except SingularCurveError:
+                pass
+
+
+def query_curves(count, seed):
+    """Seeded curves of the benchmark's torsion queries: c3 in +-1..+-10,
+    c2, c1, c0 in [-50, 50]."""
+    rng = random.Random(seed)
+    leads = [i for i in range(-10, 11) if i]
+    curves = []
+    while len(curves) < count:
+        coeffs = (rng.choice(leads),) + tuple(rng.randint(-50, 50)
+                                              for _ in range(3))
+        try:
+            curves.append(to_weierstrass(*coeffs))
+        except SingularCurveError:
+            pass
+    return curves
+
+
+class TestTorsionAgainstReference:
+    def test_cubic_family(self):
+        curves = list(cubic_family())
+        assert len(curves) > 150
+        structures = set()
+        for E in curves:
+            group = torsion_subgroup(E)
+            structures.add(group.structure)
+            assert CurvePoint.affine(16, 0) in group.points
+            assert (group.structure, group.order, group.points,
+                    group.generators) == reference_torsion(E), E
+        assert {"Z/4", "Z/6", "Z/2 x Z/4"} <= structures
+
+    def test_query_domain(self):
+        nontrivial = 0
+        for E in query_curves(2000, seed=20):
+            group = torsion_subgroup(E)
+            assert (group.structure, group.order, group.points,
+                    group.generators) == reference_torsion(E), E
+            nontrivial += group.order > 1
+        assert nontrivial > 50
+
+    def test_full_two_torsion_generators(self):
+        # u(u - r)(u - s): the second generator is the point of order 2
+        # with the least u, never a multiple of the first
+        roots = [(r, s) for s in range(2, 31) for r in range(1, s)]
+        roots += [(27, 32), (128, 135), (125, 189), (175, 256)]
+        structures = set()
+        for r, s in roots:
+            E = WeierstrassCurve(-r - s, r * s, 0)
+            group = torsion_subgroup(E)
+            structures.add(group.structure)
+            assert (group.structure, group.order, group.points,
+                    group.generators) == reference_torsion(E), E
+        assert structures == {"Z/2 x Z/2", "Z/2 x Z/4", "Z/2 x Z/6",
+                              "Z/2 x Z/8"}
+
+    def test_non_torsion_candidate_stops_early(self, monkeypatch):
+        # (-2, 3) on v^2 = u^3 + 17 is integral with v^2 | disc but of
+        # infinite order: 2P = (8, -23) is integral, 3P = (19/25, 522/125)
+        # is not, so the walk stops after two steps instead of twelve
+        steps = []
+        step = elliptic._chord_tangent
+        monkeypatch.setattr(elliptic, "_chord_tangent",
+                            lambda E, P, Q: steps.append(P) or step(E, P, Q))
+        E = WeierstrassCurve(0, 0, 17)
+        assert point_order(E, CurvePoint.affine(-2, 3)) is None
+        assert len(steps) == 2
+        assert reference_order(E, CurvePoint.affine(-2, 3)) is None
+
+    def test_point_order_rejects_off_curve(self):
+        with pytest.raises(ValueError):
+            point_order(WeierstrassCurve(0, 0, 1), CurvePoint.affine(1, 1))

@@ -1,14 +1,18 @@
+import importlib.util
 import itertools
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from obstruction_lab.exactarith import jacobi, strip_prime, valuation
+from obstruction_lab.exactarith import (FactorizationError, jacobi,
+                                        strip_prime, valuation)
 from obstruction_lab.localsymbols import (Place, default_oracle_depth,
                                           hilbert_symbol, local_invariant,
                                           reciprocity_defect,
-                                          solubility_oracle, symbol_at_prime)
+                                          solubility_oracle, symbol_at_prime,
+                                          symbol_support)
 
 REAL = Place.real()
 SMALL_PLACES = [Place.finite(p) for p in (2, 3, 5, 7, 11, 13)] + [REAL]
@@ -206,6 +210,30 @@ class TestReciprocity:
             b = Fraction(rng.randint(-10**4, 10**4) or 1, rng.randint(1, 10**4))
             assert reciprocity_defect(a, b) == 0
 
+    def test_parity_total_is_the_fraction_sum(self):
+        # the defect counts the places with invariant 1/2; it must equal the
+        # sum of the same invariants in (1/2)Z/Z, as a Fraction
+        rng = random.Random(64)
+        checked = 0
+        for _ in range(150):
+            a, b = (rng.randint(1, 2 ** 64) * rng.choice((1, -1))
+                    for _ in range(2))
+            try:
+                places = symbol_support(a, b)
+            except FactorizationError:
+                continue
+            total = sum((local_invariant(a, b, pl) for pl in places),
+                        Fraction(0)) % 1
+            defect = reciprocity_defect(a, b)
+            assert type(defect) is Fraction and defect == total
+            checked += 1
+        assert checked > 50
+
+    def test_flipped_symbol_gives_half(self, symbol_flipped_at_two):
+        assert local_invariant(3, 3, Place.finite(2)) == 0
+        assert reciprocity_defect(3, 3) == Fraction(1, 2)
+        assert reciprocity_defect(1, 5) == Fraction(1, 2)
+
 
 class TestSolubilityOracle:
     def test_three_three_insoluble_at_two(self):
@@ -230,3 +258,40 @@ class TestSolubilityOracle:
             place = rng.choice(SMALL_PLACES)
             assert (hilbert_symbol(a, b, place) == 1) == \
                 solubility_oracle(a, b, place)
+
+
+@pytest.fixture()
+def oracle_grid():
+    path = pathlib.Path(__file__).parent.parent / "scripts" / "oracle_grid.py"
+    spec = importlib.util.spec_from_file_location("oracle_grid", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestOracleGridScript:
+    ARGS = ["--bound", "3", "--primes", "2,3"]
+
+    def test_clean_grid_exits_zero(self, oracle_grid, capsys):
+        assert oracle_grid.main(self.ARGS) == 0
+        assert capsys.readouterr().out == \
+            "108 checks, 0 disagreements, 0 inconclusive\n"
+
+    def test_disagreement_exits_one(self, oracle_grid, capsys, monkeypatch):
+        # a Hilbert symbol flipped at the place 3 disagrees with the search
+        monkeypatch.setattr(oracle_grid, "hilbert_symbol", lambda a, b, pl:
+                            -hilbert_symbol(a, b, pl) if pl.p == 3
+                            else hilbert_symbol(a, b, pl))
+        assert oracle_grid.main(self.ARGS) == 1
+        out = capsys.readouterr().out
+        assert out.count("mismatch") == 36
+        assert out.endswith("108 checks, 36 disagreements, 0 inconclusive\n")
+
+    def test_inconclusive_search_exits_one(self, oracle_grid, capsys,
+                                           monkeypatch):
+        monkeypatch.setattr(oracle_grid, "solubility_oracle", lambda a, b, pl:
+                            None if (a, b, pl.p) == (1, 1, 2)
+                            else solubility_oracle(a, b, pl))
+        assert oracle_grid.main(self.ARGS) == 1
+        assert capsys.readouterr().out.endswith(
+            "108 checks, 0 disagreements, 1 inconclusive\n")

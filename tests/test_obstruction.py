@@ -213,6 +213,31 @@ class TestPointProfile:
                 pl: iv for pl, iv in scaled.invariants if pl in dict(base.invariants)}
             assert scaled.total == base.total == 0
 
+    def test_parity_total_is_the_fraction_sum(self, quartic_algebra,
+                                              cubic_algebra):
+        # the total counts the places with invariant 1/2; it must equal the
+        # sum of the listed invariants in (1/2)Z/Z, as a Fraction
+        rng = random.Random(71)
+        checked = 0
+        for alg in (quartic_algebra, cubic_algebra):
+            for _ in range(150):
+                pt = tuple(rng.randint(-1000, 1000) for _ in range(3))
+                try:
+                    prof = point_invariant_profile(alg, pt)
+                except (ValueError, FactorizationError):
+                    continue
+                total = sum((iv for _, iv in prof.invariants),
+                            Fraction(0)) % 1
+                assert type(prof.total) is Fraction and prof.total == total
+                checked += 1
+        assert checked > 200
+
+    def test_flipped_symbol_gives_half(self, quartic_algebra,
+                                       symbol_flipped_at_two):
+        prof = point_invariant_profile(quartic_algebra, (0, 1, 0))
+        assert dict(prof.invariants)[Place.certified(2)] == Fraction(1, 2)
+        assert prof.total == Fraction(1, 2)
+
     def test_consistency_triangle(self, fq, quartic_algebra):
         # points congruent to sieve classes have the tabulated 2-adic invariant
         table = class_invariant_table(
