@@ -8,6 +8,7 @@ no floating point is used anywhere.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -18,32 +19,38 @@ class FactorizationError(Exception):
     """Raised when a cofactor survives trial division and is not certified prime."""
 
 
-_MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
+             61, 67, 71, 73, 79, 83, 89, 97)
+
+# psi_k, the least strong pseudoprime to all of the first k prime bases, for
+# k = 1..13 (Sorenson and Webster, Math. Comp. 86, 2017; OEIS A014233).
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051,
+        3825123056546413051, 3825123056546413051, 318665857834031151167461,
+        3317044064679887385961981)
 
 
 def is_probable_prime(n):
-    """Miller-Rabin primality test with fixed bases.
+    """Miller-Rabin primality test with bases chosen by the size of n.
 
-    Below 2**64 the 12 prime bases up to 37 make the answer a proof.  From
-    there on the 25 prime bases up to 97 are used; they include the first 13
-    primes, which are a proof below psi_13 = 3317044064679887385961981
-    (about 3.3e24; Sorenson and Webster, Math. Comp. 86, 2017).  Above
-    psi_13 the answer is only probable, though still a fixed function of n.
+    psi_k is the least strong pseudoprime to all of the first k prime bases
+    (`_PSI`: psi_1 = 2047, psi_2 = 1373653, ..., psi_13 =
+    3317044064679887385961981, about 3.3e24; Sorenson and Webster, Math.
+    Comp. 86, 2017).  For n in [psi_k, psi_{k+1}) the first k + 1 prime
+    bases are used (below psi_1 the base 2 alone), which makes the answer a
+    proof.  From psi_13 on the 25 prime bases up to 97 are used, and the
+    answer is only probable, though still a fixed function of n.
     """
     if n < 2:
         return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
-             61, 67, 71, 73, 79, 83, 89, 97)
-    for p in small:
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    bases = _MR_BASES_64 if n < 2**64 else small
-    for a in bases:
+    r = (d & -d).bit_length() - 1
+    d >>= r
+    k = bisect_right(_PSI, n)
+    for a in _MR_BASES[:k + 1] if k < len(_PSI) else _MR_BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -200,9 +207,11 @@ def primes_up_to(n):
 
 # Primes per gcd block in `factor`.  One gcd against a block costs about as
 # much as a few divisions, and a block is skipped whole when it shares no
-# prime with n; one gcd against the whole primorial would cost far more
-# than the early exit on small n.
-_FACTOR_BLOCK = 32
+# prime with n.  On a 64-bit n with no prime factor up to FACTOR_BOUND the
+# whole walk took 235, 156, 120 and 103 us at 32, 64, 128 and 256 primes
+# per block; 64 kept the odd-place scan's values (at most about 1.4e8) no
+# slower, where larger blocks cost more per gcd before the early exits.
+_FACTOR_BLOCK = 64
 
 
 # Trial-division bound of `factor`; its square caps the algebra factor
@@ -236,17 +245,22 @@ def _least_prime_factors():
 
 
 def factor(n):
-    """Factor |n| into primes by trial division by every prime <=
-    FACTOR_BOUND.
+    """Factor |n| into primes by trial division by the primes <=
+    FACTOR_BOUND, stopping once what is left is known.
 
-    Above FACTOR_BOUND the primes are taken in blocks: one gcd with the
-    product of a block decides whether any of its primes divides n, and
-    only then are they divided out one by one.  The walk stops once what is
-    left is at most FACTOR_BOUND, or once the first prime p of a block has
-    p * p > n, which leaves a prime.  What is left at or below FACTOR_BOUND
-    is finished from the least-prime-factor table (`_least_prime_factors`),
-    one lookup and one division per prime factor; it has no prime below
-    those divided out already, so the primes still come in ascending order.
+    Above FACTOR_BOUND the primes are taken in blocks: one gcd g with the
+    product of a block decides whether any of its primes divides n.  Only
+    then are they divided out, read from the least-prime-factor table
+    (`_least_prime_factors`) when g <= FACTOR_BOUND and found by scanning
+    the block otherwise.  The walk stops once what is left is at most
+    FACTOR_BOUND, or once the first prime p of a block has p * p > n, which
+    leaves a prime.  Before each block after the first, what is left is
+    tested with `is_probable_prime` when FACTOR_BOUND**2 < n < psi_13,
+    where the test is a proof (a cofactor tested composite is not tested
+    again until it changes); a prime ends the walk.  What is left at or
+    below FACTOR_BOUND is finished from the table, one lookup and one
+    division per prime factor.  Every prime found is below those found
+    later, so the primes come in ascending order.
 
     Returns a dict prime -> exponent, in ascending order of the primes.  A
     cofactor c > FACTOR_BOUND left after trial division is accepted when
@@ -258,33 +272,45 @@ def factor(n):
     if n == 0:
         raise ValueError("cannot factor 0")
     out = {}
+    lpf = _least_prime_factors()
     if n > FACTOR_BOUND:
-        for first_sq, block, primes in _prime_blocks():
+        square = FACTOR_BOUND * FACTOR_BOUND
+        composite = 0  # the last cofactor tested composite
+        for i, (first_sq, block, primes) in enumerate(_prime_blocks()):
             if first_sq > n:
                 break
+            if i and square < n < _PSI[-1] and n != composite:
+                if is_probable_prime(n):
+                    out[n] = 1
+                    return out
+                composite = n
             g = gcd(n, block)
             if g == 1:
                 continue
-            for p in primes:
-                if g % p == 0:
-                    e = 0
-                    while n % p == 0:
-                        n //= p
-                        e += 1
-                    out[p] = e
-                    g //= p
-                    if g == 1:
-                        break
+            # the block's primes that divide n, in ascending order: scanned
+            # while g is above the table, then read from it
+            scan = iter(primes)
+            while g > 1:
+                if g <= FACTOR_BOUND:
+                    p = lpf[g]
+                else:
+                    p = next(q for q in scan if g % q == 0)
+                g //= p
+                n //= p
+                e = 1
+                while n % p == 0:
+                    n //= p
+                    e += 1
+                out[p] = e
             if n <= FACTOR_BOUND:
                 break
         if n > FACTOR_BOUND:
-            if n <= FACTOR_BOUND ** 2 or is_probable_prime(n):
+            if n <= square or (n != composite and is_probable_prime(n)):
                 out[n] = 1
                 return out
             raise FactorizationError(
                 "composite cofactor %d survived trial division to %d"
                 % (n, FACTOR_BOUND))
-    lpf = _least_prime_factors()
     while n > 1:
         p = lpf[n]
         out[p] = out.get(p, 0) + 1

@@ -257,9 +257,45 @@ def _block_walk_factor(n):
     return out
 
 
+# psi_k (`exactarith._PSI`) by its prime factors, each listed once
+_PSI_FACTORS = {
+    2047: (23, 89),
+    1373653: (829, 1657),
+    25326001: (2251, 11251),
+    3215031751: (151, 751, 28351),
+    2152302898747: (6763, 10627, 29947),
+    3474749660383: (1303, 16927, 157543),
+    341550071728321: (10670053, 32010157),
+    3825123056546413051: (149491, 747451, 34233211),
+    318665857834031151167461: (399165290221, 798330580441),
+    3317044064679887385961981: (1287836182261, 2575672364521),
+}
+
+
+def _strong_probable_prime(n, bases):
+    """Whether odd n > max(bases) passes the strong test to every base."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 # primes just above 10^4 and 10^5, so products of two of the larger ones
 # are cofactors that trial division to 10^5 cannot split
 _BIG_PRIMES = (10007, 10009, 10037, 100003, 100019, 100043, 1000003)
+
+# primes in (FACTOR_BOUND**2, psi_13), where a cofactor can be proved prime
+_PROVABLE_PRIMES = (10000000019, 2 ** 61 - 1, 2 ** 64 - 59)
 
 
 class TestPrimality:
@@ -277,6 +313,28 @@ class TestPrimality:
         assert is_probable_prime(2 ** 89 - 1)
         assert not is_probable_prime((2 ** 61 - 1) * (2 ** 31 - 1))
 
+    def test_matches_trial_division_below_2e5(self):
+        bound = 2 * 10 ** 5
+        primes = set(_reference_primes(bound))
+        assert all(is_probable_prime(n) == (n in primes)
+                   for n in range(-2, bound))
+
+    @pytest.mark.parametrize("k", range(1, len(exactarith._PSI) + 1))
+    def test_around_psi_k(self, k):
+        # psi_k is composite yet passes the first k prime bases, so it is
+        # where k bases would fail: the test must use more there
+        psi = exactarith._PSI[k - 1]
+        assert prod(_PSI_FACTORS[psi]) == psi
+        assert _strong_probable_prime(psi, PRIMES_TO_100[:k])
+        assert not is_probable_prime(psi)
+        # the odd neighbours against all 25 prime bases below 100, a proof
+        # below psi_13 (the even ones are composite)
+        for n in (psi - 2, psi + 2):
+            assert is_probable_prime(n) == _strong_probable_prime(
+                n, PRIMES_TO_100)
+        assert not is_probable_prime(psi - 1)
+        assert not is_probable_prime(psi + 1)
+
 
 class TestFactor:
     def test_small(self):
@@ -289,10 +347,22 @@ class TestFactor:
                          st.integers(1, 10 ** 8),
                          st.sampled_from(_BIG_PRIMES + (1,)),
                          st.sampled_from(_BIG_PRIMES + (1,))),
+               # a prime above FACTOR_BOUND**2 with small cofactors, which
+               # the early stop proves prime partway through the walk
+               st.builds(lambda s, p, q: s * p * q,
+                         st.integers(1, 10 ** 8),
+                         st.sampled_from(_BIG_PRIMES + (1,)),
+                         st.sampled_from(_PROVABLE_PRIMES)),
+               # just below and above 2**64 and psi_13
+               st.integers(2 ** 64 - 10 ** 4, 2 ** 64 + 10 ** 4),
+               st.integers(exactarith._PSI[-1] - 10 ** 4,
+                           exactarith._PSI[-1] + 10 ** 4),
                # squares of primes, where the early exit p * p > n is tight
                st.lists(st.sampled_from(_reference_primes(1000)),
                         min_size=1, max_size=4).map(lambda ps: prod(ps) ** 2)))
     @example(4)
+    @example(2 * (2 ** 64 - 59))
+    @example(3317044064679887385961981 - 2)
     def test_matches_reference(self, n):
         expected = _reference_factor(n)
         if expected is None:
@@ -352,6 +422,38 @@ class TestFactor:
             # the least composite with no prime factor up to 10^5
             factor(100003 ** 2)
         assert factor(10007 * 10009) == {10007: 1, 10009: 1}
+
+    def _spy(self, monkeypatch):
+        """Record the block gcds and primality tests that `factor` makes."""
+        calls = {"gcd": 0, "prime": []}
+
+        def counting_gcd(*args):
+            calls["gcd"] += 1
+            return gcd(*args)
+
+        def counting_prime(n):
+            calls["prime"].append(n)
+            return is_probable_prime(n)
+
+        monkeypatch.setattr(exactarith, "gcd", counting_gcd)
+        monkeypatch.setattr(exactarith, "is_probable_prime", counting_prime)
+        return calls
+
+    def test_early_stop_on_proved_prime(self, monkeypatch):
+        # after the first block what is left is a 64-bit prime, proved
+        # before the second block's gcd
+        q = 2 ** 64 - 59
+        calls = self._spy(monkeypatch)
+        assert list(factor(2 * q).items()) == [(2, 1), (q, 1)]
+        assert calls == {"gcd": 1, "prime": [q]}
+
+    def test_composite_cofactor_tested_once(self, monkeypatch):
+        c = 100003 * 100019 * 100043
+        calls = self._spy(monkeypatch)
+        with pytest.raises(FactorizationError):
+            factor(3 * c)
+        assert calls["prime"] == [c]
+        assert calls["gcd"] == len(exactarith._prime_blocks())
 
     def test_prime_cofactor_accepted(self):
         big = 2 ** 61 - 1  # prime
