@@ -3,18 +3,39 @@
 Supports curves v^2 = u^3 + b u^2 + c u + d with integer coefficients:
 reduction of a plane cubic y^2 z = c3 x^3 + c2 x^2 z + c1 x z^2 + c0 z^3 to
 this shape, exact chord-tangent group law, and Nagell-Lutz torsion
-enumeration (orders bounded by 12, after Mazur).
+enumeration (orders bounded by 12, after Mazur), bounded first by point
+counts modulo small primes of good reduction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
-from .exactarith import divisors, factor
+from .exactarith import divisors, factor, primes_up_to
 
 MAX_TORSION_ORDER = 12
+
+# Odd primes whose point counts bound the torsion order, and how many good
+# ones `_torsion_bound` counts at most.  On 3,000 seeded curves with c3 in
+# +-1..+-10 and c2, c1, c0 in [-50, 50], eight good primes prove 2,807 of
+# the 2,858 trivial groups trivial; six to twelve cost the same per curve
+# within noise.  Counting through a table of square roots per prime was
+# about 10% faster than Euler's criterion.
+_BOUND_PRIMES = primes_up_to(97)[1:]
+_BOUND_GOOD_PRIMES = 8
+
+
+def _sqrt_counts(p):
+    """The table whose entry r is the number of v mod p with v^2 = r."""
+    counts = bytearray(p)
+    for v in range(p):
+        counts[v * v % p] += 1
+    return bytes(counts)
+
+
+_SQRT_COUNTS = {p: _sqrt_counts(p) for p in _BOUND_PRIMES}
 
 
 class SingularCurveError(ValueError):
@@ -158,6 +179,37 @@ def _quadratic_integer_roots(a, b, c):
     return out
 
 
+def _point_count(curve, p):
+    """#E(F_p) of the reduction mod an odd prime p that does not divide the
+    discriminant: the point at infinity and, for each u mod p, the square
+    roots of u^3 + b u^2 + c u + d."""
+    b, c, d = curve.b % p, curve.c % p, curve.d % p
+    roots = _SQRT_COUNTS[p]
+    return 1 + sum([roots[(((u + b) * u + c) * u + d) % p]
+                    for u in range(p)])
+
+
+def _torsion_bound(curve):
+    """A multiple N of the torsion order, or 0 when there is no bound.
+
+    For an odd prime p of good reduction the torsion subgroup injects into
+    E(F_p) (Silverman, The Arithmetic of Elliptic Curves, section VII.3),
+    so its order divides the gcd of the counts #E(F_p) over the odd primes
+    p <= 97 not dividing the discriminant (the curve's is 16 times the
+    cubic's, so for odd p either will do).  The walk stops after
+    `_BOUND_GOOD_PRIMES` good primes, or once the gcd is 1.
+    """
+    disc = curve.discriminant()
+    bound = good = 0
+    for p in _BOUND_PRIMES:
+        if disc % p:
+            bound = gcd(bound, _point_count(curve, p))
+            good += 1
+            if bound == 1 or good == _BOUND_GOOD_PRIMES:
+                break
+    return bound
+
+
 @dataclass(frozen=True)
 class TorsionGroup:
     """Isomorphism type and the full list of finite torsion points."""
@@ -174,13 +226,23 @@ def torsion_subgroup(curve):
     from the factorization of disc with its exponents halved; each candidate
     is kept only if its order is at most 12.  The group structure follows
     from the order and the number of 2-torsion points.
+
+    The bound N of `_torsion_bound` goes first: N = 1 proves the group
+    trivial; N = 2 leaves no point of order 3 or more, so no candidate with
+    v != 0 and no factorization of disc; an odd N leaves no point of order
+    2, so no candidate with v = 0.
     """
-    candidate_vs = [1]
-    for p, e in factor(curve.discriminant()).items():
-        candidate_vs = [v * p ** i for v in candidate_vs
-                        for i in range(e // 2 + 1)]
+    bound = _torsion_bound(curve)
+    if bound == 1:
+        return TorsionGroup("Z/1", 1, (), ())
+    candidate_vs = [] if bound % 2 else [0]
+    if bound != 2:
+        halves = [1]
+        for p, e in factor(curve.discriminant()).items():
+            halves = [v * p ** i for v in halves for i in range(e // 2 + 1)]
+        candidate_vs += sorted(halves)
     orders = {}
-    for v in [0] + sorted(candidate_vs):
+    for v in candidate_vs:
         for u in _integer_roots(curve.b, curve.c, curve.d - v * v):
             for sv in ((0,) if v == 0 else (v, -v)):
                 P = CurvePoint.affine(u, sv)

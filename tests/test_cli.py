@@ -23,6 +23,10 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# the first primes above 2^40 and 2^41
+P40, P41 = 1099511627791, 2199023255579
+
+
 def bundled_doc(name):
     return json.loads(cli.resources.files("obstruction_lab")
                       .joinpath("instances/%s.json" % name).read_text())
@@ -543,6 +547,26 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("inconclusive: ") and err.count("\n") == 1
 
+    def test_torsion_bound_needs_no_factorization(self, capsys):
+        # p q with p, q the first primes above 2^40 and 2^41: the
+        # discriminant of u^3 + u^2 + u + p q survives trial division, but
+        # point counts mod small primes prove the group trivial
+        code, out, err = run_cli(capsys, "torsion", "1", "1", "1",
+                                 str(P40 * P41))
+        assert code == 0 and err == ""
+        assert json.loads(out) == {"group": "Z/1", "points": [],
+                                   "generators": []}
+
+    def test_unfactored_torsion_exit_three(self, capsys):
+        # u (u - p)(u - q) has full 2-torsion, so the bound (4) leaves
+        # points of order 4 possible, and its discriminant p^2 q^2 (q - p)^2
+        # survives trial division
+        code, out, err = run_cli(capsys, "torsion", "1", str(-P40 - P41),
+                                 str(P40 * P41), "0")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("inconclusive: ") and err.count("\n") == 1
+
     def test_first_entry_vanishing_on_second_exit_three(self, cubic_path):
         # (a, a) is a valid algebra, but square sampling can accept no point
         # of second = 0: it gives up after a run of fruitless draws
@@ -648,3 +672,24 @@ class TestExitCodeFuzz:
                 contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(["verify", str(instance), "--bound", "20"])
         assert code in (0, 1, 2, 3)
+
+
+class TestTorsionFuzz:
+    # Coefficients up to 10^30, small ones (c3 = 0 among them), and singular
+    # cubics c3 (x - r)^2 (x - s).  An exception escaping `cli.main` would
+    # be a traceback at the command line, and fails the test.
+    singular = st.builds(
+        lambda c3, r, s: (c3, -c3 * (2 * r + s), c3 * (r * r + 2 * r * s),
+                          -c3 * r * r * s),
+        st.integers(-10 ** 4, 10 ** 4), st.integers(-10 ** 4, 10 ** 4),
+        st.integers(-10 ** 4, 10 ** 4))
+    coefficients = st.tuples(*[st.integers(-10 ** 30, 10 ** 30)] * 4)
+    small = st.tuples(st.integers(-3, 3), *[st.integers(-50, 50)] * 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(coefficients, small, singular))
+    def test_torsion_exits_zero_one_or_three(self, coeffs):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["torsion", *map(str, coeffs)])
+        assert code in (0, 1, 3)

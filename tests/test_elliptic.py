@@ -1,6 +1,6 @@
 import itertools
 import random
-from math import isqrt
+from math import gcd, isqrt, prod
 
 import pytest
 
@@ -243,3 +243,93 @@ class TestTorsionAgainstReference:
     def test_point_order_rejects_off_curve(self):
         with pytest.raises(ValueError):
             point_order(WeierstrassCurve(0, 0, 1), CurvePoint.affine(1, 1))
+
+
+def brute_point_count(E, p):
+    """#E(F_p): the point at infinity and every (u, v) in F_p^2 on E."""
+    rhs = [((u + E.b) * u + E.c) * u + E.d for u in range(p)]
+    return 1 + sum((v * v - g) % p == 0 for g in rhs for v in range(p))
+
+
+ODD_PRIMES_TO_97 = [p for p in range(3, 98, 2)
+                    if all(p % q for q in range(3, p, 2))]
+
+
+def full_two_torsion_curves():
+    roots = [(r, s) for s in range(2, 31) for r in range(1, s)]
+    roots += [(27, 32), (128, 135), (125, 189), (175, 256)]
+    return [WeierstrassCurve(-r - s, r * s, 0) for r, s in roots]
+
+
+@pytest.fixture()
+def counted(monkeypatch):
+    """The (p, #E(F_p)) of every point count, in order."""
+    seen = []
+    count = elliptic._point_count
+
+    def spy(E, p):
+        seen.append((p, count(E, p)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(elliptic, "_point_count", spy)
+    return seen
+
+
+class TestTorsionBound:
+    def test_counts_match_brute_force(self, counted):
+        curves = query_curves(8, seed=3) + [to_weierstrass(64, 64, 8, -7),
+                                            WeierstrassCurve(0, 0, 1)]
+        for E in curves:
+            disc = E.discriminant()
+            good = [p for p in ODD_PRIMES_TO_97 if disc % p]
+            for p in good:
+                assert elliptic._point_count(E, p) == brute_point_count(E, p)
+            # the bound is the gcd over the first good primes, stopping
+            # after eight of them or at 1
+            counted.clear()
+            bound = elliptic._torsion_bound(E)
+            primes = [p for p, _ in counted]
+            assert primes == good[:len(primes)]
+            assert bound == gcd(*(n for _, n in counted))
+            assert len(primes) == 8 or bound == 1
+
+    def test_order_divides_bound(self):
+        curves = (query_curves(2000, seed=21) + list(cubic_family())
+                  + full_two_torsion_curves())
+        for E in curves:
+            bound = elliptic._torsion_bound(E)
+            assert bound and bound % reference_torsion(E)[1] == 0, E
+
+    def test_bad_primes_skipped(self, counted):
+        # u(u - 231)(u - 400) has disc (231 * 400 * 169)^2, divisible by
+        # 3, 5, 7, 11 and 13, and the group Z/2 x Z/4
+        E = WeierstrassCurve(-631, 231 * 400, 0)
+        assert E.discriminant() % (3 * 5 * 7 * 11 * 13) == 0
+        group = torsion_subgroup(E)
+        assert [p for p, _ in counted] == [17, 19, 23, 29, 31, 37, 41, 43]
+        assert group.structure == "Z/2 x Z/4"
+        assert (group.structure, group.order, group.points,
+                group.generators) == reference_torsion(E)
+
+    def test_no_good_prime_enumerates(self):
+        # v^2 = u^3 + (a u + 4)^2 with a = 3 + 16 M, M the product of the
+        # odd primes up to 97, has disc 4^3 (4 a^3 - 27 * 4), which is
+        # 4096 M (a^2 + 3 a + 9): every listed prime is bad, so there is no
+        # bound and every candidate is enumerated
+        M = prod(ODD_PRIMES_TO_97)
+        a = 3 + 16 * M
+        E = WeierstrassCurve(a * a, 8 * a, 16)
+        assert E.discriminant() == 4096 * M * (a * a + 3 * a + 9)
+        assert elliptic._torsion_bound(E) == 0
+        # The reference group is Z/3: the line v = a u + 4 meets E only at
+        # (0, 4), so that point has order 3, and the good primes from 101
+        # to 199 bound the order by 3
+        good = [p for p in range(101, 200, 2)
+                if all(p % q for q in range(3, p, 2))
+                and E.discriminant() % p]
+        assert gcd(*(brute_point_count(E, p) for p in good)) == 3
+        P, Q = CurvePoint.affine(0, -4), CurvePoint.affine(0, 4)
+        assert reference_order(E, P) == reference_order(E, Q) == 3
+        group = torsion_subgroup(E)
+        assert (group.structure, group.order, group.points,
+                group.generators) == ("Z/3", 3, (P, Q), (Q,))
