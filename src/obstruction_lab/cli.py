@@ -303,19 +303,14 @@ def _dispatch(args):
     if cmd == "torsion":
         curve = elliptic.to_weierstrass(args.c3, args.c2, args.c1, args.c0)
         group = elliptic.torsion_subgroup(curve)
+        # torsion points are integral (Nagell-Lutz)
         _emit({"group": group.structure,
-               "points": [[_frac_str(P.u), _frac_str(P.v)]
-                          for P in group.points],
-               "generators": [[_frac_str(P.u), _frac_str(P.v)]
+               "points": [[int(P.u), int(P.v)] for P in group.points],
+               "generators": [[int(P.u), int(P.v)]
                               for P in group.generators]}, None)
         return EXIT_OK
 
     raise SchemaError("unknown command %r" % (cmd,))
-
-
-def _frac_str(q):
-    q = Fraction(q)
-    return int(q) if q.denominator == 1 else str(q)
 
 
 if __name__ == "__main__":

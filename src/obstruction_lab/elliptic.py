@@ -4,7 +4,9 @@ Supports curves v^2 = u^3 + b u^2 + c u + d with integer coefficients:
 reduction of a plane cubic y^2 z = c3 x^3 + c2 x^2 z + c1 x z^2 + c0 z^3 to
 this shape, exact chord-tangent group law, and Nagell-Lutz torsion
 enumeration (orders bounded by 12, after Mazur), bounded first by point
-counts modulo small primes of good reduction.
+counts modulo small primes of good reduction.  Integer roots of a cubic are
+isolated exactly, with no factorization; only the discriminant is factored,
+and only when the point counts leave a point of order 3 or more possible.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .exactarith import divisors, factor, primes_up_to
+from .exactarith import factor, primes_up_to
 
 MAX_TORSION_ORDER = 12
 
@@ -150,33 +152,40 @@ def point_order(curve, P, bound=MAX_TORSION_ORDER):
 
 
 def _integer_roots(b, c, d):
-    """Integer roots of u^3 + b u^2 + c u + d."""
+    """Integer roots of g(u) = u^3 + b u^2 + c u + d, without factoring.
+
+    Every root lies in [-R, R], R = 1 + max(|b|, |c|, |d|) (Cauchy).  When
+    b^2 > 3c, g' vanishes at (-b - r) / 3 < (-b + r) / 3, r = sqrt(b^2 - 3c),
+    and with s = isqrt(b^2 - 3c) the integers up to (-b - s - 1) // 3 lie
+    before the first, the next ones up to (-b + s) // 3 between the two,
+    and the rest after the second.  So g is strictly monotone on the
+    integers of each of these runs (of the one run [-R, R] when
+    b^2 <= 3c): one bisection finds the first u of a run at which g reaches
+    or crosses 0, and g(u) == 0 decides whether the run holds a root.
+    """
+    def g(u):
+        return ((u + b) * u + c) * u + d
+
+    bound = 1 + max(abs(b), abs(c), abs(d))
+    ends = [bound]
+    if b * b > 3 * c:
+        s = isqrt(b * b - 3 * c)
+        ends = [(-b - s - 1) // 3, (-b + s) // 3, bound]
     roots = []
-    if d == 0:
-        roots.append(0)
-        # deflate: u^2 + b u + c
-        for r in _quadratic_integer_roots(1, b, c):
-            roots.append(r)
-        return sorted(set(roots))
-    for t in divisors(d):
-        for r in (t, -t):
-            if ((r + b) * r + c) * r + d == 0:
-                roots.append(r)
-    return sorted(set(roots))
-
-
-def _quadratic_integer_roots(a, b, c):
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        return []
-    s = isqrt(disc)
-    if s * s != disc:
-        return []
-    out = []
-    for num in (-b + s, -b - s):
-        if num % (2 * a) == 0:
-            out.append(num // (2 * a))
-    return out
+    lo, sign = -bound, 1
+    for hi in ends:
+        # the first u in [lo, hi] with sign * g(u) >= 0, or hi + 1
+        top = hi + 1
+        while lo < top:
+            mid = (lo + top) // 2
+            if sign * g(mid) >= 0:
+                top = mid
+            else:
+                lo = mid + 1
+        if lo <= hi and g(lo) == 0:
+            roots.append(lo)
+        lo, sign = hi + 1, -sign
+    return roots
 
 
 def _point_count(curve, p):
@@ -223,19 +232,19 @@ def torsion_subgroup(curve):
     """Nagell-Lutz enumeration of the rational torsion subgroup.
 
     Candidates are integral points with v = 0 or v^2 | disc, the v > 0 built
-    from the factorization of disc with its exponents halved; each candidate
-    is kept only if its order is at most 12.  The group structure follows
-    from the order and the number of 2-torsion points.
+    from the factorization of disc with its exponents halved, and their u
+    the integer roots of u^3 + b u^2 + c u + d - v^2 (`_integer_roots`);
+    each candidate is kept only if its order is at most 12.  The group
+    structure follows from the order and the number of 2-torsion points.
 
     The bound N of `_torsion_bound` goes first: N = 1 proves the group
-    trivial; N = 2 leaves no point of order 3 or more, so no candidate with
-    v != 0 and no factorization of disc; an odd N leaves no point of order
-    2, so no candidate with v = 0.
+    trivial, and N = 2 leaves no point of order 3 or more, so no candidate
+    with v != 0.  So disc is factored only when N = 0 or N >= 3.
     """
     bound = _torsion_bound(curve)
     if bound == 1:
         return TorsionGroup("Z/1", 1, (), ())
-    candidate_vs = [] if bound % 2 else [0]
+    candidate_vs = [0]
     if bound != 2:
         halves = [1]
         for p, e in factor(curve.discriminant()).items():

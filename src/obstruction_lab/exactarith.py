@@ -468,12 +468,3 @@ def poly_roots_certified(coeffs, p):
         if len(g) > 1:
             split(g, 1)
     return sorted(roots)
-
-
-def divisors(n):
-    """Sorted positive divisors of n != 0, via the bounded factorization."""
-    divs = [1]
-    for p, e in factor(n).items():
-        divs = [d * p ** i for d in divs for i in range(e + 1)]
-    return sorted(divs)
-

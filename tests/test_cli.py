@@ -557,6 +557,16 @@ class TestExitCodes:
         assert json.loads(out) == {"group": "Z/1", "points": [],
                                    "generators": []}
 
+    def test_two_torsion_needs_no_factorization(self, capsys):
+        # (u - 1)(u^2 + u + p q): the point counts bound the group by 2, so
+        # only the integer roots of the cubic are needed, and they are
+        # isolated without factoring its constant term -p q
+        code, out, err = run_cli(capsys, "torsion", "1", "0",
+                                 str(P40 * P41 - 1), str(-P40 * P41))
+        assert code == 0 and err == ""
+        assert json.loads(out) == {"group": "Z/2", "points": [[1, 0]],
+                                   "generators": [[1, 0]]}
+
     def test_unfactored_torsion_exit_three(self, capsys):
         # u (u - p)(u - q) has full 2-torsion, so the bound (4) leaves
         # points of order 4 possible, and its discriminant p^2 q^2 (q - p)^2
@@ -672,6 +682,19 @@ class TestExitCodeFuzz:
                 contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(["verify", str(instance), "--bound", "20"])
         assert code in (0, 1, 2, 3)
+
+    @pytest.mark.parametrize("name", ["quartic", "cubic"])
+    def test_local_exits_zero_one_or_three(self, name):
+        # every p in [-5, 31], primes or not, and every depth in [-1, 3]
+        for p in range(-5, 32):
+            for depth in range(-1, 4):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(err):
+                    code = cli.main(["local", name, "-p", str(p),
+                                     "--depth", str(depth)])
+                assert code in (0, 1, 3), (p, depth)
+                assert "Traceback" not in err.getvalue(), (p, depth)
 
 
 class TestTorsionFuzz:

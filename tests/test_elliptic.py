@@ -9,12 +9,24 @@ from obstruction_lab.elliptic import (INFINITY, CurvePoint, SingularCurveError,
                                       WeierstrassCurve, add_points, negate,
                                       point_order, to_weierstrass,
                                       torsion_subgroup)
-from obstruction_lab.exactarith import divisors
+
+# the first primes above 2^40 and 2^41
+P40, P41 = 1099511627791, 2199023255579
 
 
 @pytest.fixture(scope="module")
 def cubic_curve():
     return to_weierstrass(64, 64, 8, -7)
+
+
+def with_roots(r, s, t):
+    """(b, c, d) of (u - r)(u - s)(u - t)."""
+    return -(r + s + t), r * s + r * t + s * t, -r * s * t
+
+
+def times_quadratic(r, s, t):
+    """(b, c, d) of (u - r)(u^2 + s u + t)."""
+    return s - r, t - r * s, -r * t
 
 
 class TestReduction:
@@ -111,6 +123,23 @@ class TestTorsion:
                     acc = add_points(E, acc, P)
                 assert acc.infinity
 
+    def test_two_torsion_without_factoring(self, monkeypatch):
+        # (u - 1)(u^2 + s u + p q), p q the product of P40 and P41: the
+        # point counts bound the group by 2, so only the integer roots of
+        # the cubic are needed, and no number is factored, not even the
+        # constant term
+        def no_factor(n):
+            raise AssertionError("factored %d" % n)
+
+        monkeypatch.setattr(elliptic, "factor", no_factor)
+        for s in range(1, 10):
+            E = WeierstrassCurve(*times_quadratic(1, s, P40 * P41))
+            assert elliptic._torsion_bound(E) == 2
+            group = torsion_subgroup(E)
+            assert group.structure == "Z/2"
+            assert group.points == group.generators == \
+                (CurvePoint.affine(1, 0),)
+
     def test_point_transport(self, cubic_curve, fc):
         # (16, 0) pulls back along u = 64 x / z, v = 64 y / z to (1 : 0 : 4),
         # which lies on the plane cubic divisor
@@ -131,14 +160,48 @@ def reference_order(E, P):
     return None
 
 
+def reference_divisors(n):
+    """The positive divisors of n != 0, by trial division by 2 and the odd
+    numbers up to the square root of what is left."""
+    n, divs, p = abs(n), [1], 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        divs = [t * p ** i for t in divs for i in range(e + 1)]
+        p += 1 if p == 2 else 2
+    if n > 1:
+        divs += [t * n for t in divs]
+    return divs
+
+
+def reference_integer_roots(b, c, d):
+    """Sorted integer roots of u^3 + b u^2 + c u + d: 0 for each vanishing
+    lowest coefficient, then every divisor of the lowest nonzero one, with
+    either sign, tried by Horner."""
+    coeffs, roots = [1, b, c, d], set()
+    while coeffs[-1] == 0:
+        roots.add(0)
+        coeffs.pop()
+    if len(coeffs) > 1:
+        for t in reference_divisors(coeffs[-1]):
+            for r in (t, -t):
+                acc = 0
+                for k in coeffs:
+                    acc = acc * r + k
+                if acc == 0:
+                    roots.add(r)
+    return sorted(roots)
+
+
 def reference_torsion(E):
     """Nagell-Lutz by brute force: every divisor of the discriminant is
     tested for a square, every candidate walked by `reference_order`."""
-    vs = [0] + [isqrt(t) for t in divisors(E.discriminant())
+    vs = [0] + [isqrt(t) for t in reference_divisors(E.discriminant())
                 if isqrt(t) ** 2 == t]
     orders = {}
     for v in vs:
-        for u in elliptic._integer_roots(E.b, E.c, E.d - v * v):
+        for u in reference_integer_roots(E.b, E.c, E.d - v * v):
             for sv in {v, -v}:
                 P = CurvePoint.affine(u, sv)
                 n = reference_order(E, P)
@@ -245,6 +308,44 @@ class TestTorsionAgainstReference:
             point_order(WeierstrassCurve(0, 0, 1), CurvePoint.affine(1, 1))
 
 
+class TestIntegerRoots:
+    def test_against_divisor_search(self):
+        rng = random.Random(23)
+
+        def irreducible(size):
+            while True:
+                s, t = rng.randint(-size, size), rng.randint(-size, size)
+                disc = s * s - 4 * t
+                if disc < 0 or isqrt(disc) ** 2 != disc:
+                    return s, t
+
+        def near_1e30():
+            # +-2^a 3^b, about 2^100: smooth, so the divisor search can
+            # list the divisors of the constant term
+            a = rng.randint(0, 99)
+            return rng.choice((1, -1)) * 2 ** a * 3 ** ((100 - a) * 63 // 100)
+
+        # three roots in [-12, 12], double, triple and 0 among them
+        cubics = [with_roots(*roots) for roots in
+                  itertools.combinations_with_replacement(range(-12, 13), 3)]
+        cubics += [times_quadratic(rng.randint(-1000, 1000),
+                                   *irreducible(1000)) for _ in range(500)]
+        cubics += [tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(3))
+                   for _ in range(2000)]
+        for _ in range(10):
+            r = near_1e30()
+            cubics += [with_roots(r, near_1e30(), near_1e30()),
+                       with_roots(r, r, rng.randint(-9, 9)),
+                       with_roots(r, r, r),
+                       times_quadratic(r, *irreducible(100))]
+        found = 0
+        for b, c, d in cubics:
+            roots = elliptic._integer_roots(b, c, d)
+            assert roots == reference_integer_roots(b, c, d), (b, c, d)
+            found += bool(roots)
+        assert found > 3400
+
+
 def brute_point_count(E, p):
     """#E(F_p): the point at infinity and every (u, v) in F_p^2 on E."""
     rhs = [((u + E.b) * u + E.c) * u + E.d for u in range(p)]
@@ -299,6 +400,18 @@ class TestTorsionBound:
         for E in curves:
             bound = elliptic._torsion_bound(E)
             assert bound and bound % reference_torsion(E)[1] == 0, E
+
+    def test_factors_only_the_discriminant(self, monkeypatch):
+        factored = []
+        factor = elliptic.factor
+        monkeypatch.setattr(elliptic, "factor",
+                            lambda n: factored.append(n) or factor(n))
+        for E in list(cubic_family()) + full_two_torsion_curves():
+            factored.clear()
+            bound = elliptic._torsion_bound(E)
+            torsion_subgroup(E)
+            assert factored == ([] if bound in (1, 2)
+                                else [E.discriminant()]), E
 
     def test_bad_primes_skipped(self, counted):
         # u(u - 231)(u - 400) has disc (231 * 400 * 169)^2, divisible by

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from obstruction_lab import exactarith
 from obstruction_lab.exactarith import (FACTOR_BOUND, FactorizationError,
-                                        divisors, factor, is_kth_power,
+                                        factor, is_kth_power,
                                         is_probable_prime, jacobi,
                                         poly_roots_mod, primes_up_to,
                                         primitive_normalize, strip_prime,
@@ -463,9 +463,6 @@ class TestFactor:
         p = 1000003
         with pytest.raises(FactorizationError):
             factor(p * p * 1000033)
-
-    def test_divisors(self):
-        assert divisors(12) == [1, 2, 3, 4, 6, 12]
 
     def test_primes_up_to(self):
         assert primes_up_to(100) == PRIMES_TO_100
