@@ -310,8 +310,6 @@ def _dispatch(args):
                               for P in group.generators]}, None)
         return EXIT_OK
 
-    raise SchemaError("unknown command %r" % (cmd,))
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -62,14 +62,11 @@ class WeierstrassCurve:
         return (18 * b * c * d - 4 * b ** 3 * d + b * b * c * c
                 - 4 * c ** 3 - 27 * d * d)
 
-    def rhs(self, u):
-        u = Fraction(u)
-        return u ** 3 + self.b * u ** 2 + self.c * u + self.d
-
     def contains(self, pt):
         if pt.infinity:
             return True
-        return Fraction(pt.v) ** 2 == self.rhs(pt.u)
+        u = Fraction(pt.u)
+        return Fraction(pt.v) ** 2 == ((u + self.b) * u + self.c) * u + self.d
 
 
 @dataclass(frozen=True)
@@ -79,15 +76,11 @@ class CurvePoint:
     infinity: bool = False
 
     @classmethod
-    def at_infinity(cls):
-        return cls(infinity=True)
-
-    @classmethod
     def affine(cls, u, v):
         return cls(Fraction(u), Fraction(v))
 
 
-INFINITY = CurvePoint.at_infinity()
+INFINITY = CurvePoint(infinity=True)
 
 
 def to_weierstrass(c3, c2, c1, c0):
@@ -124,14 +117,8 @@ def _chord_tangent(curve, P, Q):
     return CurvePoint.affine(u3, v3)
 
 
-def negate(P):
-    if P.infinity:
-        return P
-    return CurvePoint.affine(P.u, -P.v)
-
-
-def point_order(curve, P, bound=MAX_TORSION_ORDER):
-    """Order of P if it is at most `bound`, else None.
+def point_order(curve, P):
+    """Order of P if it is at most MAX_TORSION_ORDER, else None.
 
     On a curve with integer b, c, d every point of finite order is integral
     (Nagell-Lutz; Silverman & Tate, Rational Points on Elliptic Curves,
@@ -142,7 +129,7 @@ def point_order(curve, P, bound=MAX_TORSION_ORDER):
     if not curve.contains(P):
         raise ValueError("point not on curve: %r" % (P,))
     acc = P
-    for n in range(1, bound + 1):
+    for n in range(1, MAX_TORSION_ORDER + 1):
         if acc.infinity:
             return n
         if acc.u.denominator != 1 or acc.v.denominator != 1:

@@ -95,12 +95,6 @@ class MultiPoly:
     def __add__(self, other):
         return MultiPoly(self.terms + other.terms)
 
-    def __neg__(self):
-        return MultiPoly((-c, e) for c, e in self.terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, int):
             return MultiPoly((c * other, e) for c, e in self.terms)
@@ -190,12 +184,6 @@ class MultiPoly:
                 new[var] = e - 1
                 out.append((c * e, tuple(new)))
         return MultiPoly(out)
-
-
-def variable(i):
-    e = [0, 0, 0]
-    e[i] = 1
-    return MultiPoly([(1, tuple(e))])
 
 
 @dataclass(frozen=True)

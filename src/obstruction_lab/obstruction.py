@@ -154,8 +154,9 @@ class QuaternionAlgebraSpec:
 
 def residue_sieve(f, m, target):
     """The residue sieve of one target, as its report record: every class
-    mod m (excluding the all-even-mod-2 ones when m is even) where f takes
-    the target value mod m, sorted canonically."""
+    (x, y, z) mod m with gcd(x, y, z, m) = 1 where f takes the target value
+    mod m, sorted canonically.  A class whose coordinates all share a prime
+    with m is skipped: no primitive point reduces to it."""
     if m < 2:
         raise ValueError("modulus must be >= 2")
     t = target % m
@@ -163,10 +164,9 @@ def residue_sieve(f, m, target):
     classes = []
     for x in range(m):
         for y in range(m):
+            g = gcd(x, y, m)
             for z in range(m):
-                if m % 2 == 0 and x % 2 == 0 and y % 2 == 0 and z % 2 == 0:
-                    continue
-                if fn(x, y, z) % m == t:
+                if gcd(g, z) == 1 and fn(x, y, z) % m == t:
                     classes.append([x, y, z])
     return {"modulus": m, "count": len(classes), "classes": classes}
 
@@ -524,12 +524,12 @@ def square_mod_sampling(F, H_factors, trials, seed):
 
 
 def _solve_variable(f):
-    """Index of the first variable that occurs in exactly one term of f, or
-    None if there is no such variable."""
+    """Index of the first variable that occurs in exactly one term of f;
+    ValueError if there is no such variable."""
     for i in range(3):
         if sum(1 for _, e in f.terms if e[i]) == 1:
             return i
-    return None
+    raise ValueError("no variable of f is confined to a single term")
 
 
 def _canonical_solutions(f, sols):
@@ -603,8 +603,6 @@ def integer_search(f, target, B):
     if B < 0:
         raise ValueError("search bound must be >= 0, got %d" % B)
     i = _solve_variable(f)
-    if i is None:
-        raise ValueError("no variable of f is confined to a single term")
     others = [j for j in range(3) if j != i]
     c_lead, exps = next((c, e) for c, e in f.terms if e[i] > 0)
     k = exps[i]
@@ -731,7 +729,9 @@ def obstruction_verdict(instance, seed=DEFAULT_SEED):
     step.  The sampling stages draw from seeds derived from `seed`."""
     f = instance.f
     alg = instance.algebra
-    # before any work, refuse a factor too large for the odd-place scan
+    # before any work, refuse an f the integer search cannot solve and a
+    # factor too large for the odd-place scan
+    _solve_variable(f)
     check_odd_scan_factors(f, alg, ODD_BOUND)
     steps = {}
 

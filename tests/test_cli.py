@@ -530,6 +530,33 @@ class TestExitCodes:
         assert err.startswith("inconclusive: algebra factor ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("first, second", [
+        ([[3, 2, 0, 0], [1, 0, 0, 2]], [[1, 0, 2, 0], [-5, 0, 0, 2]]),
+        ([[1, 1, 1, 0]], [[1, 0, 2, 0]]),
+    ])
+    def test_unsearchable_poly_usage_error(self, capsys, tmp_path,
+                                           quartic_path, monkeypatch,
+                                           first, second):
+        # every variable of f occurs in three terms, so the integer search
+        # has no variable to solve for: refused before any stage runs,
+        # whatever the algebra would do
+        def stage(*args):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(obstruction, "residue_sieve", stage)
+        _, doc = quartic_path
+        doc["poly"] = [[1, 4, 0, 0], [1, 0, 4, 0], [1, 0, 0, 4],
+                       [1, 2, 2, 0], [1, 0, 2, 2], [1, 2, 0, 2]]
+        doc["algebra"] = {"first": first, "second": second}
+        doc["rational_witness"] = None
+        path = tmp_path / "unsearchable.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", str(path), "--bound", "5")
+        assert code == 1
+        assert out == ""
+        assert err == ("error: no variable of f is confined to a single "
+                       "term\n")
+
     def test_unfactored_reciprocity_exit_three(self, capsys):
         # (10^9 + 7)(10^9 + 9) survives trial division and is not prime
         code, out, err = run_cli(capsys, "reciprocity",

@@ -64,6 +64,16 @@ class TestResidueSieve:
         assert len(classes) == 4
         assert all(c[0] == 1 for c in classes)
 
+    @pytest.mark.parametrize("m", [3, 6, 9, 12])
+    def test_primitive_classes_only(self, fc, m):
+        # no primitive point reduces to a class whose coordinates all share
+        # a prime with m, so the sieve keeps exactly the other classes
+        classes = residue_sieve(fc, m, 3)["classes"]
+        assert classes == [
+            list(c) for c in itertools.product(range(m), repeat=3)
+            if math.gcd(*c, m) == 1 and (fc.evaluate_int(c) - 3) % m == 0]
+        assert classes
+
     def test_symmetry_for_even_degree(self, fq):
         classes = set(map(tuple, residue_sieve(fq, 16, 1)["classes"]))
         for r in classes:
@@ -257,7 +267,7 @@ def real_toy_algebra():
     x_plus_y = MultiPoly([(1, (1, 0, 0)), (1, (0, 1, 0))])
     definite = MultiPoly([(1, (2, 0, 0)), (2, (0, 2, 0)), (1, (0, 0, 2))])
     minus_one = MultiPoly([(-1, (0, 0, 0))])
-    return QuaternionAlgebraSpec(x_minus_y * x_plus_y, -definite,
+    return QuaternionAlgebraSpec(x_minus_y * x_plus_y, definite * -1,
                                  (x_minus_y, x_plus_y), (minus_one, definite))
 
 
