@@ -10,16 +10,35 @@ Usage: python3 scripts/oracle_grid.py [--bound B] [--primes 2,3,5,7]
 import argparse
 import sys
 
+from obstruction_lab.exactarith import require_prime
 from obstruction_lab.localsymbols import Place, hilbert_symbol, solubility_oracle
+
+
+def positive_int(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % n)
+    return n
+
+
+def prime_list(text):
+    """Comma-separated primes, each checked with `require_prime`."""
+    primes = [int(t) for t in text.split(",")]
+    for p in primes:
+        try:
+            require_prime(p)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+    return primes
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser()
-    ap.add_argument("--bound", type=int, default=25)
-    ap.add_argument("--primes", default="2,3,5,7,11,13")
+    ap.add_argument("--bound", type=positive_int, default=25)
+    ap.add_argument("--primes", type=prime_list, default="2,3,5,7,11,13")
     args = ap.parse_args(argv)
 
-    places = [Place.finite(int(p)) for p in args.primes.split(",")]
+    places = [Place(p) for p in args.primes]
     places.append(Place.real())
     checked = disagreements = inconclusive = 0
     B = args.bound

@@ -19,7 +19,7 @@ from fractions import Fraction
 from importlib import resources
 
 from . import elliptic
-from .exactarith import FactorizationError
+from .exactarith import FactorizationError, require_prime
 from .localsymbols import Place, hilbert_symbol, local_invariant, \
     reciprocity_defect
 from .multipoly import MultiPoly
@@ -132,7 +132,9 @@ def _parse_number(text):
 def _parse_place(text):
     if text == "real":
         return Place.real()
-    return Place.finite(int(text))
+    p = int(text)
+    require_prime(p)
+    return Place(p)
 
 
 def _emit(doc, out):
@@ -253,6 +255,7 @@ def _dispatch(args):
         return EXIT_OK
 
     if cmd == "local":
+        require_prime(args.p)
         instance = load_instance(args.instance)
         ans = padic_answer_record(instance.f, instance.targets[0], args.p,
                                   args.depth)

@@ -64,6 +64,8 @@ def is_probable_prime(n):
 
 
 def require_prime(p):
+    """Refuse a p that is not prime.  Only the front ends call it, on the
+    primes they read; every engine primitive trusts its p."""
     if p < 2 or not is_probable_prime(p):
         raise ValueError("not a prime: %r" % (p,))
 
@@ -81,24 +83,15 @@ class ValuationResult:
 
 
 def valuation(n, p):
-    """Return ValuationResult for n at the prime p."""
-    require_prime(p)
+    """Return ValuationResult for n at the prime p.  p is trusted: the
+    engine's primes come from `factor`, `primes_up_to` or a constant."""
     if n == 0:
         return ValuationResult(0, 0, infinite=True)
-    return ValuationResult(*strip_prime(n, p))
-
-
-def strip_prime(n, p):
-    """(v, m) with n = p**v * m and p not dividing m, for n != 0.
-
-    Unlike `valuation`, p is not tested for primality: callers pass a prime
-    certified once already, such as the prime of a `Place`.
-    """
     v = 0
     while n % p == 0:
         n //= p
         v += 1
-    return v, n
+    return ValuationResult(v, n)
 
 
 def jacobi(a, n):
@@ -410,15 +403,8 @@ def poly_roots_mod(coeffs, p):
     Degrees 1 and 2 are solved in closed form (a quadratic through its
     discriminant and `_sqrt_mod`).  Higher degrees use equal-degree
     splitting against z^p - z; deterministic (shift constants are tried in
-    increasing order).
+    increasing order).  p is trusted to be prime, as in `valuation`.
     """
-    require_prime(p)
-    return poly_roots_certified(coeffs, p)
-
-
-def poly_roots_certified(coeffs, p):
-    """`poly_roots_mod` for a prime p certified already, such as one drawn
-    by square sampling; unlike `poly_roots_mod`, p is not tested again."""
     f = _poly_trim([c % p for c in coeffs])
     if not f:
         return list(range(p))  # the zero polynomial

@@ -11,17 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactarith import factor, require_prime, valuation
+from .exactarith import factor, valuation
 
 
 @dataclass(frozen=True)
 class Place:
-    """A place of Q: a finite prime or the real place."""
+    """A place of Q: a finite prime or the real place.  `Place(p)` trusts
+    that p is prime, as every engine primitive does."""
     p: int | None  # None encodes the real place
-
-    def __post_init__(self):
-        if self.p is not None:
-            require_prime(self.p)
 
     @property
     def is_real(self):
@@ -30,18 +27,6 @@ class Place:
     @classmethod
     def real(cls):
         return cls(None)
-
-    @classmethod
-    def finite(cls, p):
-        return cls(p)
-
-    @classmethod
-    def certified(cls, p):
-        """The place at p, a prime certified already, such as a key of a
-        `factor` result; unlike `finite`, p is not tested again."""
-        place = object.__new__(cls)
-        object.__setattr__(place, "p", p)
-        return place
 
     def __str__(self):
         return "real" if self.p is None else str(self.p)
@@ -62,8 +47,7 @@ def _to_square_free_pair(a, b):
 
 
 def symbol_at_prime(a, b, p):
-    """Hilbert symbol (a, b)_p for nonzero ints a, b and a prime p certified
-    already, such as a key of a `factor` result; p is not tested again.
+    """Hilbert symbol (a, b)_p for nonzero ints a, b and a prime p.
 
     Write a = p^alpha u and b = p^beta v with u, v prime to p (Serre, A
     Course in Arithmetic, III.1).  At an odd prime p,
@@ -104,7 +88,7 @@ def hilbert_symbol(a, b, place):
 
     The real symbol is a sign test.  At a prime, rationals first go to
     integers of the same square classes, and `symbol_at_prime` computes the
-    symbol: p was certified prime when the Place was built.
+    symbol.
     """
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol entries must be nonzero")
@@ -134,7 +118,7 @@ def symbol_support(a, b):
     for r in (Fraction(a), Fraction(b)):
         for n in (r.numerator, r.denominator):
             primes.update(factor(n))
-    return [Place.real()] + [Place.certified(p) for p in sorted(primes)]
+    return [Place.real()] + [Place(p) for p in sorted(primes)]
 
 
 def reciprocity_defect(a, b):

@@ -18,7 +18,7 @@ from itertools import product
 from math import gcd, prod
 
 from .exactarith import (FACTOR_BOUND, FactorizationError, factor, jacobi,
-                         poly_roots_certified, primes_up_to,
+                         poly_roots_mod, primes_up_to,
                          primitive_normalize)
 from .localsymbols import (INV_HALF, INV_ZERO, Place, invariant_total,
                            local_invariant, symbol_at_prime)
@@ -244,7 +244,7 @@ def point_invariant_profile(alg, point):
     primes = {2} | alg.constant_primes
     for v in set(vals):
         primes.update(factor(v))
-    places = [Place.real()] + [Place.certified(p) for p in sorted(primes)]
+    places = [Place.real()] + [Place(p) for p in sorted(primes)]
     invs = tuple((pl, local_invariant(a, b, pl)) for pl in places)
     return InvariantProfile(tuple(point), (a, b), invs,
                             invariant_total(iv for _, iv in invs))
@@ -461,8 +461,7 @@ def _random_point_on_curve(curve, p, rng):
         y = rng.randrange(p)
         roots = set()
         for coeffs in curve:
-            roots.update(poly_roots_certified(
-                [fn(x, y, 0) for fn in coeffs], p))
+            roots.update(poly_roots_mod([fn(x, y, 0) for fn in coeffs], p))
         if not roots:
             continue
         roots = sorted(roots)
@@ -831,7 +830,7 @@ def decide(steps, alg):
                     raise InternalInconsistencyError(
                         "integral solution %r has invariant sum %s; this "
                         "contradicts reciprocity" % (s, prof.total))
-                if dict(prof.invariants)[Place.certified(2)] != INV_HALF:
+                if dict(prof.invariants)[Place(2)] != INV_HALF:
                     raise InternalInconsistencyError(
                         "integral solution %r lies in a residue class "
                         "certified ramified at 2, but its invariant at 2 "

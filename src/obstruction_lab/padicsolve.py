@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactarith import factor, require_prime, strip_prime
+from .exactarith import factor, valuation
 
 
 @dataclass(frozen=True)
@@ -28,16 +28,15 @@ class SolubilityAnswer:
 def _newton_at(fn, partials, point, target, p):
     """Newton data at an integer triple: (ok, v(f - target), best v(partial)).
 
-    fn and partials are the evaluators of f and of its partials, and p was
-    certified prime by the caller."""
+    fn and partials are the evaluators of f and of its partials."""
     val = fn(*point) - target
-    fv = None if val == 0 else strip_prime(val, p)[0]  # None: infinite
+    fv = None if val == 0 else valuation(val, p).valuation  # None: infinite
     best = None
     for d in partials:
         dval = d(*point)
         if dval == 0:
             continue
-        dvv = strip_prime(dval, p)[0]
+        dvv = valuation(dval, p).valuation
         if best is None or dvv < best:
             best = dvv
     if best is None:
@@ -57,7 +56,6 @@ def padic_solutions_exist(f, target, p, maxdepth=None):
     traversal, so identical inputs always report the identical witness
     class.
     """
-    require_prime(p)
     if maxdepth is None:
         maxdepth = 8 if p == 2 else 4
     if maxdepth < 1:

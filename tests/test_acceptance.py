@@ -126,7 +126,7 @@ def test_criterion_2_cubic_end_to_end(capsys):
 
 
 def test_criterion_3_oracle_equivalence():
-    places = [Place.finite(p) for p in (2, 3, 5, 7, 11, 13)] + [Place.real()]
+    places = [Place(p) for p in (2, 3, 5, 7, 11, 13)] + [Place.real()]
     mismatches = 0
     for a in range(-50, 51):
         if a == 0:

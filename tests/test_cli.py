@@ -400,6 +400,21 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "denominator" in err
 
+    # primes are checked where they are read; the engine trusts its p
+    @pytest.mark.parametrize("p", ["-7", "-1", "0", "1", "4", "561"])
+    @pytest.mark.parametrize("command", [("hilbert", "3", "3"),
+                                         ("local", "quartic", "-p")])
+    def test_nonprime_is_usage_error(self, capsys, command, p):
+        code, out, err = run_cli(capsys, *command, p)
+        assert code == 1
+        assert out == ""
+        assert err == "error: not a prime: %s\n" % p
+
+    def test_local_checks_the_prime_before_the_instance(self, capsys):
+        code, out, err = run_cli(capsys, "local", "/nonexistent.json",
+                                 "-p", "4")
+        assert (code, out, err) == (1, "", "error: not a prime: 4\n")
+
     @pytest.mark.parametrize("point", ["a,1,1", "1,2", "1,2,3,4"])
     def test_bad_profile_point_is_usage_error(self, capsys, point):
         code, out, err = run_cli(capsys, "profile", "quartic", "-P=" + point)

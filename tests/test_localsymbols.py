@@ -6,8 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from obstruction_lab.exactarith import (FactorizationError, jacobi,
-                                        strip_prime, valuation)
+from obstruction_lab.exactarith import FactorizationError, jacobi, valuation
 from obstruction_lab.localsymbols import (Place, default_oracle_depth,
                                           hilbert_symbol, local_invariant,
                                           reciprocity_defect,
@@ -15,38 +14,19 @@ from obstruction_lab.localsymbols import (Place, default_oracle_depth,
                                           symbol_support)
 
 REAL = Place.real()
-SMALL_PLACES = [Place.finite(p) for p in (2, 3, 5, 7, 11, 13)] + [REAL]
-
-
-def test_composite_primes_still_rejected():
-    # hilbert_symbol trusts the prime of a Place, so the checks that build
-    # a Place and the public valuation must keep refusing composites
-    with pytest.raises(ValueError):
-        Place.finite(4)
-    with pytest.raises(ValueError):
-        valuation(10, 4)
-
-
-def test_certified_place_equals_finite():
-    for p in (2, 3, 5, 10007, 2 ** 61 - 1):
-        place = Place.certified(p)
-        assert place == Place.finite(p)
-        assert hash(place) == hash(Place.finite(p))
-        assert str(place) == str(p) and not place.is_real
-        assert hilbert_symbol(3 * p, 5, place) == \
-            hilbert_symbol(3 * p, 5, Place.finite(p))
+SMALL_PLACES = [Place(p) for p in (2, 3, 5, 7, 11, 13)] + [REAL]
 
 
 class TestHilbertSymbol:
     def test_three_three_at_two(self):
-        assert hilbert_symbol(3, 3, Place.finite(2)) == -1
+        assert hilbert_symbol(3, 3, Place(2)) == -1
 
     def test_negative_definite_real(self):
         assert hilbert_symbol(-1, -1, REAL) == -1
 
     def test_section_values_at_two(self):
         # f*h and -g*h at (0,1,1); both are 3 mod 4
-        assert hilbert_symbol(1003, -4661, Place.finite(2)) == -1
+        assert hilbert_symbol(1003, -4661, Place(2)) == -1
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -93,8 +73,9 @@ def jacobi_formula(a, b, p):
     symbols taken as Jacobi symbols (Serre, A Course in Arithmetic, III.1):
     (-1)^(alpha beta eps(p)) (u/p)^beta (v/p)^alpha for a = p^alpha u,
     b = p^beta v."""
-    alpha, u = strip_prime(a, p)
-    beta, v = strip_prime(b, p)
+    va, vb = valuation(a, p), valuation(b, p)
+    alpha, u = va.valuation, va.unit_part
+    beta, v = vb.valuation, vb.unit_part
     sign = -1 if (alpha * beta * ((p - 1) // 2)) % 2 else 1
     if beta % 2:
         sign *= jacobi(u % p, p)
@@ -118,7 +99,7 @@ class TestEulerCriterion:
     @pytest.mark.parametrize("p", ODD_PRIMES)
     def test_matches_jacobi_formula(self, p):
         rng = random.Random(p)
-        place = Place.finite(p)
+        place = Place(p)
 
         def unit():
             while True:
@@ -138,7 +119,7 @@ class TestEulerCriterion:
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_fraction_entries_match_oracle(self, p):
         rng = random.Random(100 + p)
-        place = Place.finite(p)
+        place = Place(p)
         for _ in range(150):
             a, b = (Fraction(rng.choice((1, -1)) * rng.randint(1, 30)
                              * p ** rng.randint(0, 2),
@@ -151,7 +132,7 @@ class TestEulerCriterion:
     def test_both_valuations_odd_match_oracle(self, p):
         # the branch where one power of u v mod p gives (u/p) (v/p)
         rng = random.Random(200 + p)
-        place = Place.finite(p)
+        place = Place(p)
         seen = set()
         for _ in range(40):
             u, v = (rng.choice((1, -1)) * rng.choice(
@@ -167,7 +148,7 @@ class TestEulerCriterion:
     def test_fraction_entries_at_large_primes(self, p):
         # n/d lies in the square class of n*d
         rng = random.Random(p)
-        place = Place.finite(p)
+        place = Place(p)
         for _ in range(200):
             a, b = (Fraction(rng.choice((1, -1)) * rng.randint(1, 10 ** 9)
                              * p ** rng.randint(0, 3),
@@ -179,26 +160,26 @@ class TestEulerCriterion:
 
 class TestLocalInvariant:
     def test_ramified(self):
-        assert local_invariant(3, 3, Place.finite(2)) == Fraction(1, 2)
+        assert local_invariant(3, 3, Place(2)) == Fraction(1, 2)
 
     def test_split_with_one(self):
         for place in SMALL_PLACES:
             assert local_invariant(1, 7, place) == 0
 
     def test_at_eleven(self):
-        assert local_invariant(22, 154, Place.finite(11)) == 0
+        assert local_invariant(22, 154, Place(11)) == 0
 
 
 class TestReciprocity:
     def test_three_three(self):
         assert reciprocity_defect(3, 3) == 0
-        assert local_invariant(3, 3, Place.finite(2)) == Fraction(1, 2)
-        assert local_invariant(3, 3, Place.finite(3)) == Fraction(1, 2)
+        assert local_invariant(3, 3, Place(2)) == Fraction(1, 2)
+        assert local_invariant(3, 3, Place(3)) == Fraction(1, 2)
 
     def test_minus_one_twice(self):
         assert reciprocity_defect(-1, -1) == 0
         assert local_invariant(-1, -1, REAL) == Fraction(1, 2)
-        assert local_invariant(-1, -1, Place.finite(2)) == Fraction(1, 2)
+        assert local_invariant(-1, -1, Place(2)) == Fraction(1, 2)
 
     def test_trivial(self):
         assert reciprocity_defect(1, 5) == 0
@@ -230,17 +211,17 @@ class TestReciprocity:
         assert checked > 50
 
     def test_flipped_symbol_gives_half(self, symbol_flipped_at_two):
-        assert local_invariant(3, 3, Place.finite(2)) == 0
+        assert local_invariant(3, 3, Place(2)) == 0
         assert reciprocity_defect(3, 3) == Fraction(1, 2)
         assert reciprocity_defect(1, 5) == Fraction(1, 2)
 
 
 class TestSolubilityOracle:
     def test_three_three_insoluble_at_two(self):
-        assert solubility_oracle(3, 3, Place.finite(2), depth=8) is False
+        assert solubility_oracle(3, 3, Place(2), depth=8) is False
 
     def test_two_adic_square(self):
-        assert solubility_oracle(17, 2, Place.finite(2), depth=8) is True
+        assert solubility_oracle(17, 2, Place(2), depth=8) is True
 
     def test_real(self):
         assert solubility_oracle(-1, -1, REAL) is False
@@ -276,6 +257,30 @@ class TestOracleGridScript:
         assert oracle_grid.main(self.ARGS) == 0
         assert capsys.readouterr().out == \
             "108 checks, 0 disagreements, 0 inconclusive\n"
+
+    def test_default_primes_are_read_through_the_check(self, oracle_grid,
+                                                        capsys):
+        # 2 * 2 pairs at the six default primes and the real place
+        assert oracle_grid.main(["--bound", "1"]) == 0
+        assert capsys.readouterr().out == \
+            "28 checks, 0 disagreements, 0 inconclusive\n"
+
+    # an empty grid or a bad prime is a usage error, not a passing run
+    @pytest.mark.parametrize("args, message", [
+        (["--bound", "0"], "must be at least 1, got 0"),
+        (["--bound", "-3"], "must be at least 1, got -3"),
+        (["--primes", "2,4"], "not a prime: 4"),
+        (["--primes", "3,561"], "not a prime: 561"),
+        (["--primes", ""], "invalid prime_list value"),
+    ])
+    def test_bad_arguments_exit_two(self, oracle_grid, capsys, args,
+                                    message):
+        with pytest.raises(SystemExit) as exc:
+            oracle_grid.main(args)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
 
     def test_disagreement_exits_one(self, oracle_grid, capsys, monkeypatch):
         # a Hilbert symbol flipped at the place 3 disagrees with the search

@@ -119,7 +119,7 @@ class TestInvariantTable:
         instance = request.getfixturevalue(which + "_instance")
         alg = instance.algebra
         rng = random.Random(83)
-        two = Place.finite(2)
+        two = Place(2)
         for t in targets:
             sieve = residue_sieve(instance.f, instance.sieve_modulus, t)
             table = class_invariant_table(alg, sieve)
@@ -245,7 +245,7 @@ class TestPointProfile:
     def test_flipped_symbol_gives_half(self, quartic_algebra,
                                        symbol_flipped_at_two):
         prof = point_invariant_profile(quartic_algebra, (0, 1, 0))
-        assert dict(prof.invariants)[Place.certified(2)] == Fraction(1, 2)
+        assert dict(prof.invariants)[Place(2)] == Fraction(1, 2)
         assert prof.total == Fraction(1, 2)
 
     def test_consistency_triangle(self, fq, quartic_algebra):
@@ -256,7 +256,7 @@ class TestPointProfile:
         for e in table["entries"]:
             assert e["invariant"] is not None
             a, b, _ = quartic_algebra.factor_values(e["class"])
-            inv = local_invariant(a, b, Place.finite(2))
+            inv = local_invariant(a, b, Place(2))
             assert str(inv) == e["invariant"]
 
 
@@ -453,7 +453,7 @@ class TestScans:
                 if p == 2 or fval % p == 0:
                     continue
                 checked += 1
-                if hilbert_symbol(a, b, Place.finite(p)) == -1:
+                if hilbert_symbol(a, b, Place(p)) == -1:
                     violations.append([list(pt), p])
         assert record["checked_prime_conditions"] == checked > 0
         assert record["violations"] == violations
@@ -545,7 +545,7 @@ class TestOddScanReciprocity:
                 continue
             compared += 1
             assert symbol == math.prod(
-                hilbert_symbol(a, b, Place.finite(p))
+                hilbert_symbol(a, b, Place(p))
                 for p in fprimes if p not in S)
         assert compared > nsamples // 2
 
