@@ -7,10 +7,7 @@ bounded trial division could not factor, or an algebra whose square
 condition cannot be sampled.
 """
 
-from __future__ import annotations
-
 import argparse
-import dataclasses
 import json
 import os
 import re
@@ -18,7 +15,6 @@ import sys
 from fractions import Fraction
 from importlib import resources
 
-from . import elliptic
 from .exactarith import FactorizationError, require_prime
 from .localsymbols import Place, hilbert_symbol, local_invariant, \
     reciprocity_defect
@@ -226,11 +222,11 @@ def _dispatch(args):
     cmd = args.command
     if cmd == "verify":
         instance = load_instance(args.instance)
-        # replace() runs the instance checks on the overrides
+        # _replace runs the instance checks on the overrides
         if args.target is not None:
-            instance = dataclasses.replace(instance, targets=(args.target,))
+            instance = instance._replace(targets=(args.target,))
         if args.bound is not None:
-            instance = dataclasses.replace(instance, search_bound=args.bound)
+            instance = instance._replace(search_bound=args.bound)
         report = obstruction_verdict(instance, seed=args.seed)
         _emit(report, args.out)
         return (EXIT_INCONCLUSIVE if report["verdict"] == INCONCLUSIVE
@@ -304,6 +300,8 @@ def _dispatch(args):
         return EXIT_OK
 
     if cmd == "torsion":
+        # imported here, so that no other command loads it
+        from . import elliptic
         curve = elliptic.to_weierstrass(args.c3, args.c2, args.c1, args.c0)
         group = elliptic.torsion_subgroup(curve)
         # torsion points are integral (Nagell-Lutz)

@@ -9,9 +9,7 @@ isolated exactly, with no factorization; only the discriminant is factored,
 and only when the point counts leave a point of order 3 or more possible.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -44,18 +42,21 @@ class SingularCurveError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class WeierstrassCurve:
-    """v^2 = u^3 + b u^2 + c u + d with nonzero discriminant."""
-    b: int
-    c: int
-    d: int
-    # u = scale * x / z, v = scale * y / z when built from a plane cubic
-    scale: int = 1
+class WeierstrassCurve(namedtuple("WeierstrassCurve", "b c d scale",
+                                  defaults=(1,))):
+    """v^2 = u^3 + b u^2 + c u + d with nonzero discriminant; when built
+    from a plane cubic, u = scale * x / z and v = scale * y / z."""
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.discriminant() == 0:
             raise SingularCurveError("singular cubic: discriminant is zero")
+        return self
+
+    def _replace(self, **changes):
+        # namedtuple's own _replace would skip the checks of __new__
+        return type(self)(**dict(zip(self._fields, self), **changes))
 
     def discriminant(self):
         b, c, d = self.b, self.c, self.d
@@ -69,11 +70,10 @@ class WeierstrassCurve:
         return Fraction(pt.v) ** 2 == ((u + self.b) * u + self.c) * u + self.d
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    u: Fraction | None = None
-    v: Fraction | None = None
-    infinity: bool = False
+class CurvePoint(namedtuple("CurvePoint", "u v infinity",
+                            defaults=(None, None, False))):
+    """An affine point (u, v) of Fractions, or the point at infinity."""
+    __slots__ = ()
 
     @classmethod
     def affine(cls, u, v):
@@ -206,13 +206,11 @@ def _torsion_bound(curve):
     return bound
 
 
-@dataclass(frozen=True)
-class TorsionGroup:
-    """Isomorphism type and the full list of finite torsion points."""
-    structure: str  # e.g. "Z/1", "Z/2", "Z/6", "Z/2 x Z/2"
-    order: int
-    points: tuple  # finite CurvePoints, sorted
-    generators: tuple
+class TorsionGroup(namedtuple("TorsionGroup",
+                              "structure order points generators")):
+    """Isomorphism type (e.g. "Z/1", "Z/6", "Z/2 x Z/2"), order, the sorted
+    finite torsion points and the generators."""
+    __slots__ = ()
 
 
 def torsion_subgroup(curve):

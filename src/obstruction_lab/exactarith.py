@@ -5,11 +5,9 @@ Everything here is pure integer arithmetic on Python ints and Fractions;
 no floating point is used anywhere.
 """
 
-from __future__ import annotations
-
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt, prod
@@ -70,16 +68,15 @@ def require_prime(p):
         raise ValueError("not a prime: %r" % (p,))
 
 
-@dataclass(frozen=True)
-class ValuationResult:
+class ValuationResult(namedtuple("ValuationResult",
+                                 "valuation unit_part infinite",
+                                 defaults=(False,))):
     """p-adic valuation together with the cofactor: n = p**valuation * unit_part.
 
     ``infinite`` is set exactly when n = 0 (valuation and unit_part are then
     meaningless and stored as 0).
     """
-    valuation: int
-    unit_part: int
-    infinite: bool = False
+    __slots__ = ()
 
 
 def valuation(n, p):

@@ -6,19 +6,16 @@ solution over the completion at v.  Invariants live in (1/2)Z/Z: 0 for split,
 1/2 for ramified.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .exactarith import factor, valuation
 
 
-@dataclass(frozen=True)
-class Place:
-    """A place of Q: a finite prime or the real place.  `Place(p)` trusts
-    that p is prime, as every engine primitive does."""
-    p: int | None  # None encodes the real place
+class Place(namedtuple("Place", "p")):
+    """A place of Q: a finite prime or the real place, whose p is None.
+    `Place(p)` trusts that p is prime, as every engine primitive does."""
+    __slots__ = ()
 
     @property
     def is_real(self):

@@ -8,9 +8,7 @@ Each form evaluates through one function, compiled on first use from its
 coefficients and exponents (`MultiPoly.evaluator`).
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 def _grlex_key(exps):
@@ -186,10 +184,10 @@ class MultiPoly:
         return MultiPoly(out)
 
 
-@dataclass(frozen=True)
-class IdentityClaim:
-    """Claim that sum of scalar * (product of factors) is the zero polynomial."""
-    summands: tuple  # of (scalar: int, factors: tuple of MultiPoly)
+class IdentityClaim(namedtuple("IdentityClaim", "summands")):
+    """Claim that sum of scalar * (product of factors) is the zero polynomial:
+    summands is a tuple of (scalar, tuple of MultiPoly factors)."""
+    __slots__ = ()
 
 
 def verify_identity(claim):

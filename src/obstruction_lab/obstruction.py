@@ -7,11 +7,9 @@ All randomized steps take explicit seeds; identical inputs always produce
 identical (canonically sorted) output.
 """
 
-from __future__ import annotations
-
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import product
@@ -52,6 +50,10 @@ CURVE_POINT_TRIES = 64
 # legitimate run reaches the bound with probability about e**-45.
 SQUARE_FRUITLESS_DRAWS = 100000
 
+# The largest modulus `residue_sieve` takes: it evaluates f at all m**3
+# classes, about 9 s per target on the bundled cubic at m = 256.
+SIEVE_MAX_MODULUS = 256
+
 # The 2-adic table tries the levels below this one before it leaves a class
 # undetermined.
 TABLE_MAX_EXPONENT = 8
@@ -79,36 +81,34 @@ class SquareSamplingError(Exception):
     draws in a row."""
 
 
-@dataclass(frozen=True)
-class QuaternionAlgebraSpec:
+class QuaternionAlgebraSpec(namedtuple(
+        "QuaternionAlgebraSpec", "first second first_factors second_factors",
+        defaults=(None, None))):
     """Ordered pair of even-degree homogeneous polynomials defining a
     quaternion Brauer class on the complement of their zero loci.
 
     Each entry may also be given as a tuple of factor forms whose product
     it must equal; an entry given without factors is its own one factor.
     `forms` holds the distinct nonconstant factors of both entries, and
-    the entries are evaluated through them.
+    the entries are evaluated through them.  Unlike the other records it
+    keeps a `__dict__`, for `forms` and the values derived on first use.
     """
-    first: MultiPoly
-    second: MultiPoly
-    first_factors: tuple | None = None
-    second_factors: tuple | None = None
 
-    def __post_init__(self):
+    def __new__(cls, first, second, first_factors=None, second_factors=None):
         forms = {}
         parts = []
-        for name in ("first", "second"):
-            entry = getattr(self, name)
+        filled = []
+        for name, entry, factors in (("first", first, first_factors),
+                                     ("second", second, second_factors)):
             d = entry.homogeneous_degree()
             if d is None or d % 2 != 0:
                 raise ValueError("algebra entries must be homogeneous of even degree")
-            factors = getattr(self, name + "_factors")
             if factors is None:
                 factors = (entry,)
-                object.__setattr__(self, name + "_factors", factors)
             elif not factors or prod(factors) != entry:
                 raise ValueError("the factors of algebra.%s do not multiply "
                                  "to it" % name)
+            filled.append(factors)
             # the entry as the product of its constant factors times the
             # values of its nonconstant ones, by index into forms
             const, at = 1, []
@@ -118,8 +118,14 @@ class QuaternionAlgebraSpec:
                 else:
                     at.append(forms.setdefault(q, len(forms)))
             parts.append((const, tuple(at)))
-        object.__setattr__(self, "forms", tuple(forms))
-        object.__setattr__(self, "_parts", tuple(parts))
+        self = super().__new__(cls, first, second, *filled)
+        self.forms = tuple(forms)
+        self._parts = tuple(parts)
+        return self
+
+    def _replace(self, **changes):
+        # namedtuple's own _replace would skip the checks of __new__
+        return type(self)(**dict(zip(self._fields, self), **changes))
 
     @cached_property
     def factor_values(self):
@@ -156,9 +162,11 @@ def residue_sieve(f, m, target):
     """The residue sieve of one target, as its report record: every class
     (x, y, z) mod m with gcd(x, y, z, m) = 1 where f takes the target value
     mod m, sorted canonically.  A class whose coordinates all share a prime
-    with m is skipped: no primitive point reduces to it."""
-    if m < 2:
-        raise ValueError("modulus must be >= 2")
+    with m is skipped: no primitive point reduces to it.  m runs from 2 to
+    SIEVE_MAX_MODULUS."""
+    if not 2 <= m <= SIEVE_MAX_MODULUS:
+        raise ValueError("modulus must be from 2 to %d, got %d"
+                         % (SIEVE_MAX_MODULUS, m))
     t = target % m
     fn = f.evaluator()
     classes = []
@@ -222,12 +230,11 @@ def class_invariant_table(alg, sieve):
             "entries": entries}
 
 
-@dataclass(frozen=True)
-class InvariantProfile:
-    point: tuple
-    values: tuple  # (first(P), second(P))
-    invariants: tuple  # of (Place, Fraction)
-    total: Fraction
+class InvariantProfile(namedtuple("InvariantProfile",
+                                  "point values invariants total")):
+    """The point, its entry values (first(P), second(P)), its (Place,
+    invariant) pairs and their sum."""
+    __slots__ = ()
 
 
 def point_invariant_profile(alg, point):
@@ -471,12 +478,12 @@ def _random_point_on_curve(curve, p, rng):
     return None
 
 
-@dataclass(frozen=True)
-class SquareSamplingResult:
-    accepted: int
-    passed: int
-    counterexamples: tuple  # of (p, point)
-    skipped_primes: tuple
+class SquareSamplingResult(namedtuple(
+        "SquareSamplingResult",
+        "accepted passed counterexamples skipped_primes")):
+    """Counts of accepted and passing points, the (p, point) counterexamples
+    and the primes skipped for want of a point."""
+    __slots__ = ()
 
     @property
     def pass_ratio(self):
@@ -669,17 +676,13 @@ def _assemble(i, others, vi, u, w):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ObstructionInstance:
-    name: str
-    f: MultiPoly
-    targets: tuple
-    algebra: QuaternionAlgebraSpec
-    sieve_modulus: int
-    rational_witness: tuple | None
-    search_bound: int
+class ObstructionInstance(namedtuple(
+        "ObstructionInstance", "name f targets algebra sieve_modulus "
+        "rational_witness search_bound")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if type(self.name) is not str:
             raise ValueError("name must be a string, got %r" % (self.name,))
         if self.f.homogeneous_degree() is None:
@@ -699,6 +702,11 @@ class ObstructionInstance:
         if type(m) is not int or m < 2 or m > top or m & (m - 1):
             raise ValueError("sieve_modulus must be a power of 2 from 2 to "
                              "%d, got %r" % (top, m))
+        return self
+
+    def _replace(self, **changes):
+        # namedtuple's own _replace would skip the checks of __new__
+        return type(self)(**dict(zip(self._fields, self), **changes))
 
 
 OBSTRUCTED = "OBSTRUCTED"

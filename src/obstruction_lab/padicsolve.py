@@ -5,24 +5,23 @@ All "yes" answers carry a replayable certificate; "no" answers are sound
 because a p-adic solution would reduce to a solution at every finite level.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .exactarith import factor, valuation
 
 
-@dataclass(frozen=True)
-class SolubilityAnswer:
+class SolubilityAnswer(namedtuple(
+        "SolubilityAnswer", "verdict p depth witness value_valuation "
+        "derivative_valuation", defaults=(None, None, None))):
     """Verdict of the residue search: 'yes' with a witness class and Newton
-    data, 'no' with the exhaustion depth, or 'inconclusive'."""
-    verdict: str  # "yes" | "no" | "inconclusive"
-    p: int
-    depth: int  # level reached (witness level, exhaustion level, or maxdepth)
-    witness: tuple | None = None  # residue triple mod p**depth for "yes"
-    value_valuation: int | None = None
-    derivative_valuation: int | None = None
+    data, 'no' with the exhaustion depth, or 'inconclusive'.
+
+    depth is the level reached (witness level, exhaustion level, or
+    maxdepth).  Only a "yes" has a witness, a residue triple mod p**depth,
+    and the valuations of its Newton inequality (value_valuation is None
+    when f takes the target there exactly)."""
+    __slots__ = ()
 
 
 def _newton_at(fn, partials, point, target, p):
@@ -90,13 +89,10 @@ def padic_solutions_exist(f, target, p, maxdepth=None):
     return SolubilityAnswer("inconclusive", p, maxdepth)
 
 
-@dataclass(frozen=True)
-class WitnessCheck:
+class WitnessCheck(namedtuple("WitnessCheck", "matches value bad_primes")):
     """Outcome of checking a rational witness: the exact value and the primes
     at which the witness fails to be a p-adic integer."""
-    matches: bool
-    value: Fraction
-    bad_primes: frozenset
+    __slots__ = ()
 
 
 def verify_rational_witness(w, f, target):

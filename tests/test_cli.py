@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -85,6 +84,28 @@ def run_child(*argv):
                           timeout=60, env=env)
 
 
+def test_startup_imports_no_dataclasses_or_elliptic():
+    """Importing the CLI and loading both bundled instances leaves out
+    `dataclasses` (with the `inspect` it imports) and `elliptic`, which
+    only `torsion` loads.  Names that a bare interpreter or the standard
+    modules the CLI imports have loaded are not the package's doing: from
+    Python 3.12 on, `importlib.resources` imports `inspect`."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys, argparse, json, fractions; "
+            "from importlib import resources; "
+            "before = set(sys.modules); "
+            "from obstruction_lab import cli; "
+            "cli.load_instance('quartic'); cli.load_instance('cubic'); "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "obstruction_lab.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "obstruction_lab.elliptic"}
+
+
 class TestSubcommands:
     def test_hilbert(self, capsys):
         code, out, _ = run_cli(capsys, "hilbert", "3", "3", "2")
@@ -140,8 +161,7 @@ class TestSubcommands:
     def test_profile_nonzero_sum_exit_two(self, capsys, monkeypatch):
         profile = cli.point_invariant_profile
         monkeypatch.setattr(cli, "point_invariant_profile", lambda alg, pt:
-                            dataclasses.replace(profile(alg, pt),
-                                                total=Fraction(1, 2)))
+                            profile(alg, pt)._replace(total=Fraction(1, 2)))
         code, out, err = run_cli(capsys, "profile", "quartic", "-P", "0,1,0")
         assert code == 2
         assert json.loads(out)["sum"] == "1/2"
@@ -422,14 +442,23 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    # an empty search box is no evidence: no report, no verdict; and
+    # --target goes through the instance checks, where 0 is no target
     @pytest.mark.parametrize("argv", [("verify", "quartic", "--bound", "-1"),
-                                      ("search", "quartic", "-B", "-1")])
+                                      ("search", "quartic", "-B", "-1"),
+                                      ("verify", "quartic", "--target", "0")])
     def test_negative_bound_is_usage_error(self, capsys, argv):
-        # an empty search box is no evidence: no report, no verdict
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("m", ["1", "257"])
+    def test_sieve_modulus_out_of_range_is_usage_error(self, capsys, m):
+        # the sieve evaluates f at m^3 classes: 257 is past the cap
+        code, out, err = run_cli(capsys, "sieve", "cubic", "-m", m)
+        assert (code, out) == (1, "")
+        assert err == "error: modulus must be from 2 to 256, got %s\n" % m
 
     # above 64 the 2-adic table has no level to certify a class at
     @pytest.mark.parametrize("modulus", ["16", True, 6, 1, 128, 4096])

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -893,8 +892,8 @@ class TestPadicRecords:
         assert searched == []
 
     def test_null_witness_no_records(self, quartic_instance, searched):
-        inst = dataclasses.replace(quartic_instance, rational_witness=None,
-                                   search_bound=5)
+        inst = quartic_instance._replace(rational_witness=None,
+                                         search_bound=5)
         verdict, step = self.padic_step(inst)
         assert verdict == INCONCLUSIVE
         assert step == {"records": [], "uncovered_bad_primes": []}
@@ -919,6 +918,9 @@ class TestDecide:
         ("rational_witness", None, {"witness": None}, []),
         # no accepted point: no square-sampling evidence
         ("square_sampling", "accepted", 0, []),
+        # a violation of either scan
+        ("real_scan", "violations", [[1, 1, 1]], []),
+        ("odd_place_scan", "violations", [[[1, 1, 1], 3]], []),
     ])
     def test_refused(self, quartic_steps, quartic_algebra, step, key, value,
                      flags):
@@ -945,7 +947,7 @@ class TestDecide:
         real = obstruction.point_invariant_profile
 
         def half_sum(alg, point):
-            return dataclasses.replace(real(alg, point), total=Fraction(1, 2))
+            return real(alg, point)._replace(total=Fraction(1, 2))
 
         monkeypatch.setattr(obstruction, "point_invariant_profile", half_sum)
         with pytest.raises(InternalInconsistencyError, match="invariant sum"):
@@ -960,7 +962,7 @@ class TestDecide:
         def split_at_two(alg, point):
             prof = real(alg, point)
             invs = tuple((pl, Fraction(0)) for pl, _ in prof.invariants)
-            return dataclasses.replace(prof, invariants=invs, total=0)
+            return prof._replace(invariants=invs, total=0)
 
         monkeypatch.setattr(obstruction, "point_invariant_profile",
                             split_at_two)
