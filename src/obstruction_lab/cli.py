@@ -269,7 +269,7 @@ def _dispatch(args):
     if cmd == "table":
         instance = load_instance(args.instance)
         _emit({str(t): class_invariant_table(
-                   instance.algebra,
+                   instance.f, t, instance.algebra,
                    residue_sieve(instance.f, instance.sieve_modulus, t))
                for t in instance.targets}, None)
         return EXIT_OK

@@ -12,7 +12,6 @@ from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import product
 from math import gcd, prod
 
 from .exactarith import (FACTOR_BOUND, FactorizationError, factor, jacobi,
@@ -21,7 +20,8 @@ from .exactarith import (FACTOR_BOUND, FactorizationError, factor, jacobi,
 from .localsymbols import (INV_HALF, INV_ZERO, Place, invariant_total,
                            local_invariant, symbol_at_prime)
 from .multipoly import SOURCE_GLOBALS, MultiPoly
-from .padicsolve import padic_solutions_exist, verify_rational_witness
+from .padicsolve import (lift_classes, padic_solutions_exist,
+                         verify_rational_witness)
 
 # The root seed of `obstruction_verdict`; each sampling stage derives its
 # own seed from it.
@@ -179,54 +179,53 @@ def residue_sieve(f, m, target):
     return {"modulus": m, "count": len(classes), "classes": classes}
 
 
-def _invariant_at_level(alg, m, residues, level):
-    """The local invariant at 2 shared by all lifts of the class of residues
-    mod m to modulus 2**level, or None if some lift has an entry of
-    valuation above level - 3 (or zero) or two lifts disagree."""
-    values = alg.factor_values
-    over = 1 << (level - 2)  # an entry it divides has valuation > level - 3
-    x0, y0, z0 = residues
-    symbols = set()
-    for i, j, k in product(range(2 ** level // m), repeat=3):
-        a, b, _ = values((x0 + i * m, y0 + j * m, z0 + k * m))
-        if a % over == 0 or b % over == 0:
-            return None
-        symbols.add(symbol_at_prime(a, b, 2))
-        if len(symbols) > 1:
-            return None
-    return INV_HALF if symbols.pop() == -1 else INV_ZERO
+def class_invariant_table(f, target, alg, sieve):
+    """Certified 2-adic invariant of the algebra on each class of the sieve
+    record of f = target, as its report record (entries in sieve order).
 
-
-def class_invariant_table(alg, sieve):
-    """Certified 2-adic invariant of the algebra on each class of a sieve
-    record, as its report record (entries in sieve order; an undetermined
-    entry has invariant None and depth 0).
-
-    An entry is certified at the first level L (3 <= L < TABLE_MAX_EXPONENT,
-    and 2**L a proper multiple of the modulus) at which every lift of the
-    class to modulus 2**L has both entries of valuation v_2 <= L - 3 and all
-    lifts share one invariant; its depth is L.  One level suffices: a 2-adic
-    point of the class is congruent to some lift mod 2**L, so its entries
-    have the same valuations as that lift's and the same units mod 8, and
-    (a, b)_2 depends only on those (Serre, A Course in Arithmetic, III.1).
+    Each class mod 2**k is the root of a tree of classes mod 2**L where
+    f = target.  A node at L >= 3 with both entries nonzero mod 2**(L - 2)
+    is a leaf: its 2-adic points share the entries' valuations and units
+    mod 8, which fix (a, b)_2 (Serre, A Course in Arithmetic, III.1).
+    Other nodes are lifted (`lift_classes`), never to TABLE_MAX_EXPONENT.
+    The entry is the symbol the leaves share, at the deepest leaf's depth;
+    None at depth 0 if they disagree or a branch reaches the cap; "empty"
+    if every branch dies, at the first level with no lift left.
     """
     m = sieve["modulus"]
     k = m.bit_length() - 1
     if m != 1 << k:
         raise ValueError("modulus must be a power of 2")
+    fn = f.evaluator()
+    values = alg.factor_values
     entries = []
     for cls in sieve["classes"]:
-        inv, depth = None, 0
-        for level in range(max(k + 1, 3), TABLE_MAX_EXPONENT):
-            inv = _invariant_at_level(alg, m, cls, level)
-            if inv is not None:
-                depth = level
+        nodes, level, symbols, depth = [tuple(cls)], k, set(), 0
+        while nodes:
+            # an entry that over does not divide has valuation <= level - 3
+            over = 1 << level - 2 if level >= 3 else 0
+            inner = []
+            for node in nodes:
+                a, b, _ = values(node)
+                if over and a % over and b % over:
+                    symbols.add(symbol_at_prime(a, b, 2))
+                    depth = level
+                else:
+                    inner.append(node)
+            if len(symbols) > 1 or inner and level + 1 >= TABLE_MAX_EXPONENT:
+                inv, depth = None, 0
                 break
-        entries.append({"class": list(cls),
-                        "invariant": None if inv is None else str(inv),
-                        "depth": depth})
-    return {"determined": all(e["invariant"] is not None for e in entries),
-            "all_half": all(e["invariant"] == str(INV_HALF) for e in entries),
+            nodes = lift_classes(fn, target, 2, inner, 1 << level)
+            level += 1
+        else:
+            inv = (str(INV_HALF if symbols.pop() == -1 else INV_ZERO)
+                   if symbols else "empty")
+            depth = depth or level  # a leaf's level, or the empty level
+        entries.append({"class": list(cls), "invariant": inv, "depth": depth})
+    invs = [e["invariant"] for e in entries]
+    return {"determined": None not in invs,
+            "all_half": str(INV_HALF) in invs
+            and set(invs) <= {str(INV_HALF), "empty"},
             "entries": entries}
 
 
@@ -695,10 +694,10 @@ class ObstructionInstance(namedtuple(
         if type(self.search_bound) is not int or self.search_bound < 0:
             raise ValueError("search_bound must be an int >= 0, got %r"
                              % (self.search_bound,))
-        # the 2-adic table lifts the sieve classes to moduli 2**L, with
-        # 2**L a proper multiple of m and L < TABLE_MAX_EXPONENT
+        # the 2-adic table certifies a sieve class at the class's own level
+        # or a later one, and at levels below TABLE_MAX_EXPONENT
         m = self.sieve_modulus
-        top = 1 << (TABLE_MAX_EXPONENT - 2)
+        top = 1 << (TABLE_MAX_EXPONENT - 1)
         if type(m) is not int or m < 2 or m > top or m & (m - 1):
             raise ValueError("sieve_modulus must be a power of 2 from 2 to "
                              "%d, got %r" % (top, m))
@@ -774,8 +773,8 @@ def obstruction_verdict(instance, seed=DEFAULT_SEED):
     # 3-4. sieve and invariant table, per target
     steps["sieve"] = {str(t): residue_sieve(f, instance.sieve_modulus, t)
                       for t in instance.targets}
-    steps["invariant_table"] = {t: class_invariant_table(alg, sieve)
-                                for t, sieve in steps["sieve"].items()}
+    steps["invariant_table"] = {t: class_invariant_table(f, int(t), alg, s)
+                                for t, s in steps["sieve"].items()}
 
     # 5-6. real and odd-place scans
     steps["real_scan"] = real_unramified_scan(alg, REAL_SAMPLES,
@@ -814,9 +813,9 @@ def decide(steps, alg):
     InternalInconsistencyError only when its profile contradicts the
     records: a nonzero invariant sum (reciprocity fails), or an invariant
     at 2 other than 1/2 (the table is wrong).  Every solution otherwise
-    gives NOT_OBSTRUCTED.  OBSTRUCTED requires, for every target, a
-    nonempty sieve whose classes all have certified 2-adic invariant 1/2,
-    and then no real or odd-place violation, at least one accepted
+    gives NOT_OBSTRUCTED.  OBSTRUCTED requires, for every target, sieve
+    classes all certified 1/2 or "empty" (no 2-adic point), one of them
+    1/2; then no real or odd-place violation, at least one accepted
     square-sampling point and no counterexample, a rational witness that
     matches (without one nothing shows local solubility), and no bad prime
     of it left uncovered by the p-adic search records.  Anything else is
@@ -830,7 +829,9 @@ def decide(steps, alg):
         entries = steps["invariant_table"][t]["entries"]
         half = {tuple(e["class"]) for e in entries
                 if e["invariant"] == str(INV_HALF)}
-        certified = certified and bool(classes) and half == classes
+        empty = {tuple(e["class"]) for e in entries
+                 if e["invariant"] == "empty"}
+        certified = certified and bool(half) and half | empty == classes
         for s in search["solutions"]:
             if tuple(c % m for c in s) in half:
                 prof = point_invariant_profile(alg, s)

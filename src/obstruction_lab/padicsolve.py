@@ -44,16 +44,35 @@ def _newton_at(fn, partials, point, target, p):
     return ok, fv, best
 
 
+def lift_classes(fn, target, p, classes, mod):
+    """The sorted lifts mod p*mod of the residue triples mod mod in classes
+    at which fn, the evaluator of f, takes the target value mod p*mod."""
+    step = mod
+    mod *= p
+    nxt = []
+    for x, y, z in classes:
+        for dx in range(p):
+            x2 = x + dx * step
+            for dy in range(p):
+                y2 = y + dy * step
+                for dz in range(p):
+                    z2 = z + dz * step
+                    if (fn(x2, y2, z2) - target) % mod == 0:
+                        nxt.append((x2, y2, z2))
+    nxt.sort()
+    return nxt
+
+
 def padic_solutions_exist(f, target, p, maxdepth=None):
     """Decide whether f(x, y, z) = target has a solution in p-adic integers.
 
     Breadth-first search over residue triples mod p, p^2, ...: each level
-    lifts the classes of the one before, and level 1 lifts the single class
-    mod 1.  A branch is accepted when a single partial derivative satisfies
-    the Newton inequality v_p(f - target) > 2 * v_p(partial); it is pruned
-    when f - target is not divisible by the level modulus.  Lexicographic
-    traversal, so identical inputs always report the identical witness
-    class.
+    lifts the classes of the one before (`lift_classes`), and level 1 lifts
+    the single class mod 1.  A branch is accepted when a single partial
+    derivative satisfies the Newton inequality
+    v_p(f - target) > 2 * v_p(partial); it is pruned when f - target is not
+    divisible by the level modulus.  Lexicographic traversal, so identical
+    inputs always report the identical witness class.
     """
     if maxdepth is None:
         maxdepth = 8 if p == 2 else 4
@@ -64,20 +83,8 @@ def padic_solutions_exist(f, target, p, maxdepth=None):
 
     frontier, mod = [(0, 0, 0)], 1
     for level in range(1, maxdepth + 1):
-        step = mod
+        frontier = lift_classes(fn, target, p, frontier, mod)
         mod *= p
-        nxt = []
-        for x, y, z in frontier:
-            for dx in range(p):
-                x2 = x + dx * step
-                for dy in range(p):
-                    y2 = y + dy * step
-                    for dz in range(p):
-                        z2 = z + dz * step
-                        if (fn(x2, y2, z2) - target) % mod == 0:
-                            nxt.append((x2, y2, z2))
-        nxt.sort()
-        frontier = nxt
         for pt in frontier:
             ok, fv, dv = _newton_at(fn, partials, pt, target, p)
             if ok:

@@ -460,8 +460,9 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == "error: modulus must be from 2 to 256, got %s\n" % m
 
-    # above 64 the 2-adic table has no level to certify a class at
-    @pytest.mark.parametrize("modulus", ["16", True, 6, 1, 128, 4096])
+    # the 2-adic table certifies a class at its own level at the earliest,
+    # and only below level 8: above 128 it has no level left
+    @pytest.mark.parametrize("modulus", ["16", True, 6, 1, 256, 4096])
     def test_bad_sieve_modulus_is_usage_error(self, capsys, tmp_path,
                                               quartic_path, monkeypatch,
                                               modulus):
@@ -479,8 +480,15 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err.startswith("error: sieve_modulus ")
-        assert "64" in err
+        assert "128" in err
         assert err.count("\n") == 1
+
+    def test_largest_sieve_modulus_loads(self, quartic_path):
+        # a class mod 128 is a root at level 7, the last level of the table
+        path, doc = quartic_path
+        doc["sieve_modulus"] = 128
+        path.write_text(json.dumps(doc))
+        assert cli.load_instance(str(path)).sieve_modulus == 128
 
     @pytest.mark.parametrize("key, value", [
         ("targets", [True]), ("targets", [1.5]), ("targets", "1"),

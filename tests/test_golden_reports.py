@@ -14,12 +14,12 @@ import pytest
 from obstruction_lab import cli
 
 GOLDEN_SHA256 = {
-    "quartic": "871d55fcdbc2c955995fbf89044494bdcda8b74e9f8f853ca0c0541e5916a374",
+    "quartic": "f51fbf94b4e1bf5b512b83d1dd7438bbe892a0f4e44caffa4626f38d90c78b85",
     "cubic": "e0b83058aa3cd2d8b8aa636db84e3c6e010a12a4cd7fa639fcbcbc9deea96f52",
 }
 
 DEFAULT_SEED_SHA256 = {
-    "quartic": "e0dcfcb36a38657fbbf4890ba8928cace79caa73ba8484f3f1891f8bed8c2ff4",
+    "quartic": "1acea2b5de9ebd26a29fbf8c760cacaa2df8b9faefa99032b61ae8b883fd6061",
     "cubic": "31da6e63ae909c9584366d2e0a9f6c544c61fc92f1143f79996c51d55fcbcf51",
 }
 

@@ -28,8 +28,7 @@ from obstruction_lab.obstruction import (DEFAULT_SEED, INCONCLUSIVE,
                                          _square_primes,
                                          class_invariant_table, integer_search,
                                          naive_integer_search,
-                                         check_odd_scan_factors,
-                                         _invariant_at_level, decide,
+                                         check_odd_scan_factors, decide,
                                          odd_place_scan,
                                          obstruction_verdict,
                                          point_invariant_profile,
@@ -79,15 +78,21 @@ class TestResidueSieve:
             assert tuple(-c % 16 for c in r) in classes
 
 
+# f = x^2 with target 1 keeps, at every level L, the lifts of (1, 0, 0)
+# mod 2 with x = +-1 mod 2**(L - 1): a tree whose branches never die
+X_SQUARED = MultiPoly([(1, (2, 0, 0))])
+
+
 class TestInvariantTable:
     def test_quartic_all_half(self, fq, quartic_algebra):
-        table = class_invariant_table(quartic_algebra,
+        table = class_invariant_table(fq, 1, quartic_algebra,
                                       residue_sieve(fq, 16, 1))
         assert invariants(table) == ["1/2"] * 512
         assert table["determined"] and table["all_half"]
 
     def test_cubic_all_half(self, fc, cubic_algebra):
-        table = class_invariant_table(cubic_algebra, residue_sieve(fc, 2, 1))
+        table = class_invariant_table(fc, 1, cubic_algebra,
+                                      residue_sieve(fc, 2, 1))
         assert invariants(table) == ["1/2"] * 2
         assert table["determined"] and table["all_half"]
 
@@ -95,15 +100,15 @@ class TestInvariantTable:
         one = MultiPoly([(1, (0, 0, 0))])
         alg = QuaternionAlgebraSpec(one, one)
         table = class_invariant_table(
-            alg, first_classes(residue_sieve(fq, 16, 1), 8))
+            fq, 1, alg, first_classes(residue_sieve(fq, 16, 1), 8))
         assert invariants(table) == ["0"] * 8
         assert table["determined"] and not table["all_half"]
 
     def test_refinement_stability(self, fq, quartic_algebra, monkeypatch):
         sieve = first_classes(residue_sieve(fq, 16, 1), 16)
-        t1 = class_invariant_table(quartic_algebra, sieve)
+        t1 = class_invariant_table(fq, 1, quartic_algebra, sieve)
         monkeypatch.setattr(obstruction, "TABLE_MAX_EXPONENT", 9)
-        t2 = class_invariant_table(quartic_algebra, sieve)
+        t2 = class_invariant_table(fq, 1, quartic_algebra, sieve)
         for e1, e2 in zip(t1["entries"], t2["entries"], strict=True):
             assert e1["class"] == e2["class"]
             if e1["invariant"] is not None:
@@ -112,31 +117,36 @@ class TestInvariantTable:
     @pytest.mark.parametrize("which,targets", [("quartic", (1,)),
                                                ("cubic", (1, -1))])
     def test_one_level_certificate(self, which, targets, request):
-        # every entry is re-derived without hilbert_symbol: its lifts have
-        # v_2 <= depth - 3 in both algebra entries, and the oracle agrees
-        # with it at random points of the class
+        # every entry is re-derived without the tree: at integer points of
+        # the class with f = t mod 2**depth (on these instances every such
+        # point lies in a leaf), solubility_oracle and the profile's
+        # invariant at 2 agree with the entry
         instance = request.getfixturevalue(which + "_instance")
-        alg = instance.algebra
+        f, alg = instance.f, instance.algebra
         rng = random.Random(83)
         two = Place(2)
         for t in targets:
-            sieve = residue_sieve(instance.f, instance.sieve_modulus, t)
-            table = class_invariant_table(alg, sieve)
+            sieve = residue_sieve(f, instance.sieve_modulus, t)
+            table = class_invariant_table(f, t, alg, sieve)
             assert len(table["entries"]) == len(sieve["classes"]) > 0
             m = sieve["modulus"]
             for e in table["entries"]:
                 cls, inv, depth = e["class"], e["invariant"], e["depth"]
-                assert inv is not None and depth >= 3
-                steps = range(2 ** depth // m)
-                for i, j, k in itertools.product(steps, repeat=3):
-                    lift = tuple(r + n * m for r, n in zip(cls, (i, j, k)))
-                    for v in alg.factor_values(lift)[:2]:
-                        assert v != 0 and v % 2 ** (depth - 2) != 0
-                for _ in range(2):
-                    pt = tuple(r + m * rng.randrange(10 ** 6 // m)
+                assert inv in ("0", "1/2") and depth >= 3
+                drawn = 0
+                while drawn < 2:
+                    pt = tuple(r + m * rng.randrange(10 ** 3 // m)
                                for r in cls)
-                    a, b, _ = alg.factor_values(pt)
+                    if (f.evaluate_int(pt) - t) % 2 ** depth:
+                        continue
+                    try:
+                        prof = point_invariant_profile(alg, pt)
+                    except FactorizationError:
+                        continue
+                    drawn += 1
+                    a, b = prof.values
                     assert solubility_oracle(a, b, two) is (inv == "0")
+                    assert str(dict(prof.invariants)[two]) == inv
 
     @pytest.mark.parametrize("v,depth", [(0, 3), (4, 7), (5, 0)])
     def test_depth_is_first_level_past_the_valuation(self, v, depth):
@@ -144,8 +154,8 @@ class TestInvariantTable:
         # from v = 5 on that level is not below TABLE_MAX_EXPONENT = 8
         alg = QuaternionAlgebraSpec(MultiPoly([(3 * 2 ** v, (0, 0, 0))]),
                                     MultiPoly([(3, (0, 0, 0))]))
-        table = class_invariant_table(alg, {"modulus": 2,
-                                            "classes": [[1, 0, 0]]})
+        table = class_invariant_table(X_SQUARED, 1, alg,
+                                      {"modulus": 2, "classes": [[1, 0, 0]]})
         inv = None if depth == 0 else "1/2"  # (3, 3)_2 = -1, v even
         assert table["entries"] == [{"class": [1, 0, 0], "invariant": inv,
                                      "depth": depth}]
@@ -156,15 +166,15 @@ class TestInvariantTable:
         # valuation varies over lifts, so no certification is possible
         alg = QuaternionAlgebraSpec(MultiPoly([(1, (0, 2, 0))]),
                                     MultiPoly([(1, (0, 0, 2))]))
-        table = class_invariant_table(alg, {"modulus": 2,
-                                            "classes": [[1, 0, 0]]})
+        table = class_invariant_table(X_SQUARED, 1, alg,
+                                      {"modulus": 2, "classes": [[1, 0, 0]]})
         assert invariants(table) == [None]
         assert not table["determined"] and not table["all_half"]
 
     def test_undetermined_when_lifts_disagree(self):
-        # entries x^2 - y^2 and xy + z^2 on the class (0, 1, 1): both are
-        # odd at every lift mod 8, but the lifts' symbols at 2 differ, at
-        # every level, so the entry is left undetermined
+        # entries x^2 - y^2 and xy + z^2 on the class (0, 1, 1): f = y^2
+        # keeps every lift mod 8 for t = 1, both entries are odd there, and
+        # the leaves' symbols at 2 differ, so the entry is left undetermined
         alg = QuaternionAlgebraSpec(
             MultiPoly([(1, (2, 0, 0)), (-1, (0, 2, 0))]),
             MultiPoly([(1, (1, 1, 0)), (1, (0, 0, 2))]))
@@ -175,17 +185,37 @@ class TestInvariantTable:
             assert a % 2 and b % 2
             symbols.add(symbol_at_prime(a, b, 2))
         assert symbols == {1, -1}
-        assert _invariant_at_level(alg, 2, (0, 1, 1), 3) is None
-        table = class_invariant_table(alg, {"modulus": 2,
-                                            "classes": [[0, 1, 1]]})
+        y_squared = MultiPoly([(1, (0, 2, 0))])
+        table = class_invariant_table(y_squared, 1, alg,
+                                      {"modulus": 2, "classes": [[0, 1, 1]]})
         assert table["entries"] == [{"class": [0, 1, 1], "invariant": None,
                                      "depth": 0}]
         assert not table["determined"] and not table["all_half"]
 
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_empty_classes_hold_no_lift(self, fq, quartic_algebra, m):
+        # from modulus 2 or 4 the classes outside (0, 1, 1) mod 2 hold no
+        # 2-adic point of f = 1: at an empty entry's depth no lift of the
+        # class solves f = 1, checked by brute force
+        sieve = residue_sieve(fq, m, 1)
+        table = class_invariant_table(fq, 1, quartic_algebra, sieve)
+        assert table["determined"] and table["all_half"]
+        for e in table["entries"]:
+            cls, inv, depth = e["class"], e["invariant"], e["depth"]
+            assert inv == ("1/2" if [r % 2 for r in cls] == [0, 1, 1]
+                           else "empty")
+            if inv == "empty":
+                n = 2 ** depth
+                assert not any(
+                    fq.evaluate_mod(lift, n) == 1
+                    for lift in itertools.product(
+                        *(range(r, n, m) for r in cls)))
+
     def test_modulus_not_a_power_of_two_refused(self):
         one = MultiPoly([(1, (0, 0, 0))])
         with pytest.raises(ValueError):
-            class_invariant_table(QuaternionAlgebraSpec(one, one),
+            class_invariant_table(X_SQUARED, 1,
+                                  QuaternionAlgebraSpec(one, one),
                                   {"modulus": 6, "classes": [[1, 0, 0]]})
 
 
@@ -250,7 +280,8 @@ class TestPointProfile:
     def test_consistency_triangle(self, fq, quartic_algebra):
         # points congruent to sieve classes have the tabulated 2-adic invariant
         table = class_invariant_table(
-            quartic_algebra, first_classes(residue_sieve(fq, 16, 1), 8))
+            fq, 1, quartic_algebra,
+            first_classes(residue_sieve(fq, 16, 1), 8))
         from obstruction_lab.localsymbols import Place, local_invariant
         for e in table["entries"]:
             assert e["invariant"] is not None
@@ -838,6 +869,17 @@ class TestVerdict:
         search = report["steps"]["integer_search"]["-1"]
         assert [0, 1, 0] in search["solutions"]
 
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_quartic_small_sieve_modulus_obstructed(self, quartic_instance,
+                                                    m):
+        # the classes outside (0, 1, 1) mod 2 are "empty", the rest 1/2
+        # (test_empty_classes_hold_no_lift)
+        inst = quartic_instance._replace(sieve_modulus=m, search_bound=50)
+        report = obstruction_verdict(inst)
+        assert report["verdict"] == OBSTRUCTED
+        entries = report["steps"]["invariant_table"]["1"]["entries"]
+        assert {e["invariant"] for e in entries} == {"1/2", "empty"}
+
 
 def diagonal_quartic(a, b, target, witness):
     """a x^4 + b y^4 + z^4 = target with the algebra (y^2, z^2) and the
@@ -881,15 +923,20 @@ class TestPadicRecords:
         assert step["uncovered_bad_primes"] == []
         assert searched == [2, 3]
 
-    def test_prime_above_cap_not_searched(self, searched):
-        p = 103
-        assert p > PADIC_SEARCH_MAX_PRIME
+    @pytest.mark.parametrize("p", [101, 103])
+    def test_prime_above_cap_not_searched(self, searched, p):
+        # the cap itself is searched, the next prime is not
+        assert (p > PADIC_SEARCH_MAX_PRIME) is (p == 103)
         # 1 + 2 + 1 = 4, which no integer point in the box reaches
         inst = diagonal_quartic(p ** 4, 2, 4, (Fraction(1, p), 1, 1))
-        verdict, step = self.padic_step(inst)
-        assert verdict == INCONCLUSIVE
-        assert step == {"records": [], "uncovered_bad_primes": [p]}
-        assert searched == []
+        _, step = self.padic_step(inst)
+        if p == 103:
+            assert step == {"records": [], "uncovered_bad_primes": [p]}
+            assert searched == []
+        else:
+            assert [(r["p"], r["ok"]) for r in step["records"]] == [(p, True)]
+            assert step["uncovered_bad_primes"] == []
+            assert searched == [p]
 
     def test_null_witness_no_records(self, quartic_instance, searched):
         inst = quartic_instance._replace(rational_witness=None,
@@ -973,4 +1020,12 @@ class TestDecide:
         # all_half stays true; the entry it summarizes no longer says 1/2
         steps = copy.deepcopy(quartic_steps)
         steps["invariant_table"]["1"]["entries"][0]["invariant"] = None
+        assert decide(steps, quartic_algebra) == (INCONCLUSIVE, [])
+
+    def test_all_empty_table_refused(self, quartic_steps, quartic_algebra):
+        # classes without a 2-adic point show no obstruction: at least one
+        # class must be certified 1/2
+        steps = copy.deepcopy(quartic_steps)
+        for e in steps["invariant_table"]["1"]["entries"]:
+            e["invariant"] = "empty"
         assert decide(steps, quartic_algebra) == (INCONCLUSIVE, [])
