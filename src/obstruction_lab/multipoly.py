@@ -5,7 +5,8 @@ with no zero coefficients and no duplicate exponent triples.  All arithmetic
 is exact; identity verification is by full expansion, never by sampling.
 
 Each form evaluates through one function, compiled on first use from its
-coefficients and exponents (`MultiPoly.evaluator`).
+coefficients and exponents (`MultiPoly.evaluator`), and solves the residue
+lifts of one (x, y) row for z through one more (`MultiPoly.row_kernel`).
 """
 
 from collections import namedtuple
@@ -39,6 +40,13 @@ def _term_source(c, exps):
     return "*".join(mono)
 
 
+def _chained_sum(chunks):
+    """Source of the sum of the chunk sources, each a chain of at most
+    _SUM_CHUNK terms."""
+    return ("sum((%s,))" % ", ".join(chunks) if len(chunks) > 1
+            else chunks[0] if chunks else "0")
+
+
 # The globals of compiled sources: no builtins but the one `sum` they call.
 SOURCE_GLOBALS = {"__builtins__": {}, "sum": sum}
 
@@ -47,7 +55,8 @@ class MultiPoly:
     """Integer-coefficient polynomial in three variables."""
 
     # what a form derives from its terms, built on first use (`_derived`)
-    __slots__ = ("terms", "_evaluator", "_gradient", "_z_coefficients")
+    __slots__ = ("terms", "_evaluator", "_gradient", "_z_coefficients",
+                 "_row_kernel")
 
     def __init__(self, terms=()):
         # terms: iterable of (coeff, (ex, ey, ez)); combined and canonicalized.
@@ -129,8 +138,7 @@ class MultiPoly:
                     src = "-"
                 src += _term_source(c, exps)
             chunks.append(src)
-        return ("sum((%s,))" % ", ".join(chunks) if len(chunks) > 1
-                else chunks[0] if chunks else "0")
+        return _chained_sum(chunks)
 
     def evaluator(self):
         """The form as a function of (x, y, z), compiled once per form: its
@@ -166,11 +174,61 @@ class MultiPoly:
         """(c_0, ..., c_d) with self = sum c_k z^k, each c_k a form in x and
         y, built once per form."""
         def build():
-            by_z = [[] for _ in range(max(e[2] for _, e in self.terms) + 1)]
+            by_z = [[] for _ in range(
+                max((e[2] for _, e in self.terms), default=-1) + 1)]
             for c, (ex, ey, ez) in self.terms:
                 by_z[ez].append((c, (ex, ey, 0)))
             return tuple(MultiPoly(grp) for grp in by_z)
         return self._derived("_z_coefficients", build)
+
+    def row_kernel(self):
+        """(column, row): two functions, compiled once per form from the
+        sources of its `z_coefficients`, that find where the form takes a
+        target value t mod M on a list of values of z.
+
+        column(zs, t, M) lists one entry per value w in zs: the z-only part
+        of the form at w minus t, and the powers of w whose coefficients
+        vary with x or y, all reduced mod M.  row(x, y, column, M) computes
+        those coefficients at (x, y) once and returns, in one list
+        comprehension over the column, the indices of the lifts where the
+        form is t mod M.  A class is solved with one column and one row
+        call per (x, y), in place of one evaluation per triple."""
+        def build():
+            fixed, varying = [], []  # z-only terms; (k, source) of the rest
+            for k, c in enumerate(self.z_coefficients()):
+                rest = [(a, e) for a, e in c.terms if e != (0, 0, 0)]
+                fixed.extend((a, (0, 0, k)) for a, e in c.terms
+                             if e == (0, 0, 0))
+                if rest:
+                    varying.append((k, MultiPoly(rest).source()))
+            powers = [k for k, _ in varying if k]
+            entry = ["(%s - t) %% M" % MultiPoly(fixed).source()]
+            entry += ["%s %% M" % MultiPoly([(1, (0, 0, k))]).source()
+                      for k in powers]
+            if powers:
+                terms = ["g"] + ["a%d * z%d" % (k, k) for k in powers]
+                total = _chained_sum([" + ".join(terms[j:j + _SUM_CHUNK])
+                                      for j in range(0, len(terms),
+                                                     _SUM_CHUNK)])
+                entry = "(%s)" % ", ".join(entry)
+                unpack = "(%s)" % ", ".join(["g"] + ["z%d" % k
+                                                    for k in powers])
+                test = "(%s) %% M == r" % total
+            else:  # each entry is g alone, already reduced mod M
+                entry, unpack, test = entry[0], "g", "g == r"
+            offset = "".join(" - (%s)" % src for k, src in varying if not k)
+            src = ["def column(zs, t, M):",
+                   "    return [%s for z in zs]" % entry,
+                   "def row(x, y, col, M):",
+                   "    r = (0%s) %% M" % offset]
+            src += ["    a%d = (%s) %% M" % (k, s) for k, s in varying if k]
+            src.append("    return [i for i, %s in enumerate(col) if %s]"
+                       % (unpack, test))
+            namespace = {}
+            exec("\n".join(src), dict(SOURCE_GLOBALS, enumerate=enumerate),
+                 namespace)
+            return namespace["column"], namespace["row"]
+        return self._derived("_row_kernel", build)
 
     def partial(self, var):
         """Partial derivative with respect to variable index 0, 1, or 2."""

@@ -50,8 +50,10 @@ CURVE_POINT_TRIES = 64
 # legitimate run reaches the bound with probability about e**-45.
 SQUARE_FRUITLESS_DRAWS = 100000
 
-# The largest modulus `residue_sieve` takes: it evaluates f at all m**3
-# classes, about 9 s per target on the bundled cubic at m = 256.
+# The largest modulus `residue_sieve` takes: it lifts its classes one prime
+# factor of m at a time, so its slowest case is a prime m near this cap,
+# one level of m**2 rows of m lifts: about 2 s per target on the bundled
+# cubic at m = 251, and 0.1-0.3 s at m = 256.
 SIEVE_MAX_MODULUS = 256
 
 # The 2-adic table tries the levels below this one before it leaves a class
@@ -63,8 +65,9 @@ TABLE_MAX_EXPONENT = 8
 SEARCH_MODULI = (16, 9, 25, 7, 11, 13, 17, 19, 23)
 
 # `verify` runs the p-adic search only at the rational witness's bad primes
-# up to this one: its first level alone evaluates f at p**3 residue triples
-# (about half a second at p = 101).  A larger bad prime stays uncovered.
+# up to this one: its first level alone solves p**2 rows of p residue
+# triples (0.03-0.1 s at p = 101 on the bundled forms).  A larger bad prime
+# stays uncovered.
 PADIC_SEARCH_MAX_PRIME = 101
 
 
@@ -163,19 +166,19 @@ def residue_sieve(f, m, target):
     (x, y, z) mod m with gcd(x, y, z, m) = 1 where f takes the target value
     mod m, sorted canonically.  A class whose coordinates all share a prime
     with m is skipped: no primitive point reduces to it.  m runs from 2 to
-    SIEVE_MAX_MODULUS."""
+    SIEVE_MAX_MODULUS.
+
+    The classes are lifted (`lift_classes`) from the one class mod 1 by
+    each prime factor of m in turn, with multiplicity."""
     if not 2 <= m <= SIEVE_MAX_MODULUS:
         raise ValueError("modulus must be from 2 to %d, got %d"
                          % (SIEVE_MAX_MODULUS, m))
-    t = target % m
-    fn = f.evaluator()
-    classes = []
-    for x in range(m):
-        for y in range(m):
-            g = gcd(x, y, m)
-            for z in range(m):
-                if gcd(g, z) == 1 and fn(x, y, z) % m == t:
-                    classes.append([x, y, z])
+    classes, mod = [(0, 0, 0)], 1
+    for p, e in sorted(factor(m).items()):
+        for _ in range(e):
+            classes = lift_classes(f, target, p, classes, mod)
+            mod *= p
+    classes = [list(c) for c in classes if gcd(*c, m) == 1]
     return {"modulus": m, "count": len(classes), "classes": classes}
 
 
@@ -196,7 +199,6 @@ def class_invariant_table(f, target, alg, sieve):
     k = m.bit_length() - 1
     if m != 1 << k:
         raise ValueError("modulus must be a power of 2")
-    fn = f.evaluator()
     values = alg.factor_values
     entries = []
     for cls in sieve["classes"]:
@@ -215,7 +217,7 @@ def class_invariant_table(f, target, alg, sieve):
             if len(symbols) > 1 or inner and level + 1 >= TABLE_MAX_EXPONENT:
                 inv, depth = None, 0
                 break
-            nodes = lift_classes(fn, target, 2, inner, 1 << level)
+            nodes = lift_classes(f, target, 2, inner, 1 << level)
             level += 1
         else:
             inv = (str(INV_HALF if symbols.pop() == -1 else INV_ZERO)
@@ -810,16 +812,17 @@ def decide(steps, alg):
 
     Such a solution is an integral point where the algebra is ramified at
     2, so some other place must ramify too.  It raises
-    InternalInconsistencyError only when its profile contradicts the
-    records: a nonzero invariant sum (reciprocity fails), or an invariant
-    at 2 other than 1/2 (the table is wrong).  Every solution otherwise
-    gives NOT_OBSTRUCTED.  OBSTRUCTED requires, for every target, sieve
-    classes all certified 1/2 or "empty" (no 2-adic point), one of them
-    1/2; then no real or odd-place violation, at least one accepted
-    square-sampling point and no counterexample, a rational witness that
-    matches (without one nothing shows local solubility), and no bad prime
-    of it left uncovered by the p-adic search records.  Anything else is
-    INCONCLUSIVE.
+    InternalInconsistencyError only when a solution contradicts the
+    records: it lies in no sieve class (the sieve missed it) or in a class
+    marked "empty" (the table is wrong), or its profile has a nonzero
+    invariant sum (reciprocity fails) or an invariant at 2 other than 1/2
+    (the table is wrong).  Every solution otherwise gives NOT_OBSTRUCTED.
+    OBSTRUCTED requires, for every target, sieve classes all certified 1/2
+    or "empty" (no 2-adic point), one of them 1/2; then no real or
+    odd-place violation, at least one accepted square-sampling point and no
+    counterexample, a rational witness that matches (without one nothing
+    shows local solubility), and no bad prime of it left uncovered by the
+    p-adic search records.  Anything else is INCONCLUSIVE.
     """
     found = False
     certified = True
@@ -833,7 +836,15 @@ def decide(steps, alg):
                  if e["invariant"] == "empty"}
         certified = certified and bool(half) and half | empty == classes
         for s in search["solutions"]:
-            if tuple(c % m for c in s) in half:
+            cls = tuple(c % m for c in s)
+            if cls not in classes:
+                raise InternalInconsistencyError(
+                    "integral solution %r lies in no sieve class" % (s,))
+            if cls in empty:
+                raise InternalInconsistencyError(
+                    "integral solution %r lies in a residue class certified "
+                    "to hold no 2-adic point" % (s,))
+            if cls in half:
                 prof = point_invariant_profile(alg, s)
                 if prof.total != 0:
                     raise InternalInconsistencyError(

@@ -44,21 +44,22 @@ def _newton_at(fn, partials, point, target, p):
     return ok, fv, best
 
 
-def lift_classes(fn, target, p, classes, mod):
+def lift_classes(f, target, p, classes, mod):
     """The sorted lifts mod p*mod of the residue triples mod mod in classes
-    at which fn, the evaluator of f, takes the target value mod p*mod."""
-    step = mod
-    mod *= p
+    at which the form f takes the target value mod p*mod.
+
+    Each class is solved row by row through f's `MultiPoly.row_kernel`:
+    the column of its p lifts of z is prepared once, and one row call per
+    lift (x, y) returns the indices of the lifts of z where f = target."""
+    column, row = f.row_kernel()
+    top = p * mod
     nxt = []
     for x, y, z in classes:
-        for dx in range(p):
-            x2 = x + dx * step
-            for dy in range(p):
-                y2 = y + dy * step
-                for dz in range(p):
-                    z2 = z + dz * step
-                    if (fn(x2, y2, z2) - target) % mod == 0:
-                        nxt.append((x2, y2, z2))
+        col = column(range(z, z + top, mod), target, top)
+        for x2 in range(x, x + top, mod):
+            for y2 in range(y, y + top, mod):
+                for i in row(x2, y2, col, top):
+                    nxt.append((x2, y2, z + i * mod))
     nxt.sort()
     return nxt
 
@@ -83,7 +84,7 @@ def padic_solutions_exist(f, target, p, maxdepth=None):
 
     frontier, mod = [(0, 0, 0)], 1
     for level in range(1, maxdepth + 1):
-        frontier = lift_classes(fn, target, p, frontier, mod)
+        frontier = lift_classes(f, target, p, frontier, mod)
         mod *= p
         for pt in frontier:
             ok, fv, dv = _newton_at(fn, partials, pt, target, p)

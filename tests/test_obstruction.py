@@ -72,6 +72,21 @@ class TestResidueSieve:
             if math.gcd(*c, m) == 1 and (fc.evaluate_int(c) - 3) % m == 0]
         assert classes
 
+    @pytest.mark.parametrize("form", ["fq", "fc"])
+    def test_matches_brute_force(self, form, request):
+        # the sieve lifts its classes one prime factor of m at a time; at
+        # every modulus to 40 it gives the record of the m**3 enumeration
+        f = request.getfixturevalue(form)
+        fn = f.evaluator()
+        for m in range(2, 41):
+            values = [(list(c), fn(*c) % m)
+                      for c in itertools.product(range(m), repeat=3)
+                      if math.gcd(*c, m) == 1]
+            for t in (1, -1, 3):
+                classes = [c for c, v in values if v == t % m]
+                assert residue_sieve(f, m, t) == {
+                    "modulus": m, "count": len(classes), "classes": classes}
+
     def test_symmetry_for_even_degree(self, fq):
         classes = set(map(tuple, residue_sieve(fq, 16, 1)["classes"]))
         for r in classes:
@@ -1014,6 +1029,28 @@ class TestDecide:
         monkeypatch.setattr(obstruction, "point_invariant_profile",
                             split_at_two)
         with pytest.raises(InternalInconsistencyError, match="at 2 is 0"):
+            decide(steps, quartic_algebra)
+
+    def test_solution_in_empty_class_raises(self, quartic_instance,
+                                            quartic_algebra):
+        # from modulus 2, the table marks (0, 1, 0) "empty": a search
+        # solution there contradicts it
+        steps = obstruction_verdict(quartic_instance._replace(
+            sieve_modulus=2, search_bound=5), seed=1)["steps"]
+        entries = steps["invariant_table"]["1"]["entries"]
+        assert {"class": [0, 1, 0], "invariant": "empty",
+                "depth": 2} in entries
+        steps["integer_search"]["1"]["solutions"] = [[0, 1, 0]]
+        with pytest.raises(InternalInconsistencyError, match="no 2-adic"):
+            decide(steps, quartic_algebra)
+
+    def test_solution_outside_sieve_raises(self, quartic_steps,
+                                           quartic_algebra):
+        # (0, 0, 1) is no sieve class of quartic mod 16 at target 1
+        steps = copy.deepcopy(quartic_steps)
+        assert [0, 0, 1] not in steps["sieve"]["1"]["classes"]
+        steps["integer_search"]["1"]["solutions"] = [[0, 0, 1]]
+        with pytest.raises(InternalInconsistencyError, match="no sieve"):
             decide(steps, quartic_algebra)
 
     def test_reads_entries_not_summary(self, quartic_steps, quartic_algebra):
