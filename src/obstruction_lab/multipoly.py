@@ -5,11 +5,14 @@ with no zero coefficients and no duplicate exponent triples.  All arithmetic
 is exact; identity verification is by full expansion, never by sampling.
 
 Each form evaluates through one function, compiled on first use from its
-coefficients and exponents (`MultiPoly.evaluator`), and solves the residue
-lifts of one (x, y) row for z through one more (`MultiPoly.row_kernel`).
+coefficients and exponents (`MultiPoly.evaluator`), and lifts residue
+classes through two more (`MultiPoly.row_kernel`): for the variable that
+the form holds in a single power, one lookup finds its lifts on a row of
+the other two.
 """
 
 from collections import namedtuple
+from math import gcd
 
 
 def _grlex_key(exps):
@@ -74,11 +77,11 @@ class MultiPoly:
         raise AttributeError("MultiPoly is immutable")
 
     def _derived(self, slot, build):
-        """The value kept in slot, set to build() on first use."""
+        """The value kept in slot, set to build(self) on first use."""
         try:
             return getattr(self, slot)
         except AttributeError:
-            value = build()
+            value = build(self)
             object.__setattr__(self, slot, value)
             return value
 
@@ -144,8 +147,7 @@ class MultiPoly:
         """The form as a function of (x, y, z), compiled once per form: its
         exact value at ints or Fractions, in plain int arithmetic at ints.
         Hot loops fetch it once and call it directly."""
-        return self._derived("_evaluator", lambda: eval(
-            "lambda x, y, z: " + self.source(), SOURCE_GLOBALS))
+        return self._derived("_evaluator", _compile_evaluator)
 
     def evaluate_int(self, at):
         """Exact value at a triple of ints or Fractions."""
@@ -167,68 +169,31 @@ class MultiPoly:
 
     def gradient(self):
         """The partial derivatives in x, y and z, built once per form."""
-        return self._derived("_gradient",
-                             lambda: tuple(self.partial(i) for i in range(3)))
+        return self._derived("_gradient", _partials)
 
     def z_coefficients(self):
         """(c_0, ..., c_d) with self = sum c_k z^k, each c_k a form in x and
         y, built once per form."""
-        def build():
-            by_z = [[] for _ in range(
-                max((e[2] for _, e in self.terms), default=-1) + 1)]
-            for c, (ex, ey, ez) in self.terms:
-                by_z[ez].append((c, (ex, ey, 0)))
-            return tuple(MultiPoly(grp) for grp in by_z)
-        return self._derived("_z_coefficients", build)
+        return self._derived("_z_coefficients", _split_by_z)
 
     def row_kernel(self):
-        """(column, row): two functions, compiled once per form from the
-        sources of its `z_coefficients`, that find where the form takes a
-        target value t mod M on a list of values of z.
+        """(j, column, row): the index j of the variable v the residue lifts
+        solve for, and two functions, compiled once per form, that find the
+        lifts of v where the form takes a target value t mod M.
 
-        column(zs, t, M) lists one entry per value w in zs: the z-only part
-        of the form at w minus t, and the powers of w whose coefficients
-        vary with x or y, all reduced mod M.  row(x, y, column, M) computes
-        those coefficients at (x, y) once and returns, in one list
-        comprehension over the column, the indices of the lifts where the
-        form is t mod M.  A class is solved with one column and one row
-        call per (x, y), in place of one evaluation per triple."""
-        def build():
-            fixed, varying = [], []  # z-only terms; (k, source) of the rest
-            for k, c in enumerate(self.z_coefficients()):
-                rest = [(a, e) for a, e in c.terms if e != (0, 0, 0)]
-                fixed.extend((a, (0, 0, k)) for a, e in c.terms
-                             if e == (0, 0, 0))
-                if rest:
-                    varying.append((k, MultiPoly(rest).source()))
-            powers = [k for k, _ in varying if k]
-            entry = ["(%s - t) %% M" % MultiPoly(fixed).source()]
-            entry += ["%s %% M" % MultiPoly([(1, (0, 0, k))]).source()
-                      for k in powers]
-            if powers:
-                terms = ["g"] + ["a%d * z%d" % (k, k) for k in powers]
-                total = _chained_sum([" + ".join(terms[j:j + _SUM_CHUNK])
-                                      for j in range(0, len(terms),
-                                                     _SUM_CHUNK)])
-                entry = "(%s)" % ", ".join(entry)
-                unpack = "(%s)" % ", ".join(["g"] + ["z%d" % k
-                                                    for k in powers])
-                test = "(%s) %% M == r" % total
-            else:  # each entry is g alone, already reduced mod M
-                entry, unpack, test = entry[0], "g", "g == r"
-            offset = "".join(" - (%s)" % src for k, src in varying if not k)
-            src = ["def column(zs, t, M):",
-                   "    return [%s for z in zs]" % entry,
-                   "def row(x, y, col, M):",
-                   "    r = (0%s) %% M" % offset]
-            src += ["    a%d = (%s) %% M" % (k, s) for k, s in varying if k]
-            src.append("    return [i for i, %s in enumerate(col) if %s]"
-                       % (unpack, test))
-            namespace = {}
-            exec("\n".join(src), dict(SOURCE_GLOBALS, enumerate=enumerate),
-                 namespace)
-            return namespace["column"], namespace["row"]
-        return self._derived("_row_kernel", build)
+        v is the variable the form holds in a single power k, z before y
+        before x, so that the form is C*v**k + R with C and R in the other
+        two variables u, w (in the order x, y, z).  column(vs, M) maps each
+        value of v**k mod M, or of C*v**k mod M when C is a constant, to
+        the values in vs that give it.  row(u, w, column, t, M) returns the
+        values of v where the form is t mod M at (u, w): the ones stored
+        under (t - R) mod M, or under (t - R)/C mod M when C is a unit mod
+        M, and else those of the keys that pass C*key = t - R mod M.  With
+        no such variable, v is z, each column entry holds a value of z, the
+        z-only part of the form and the powers of z whose coefficients vary,
+        mod M, and row computes those coefficients at (x, y) once and keeps
+        the values of z where the form is t, in one list comprehension."""
+        return self._derived("_row_kernel", _compile_row_kernel)
 
     def partial(self, var):
         """Partial derivative with respect to variable index 0, 1, or 2."""
@@ -240,6 +205,100 @@ class MultiPoly:
                 new[var] = e - 1
                 out.append((c * e, tuple(new)))
         return MultiPoly(out)
+
+
+# What a form derives from its terms, each built once per form by `_derived`.
+
+def _compile_evaluator(f):
+    return eval("lambda x, y, z: " + f.source(), SOURCE_GLOBALS)
+
+
+def _partials(f):
+    return tuple(f.partial(i) for i in range(3))
+
+
+def _split_by_z(f):
+    by_z = [[] for _ in range(
+        max((e[2] for _, e in f.terms), default=-1) + 1)]
+    for c, (ex, ey, ez) in f.terms:
+        by_z[ez].append((c, (ex, ey, 0)))
+    return tuple(MultiPoly(grp) for grp in by_z)
+
+
+def _monomial_source(c, j, k):
+    """Source of c times the k-th power of variable j."""
+    exps = [0, 0, 0]
+    exps[j] = k
+    return MultiPoly([(c, tuple(exps))]).source()
+
+
+def _lookup_kernel_source(f, j, k):
+    """Source of the row kernel of f = C*v**k + R, v variable j."""
+    v = "xyz"[j]
+    u, w = "xyz".replace(v, "")
+    coeff = MultiPoly((c, e[:j] + (0,) + e[j + 1:])
+                      for c, e in f.terms if e[j])
+    rest = MultiPoly((c, e) for c, e in f.terms if not e[j])
+    target = "(t - (%s)) %% M" % rest.source()
+    if len(coeff.terms) == 1 and coeff.terms[0][1] == (0, 0, 0):
+        # a constant C joins the key, so every row is one lookup
+        key = _monomial_source(coeff.terms[0][0], j, k)
+        body = ["    return col.get(%s, ())" % target]
+    else:
+        key = _monomial_source(1, j, k)
+        body = ["    c = (%s) %% M" % coeff.source(),
+                "    r = " + target,
+                "    if gcd(c, M) == 1:",
+                "        return col.get(r * pow(c, -1, M) % M, ())",
+                "    return [%s for key, %ss in col.items()"
+                " if (c * key - r) %% M == 0 for %s in %ss]" % (v, v, v, v)]
+    return ["def column(%ss, M):" % v,
+            "    col = {}",
+            "    for %s in %ss:" % (v, v),
+            "        col.setdefault((%s) %% M, []).append(%s)" % (key, v),
+            "    return col",
+            "def row(%s, %s, col, t, M):" % (u, w)] + body
+
+
+def _scan_kernel_source(f):
+    """Source of the row kernel that scans the values of z."""
+    fixed, varying = [], []  # z-only terms; (k, source) of the rest
+    for k, c in enumerate(f.z_coefficients()):
+        rest = [(a, e) for a, e in c.terms if e != (0, 0, 0)]
+        fixed.extend((a, (0, 0, k)) for a, e in c.terms if e == (0, 0, 0))
+        if rest:
+            varying.append((k, MultiPoly(rest).source()))
+    powers = [k for k, _ in varying if k]
+    entry = ["z", "(%s) %% M" % MultiPoly(fixed).source()]
+    entry += ["%s %% M" % _monomial_source(1, 2, k) for k in powers]
+    terms = ["g"] + ["a%d * z%d" % (k, k) for k in powers]
+    total = _chained_sum([" + ".join(terms[j:j + _SUM_CHUNK])
+                          for j in range(0, len(terms), _SUM_CHUNK)])
+    test = "(%s) %% M == r" % total if powers else "g == r"
+    offset = "".join(" - (%s)" % src for k, src in varying if not k)
+    src = ["def column(zs, M):",
+           "    return [(%s) for z in zs]" % ", ".join(entry),
+           "def row(x, y, col, t, M):",
+           "    r = (t%s) %% M" % offset]
+    src += ["    a%d = (%s) %% M" % (k, s) for k, s in varying if k]
+    src.append("    return [z for %s in col if %s]"
+               % (", ".join(["z", "g"] + ["z%d" % k for k in powers]), test))
+    return src
+
+
+def _compile_row_kernel(f):
+    # z first: the lifts of z come out of each (x, y) row in lexicographic
+    # order, so sorting a level mostly merges runs
+    for j in (2, 1, 0):
+        powers = {e[j] for _, e in f.terms if e[j]}
+        if len(powers) == 1:
+            src = _lookup_kernel_source(f, j, powers.pop())
+            break
+    else:
+        j, src = 2, _scan_kernel_source(f)
+    namespace = {}
+    exec("\n".join(src), dict(SOURCE_GLOBALS, gcd=gcd, pow=pow), namespace)
+    return j, namespace["column"], namespace["row"]
 
 
 class IdentityClaim(namedtuple("IdentityClaim", "summands")):

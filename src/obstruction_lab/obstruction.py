@@ -51,9 +51,9 @@ CURVE_POINT_TRIES = 64
 SQUARE_FRUITLESS_DRAWS = 100000
 
 # The largest modulus `residue_sieve` takes: it lifts its classes one prime
-# factor of m at a time, so its slowest case is a prime m near this cap,
-# one level of m**2 rows of m lifts: about 2 s per target on the bundled
-# cubic at m = 251, and 0.1-0.3 s at m = 256.
+# factor of m at a time, one lookup per row of a class (`lift_classes`):
+# 0.08-0.24 s per target on the bundled forms at m = 256 (eight levels at
+# p = 2) and 0.05-0.11 s at m = 251 (one level of m**2 rows).
 SIEVE_MAX_MODULUS = 256
 
 # The 2-adic table tries the levels below this one before it leaves a class
@@ -65,9 +65,9 @@ TABLE_MAX_EXPONENT = 8
 SEARCH_MODULI = (16, 9, 25, 7, 11, 13, 17, 19, 23)
 
 # `verify` runs the p-adic search only at the rational witness's bad primes
-# up to this one: its first level alone solves p**2 rows of p residue
-# triples (0.03-0.1 s at p = 101 on the bundled forms).  A larger bad prime
-# stays uncovered.
+# up to this one: its first level alone solves p**2 rows, one lookup each
+# (0.004-0.014 s at p = 101 on the bundled forms, 0.02-0.07 s at p = 211).
+# A larger bad prime stays uncovered.
 PADIC_SEARCH_MAX_PRIME = 101
 
 
@@ -217,7 +217,7 @@ def class_invariant_table(f, target, alg, sieve):
             if len(symbols) > 1 or inner and level + 1 >= TABLE_MAX_EXPONENT:
                 inv, depth = None, 0
                 break
-            nodes = lift_classes(f, target, 2, inner, 1 << level)
+            nodes = inner and lift_classes(f, target, 2, inner, 1 << level)
             level += 1
         else:
             inv = (str(INV_HALF if symbols.pop() == -1 else INV_ZERO)

@@ -7,6 +7,7 @@ because a p-adic solution would reduce to a solution at every finite level.
 
 from collections import namedtuple
 from fractions import Fraction
+from operator import itemgetter
 
 from .exactarith import factor, valuation
 
@@ -49,17 +50,21 @@ def lift_classes(f, target, p, classes, mod):
     at which the form f takes the target value mod p*mod.
 
     Each class is solved row by row through f's `MultiPoly.row_kernel`:
-    the column of its p lifts of z is prepared once, and one row call per
-    lift (x, y) returns the indices of the lifts of z where f = target."""
-    column, row = f.row_kernel()
+    the column of the p lifts of its variable v is prepared once, and one
+    row call per lift (u, w) of the other two returns the lifts of v where
+    f = target."""
+    j, column, row = f.row_kernel()
     top = p * mod
     nxt = []
-    for x, y, z in classes:
-        col = column(range(z, z + top, mod), target, top)
-        for x2 in range(x, x + top, mod):
-            for y2 in range(y, y + top, mod):
-                for i in row(x2, y2, col, top):
-                    nxt.append((x2, y2, z + i * mod))
+    for cls in classes:
+        u, w = cls[:j] + cls[j + 1:]
+        col = column(range(cls[j], cls[j] + top, mod), top)
+        for u2 in range(u, u + top, mod):
+            for w2 in range(w, w + top, mod):
+                for v in row(u2, w2, col, target, top):
+                    nxt.append((u2, w2, v))
+    if j < 2:  # (u, w, v) back to (x, y, z)
+        nxt = list(map(itemgetter(*((2, 0, 1), (0, 2, 1))[j]), nxt))
     nxt.sort()
     return nxt
 

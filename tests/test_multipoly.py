@@ -175,6 +175,7 @@ class TestEvaluator:
         before = (hash(q), q == gq)
         assert q.evaluator() is q.evaluator()
         assert q.gradient() is q.gradient()
+        assert q.row_kernel() is q.row_kernel()
         assert (hash(q), q == gq) == before
         with pytest.raises(AttributeError):
             q._evaluator = None

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -150,17 +151,64 @@ class TestPadicSearch:
                           "7c79701603421dc6c34b00550eb4654d")
 
 
+# Moduli the lift starts from, times a power of p: the sieve lifts by p
+# from moduli that carry other primes (mod 4 at p = 3 for m = 12).
+OTHER_MODULI = (1, 2, 3, 4, 6, 8, 9, 12)
+
+
 class TestLiftClasses:
     @settings(max_examples=150, deadline=None)
     @given(small_forms(), st.integers(-30, 30), st.sampled_from((2, 3, 5, 7)),
-           st.integers(1, 3), st.data())
-    def test_matches_brute_force(self, f, target, p, level, data):
-        mod = p ** (level - 1)
+           st.integers(1, 3), st.sampled_from(OTHER_MODULI), st.data())
+    def test_matches_brute_force(self, f, target, p, level, other, data):
+        mod = p ** (level - 1) * other
         triple = st.tuples(*[st.integers(0, mod - 1)] * 3)
         classes = sorted(set(data.draw(st.lists(triple, min_size=1,
                                                 max_size=3))))
         assert lift_classes(f, target, p, classes, mod) == \
             brute_lifts(f, target, p, classes, mod)
+
+    @pytest.mark.parametrize("terms,var", [
+        # every variable in a single power: z is lifted, its constant
+        # coefficient (1, 2 or 18) folded into the key even where p divides
+        # it
+        ([(2, (4, 0, 0)), (-1, (0, 4, 0)), (1, (0, 0, 4))], 2),
+        ([(1, (4, 0, 0)), (-1, (0, 4, 0)), (2, (0, 0, 4))], 2),
+        ([(-2, (4, 0, 0)), (-1, (0, 4, 0)), (18, (0, 0, 4))], 2),
+        # a varying coefficient that is a unit on some rows only, or never
+        ([(-64, (3, 0, 0)), (-64, (2, 0, 1)), (-8, (1, 0, 2)),
+          (1, (0, 2, 1)), (7, (0, 0, 3))], 1),
+        ([(3, (0, 2, 1)), (1, (3, 0, 0)), (-7, (0, 0, 3))], 1),
+        ([(6, (2, 1, 0)), (2, (2, 0, 1)), (1, (0, 3, 0)), (1, (0, 1, 1)),
+          (1, (0, 0, 3))], 0),
+        # no variable in a single power: the scan over z
+        ([(1, (4, 0, 0)), (1, (0, 4, 0)), (1, (0, 0, 4)), (1, (2, 2, 0)),
+          (1, (0, 2, 2)), (1, (2, 0, 2))], 2),
+    ])
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_each_kernel_shape(self, terms, var, p):
+        f = MultiPoly(terms)
+        assert f.row_kernel()[0] == var
+        rng = random.Random(p)
+        for other in OTHER_MODULI:
+            mod = p * other
+            classes = sorted({tuple(rng.randrange(mod) for _ in range(3))
+                              for _ in range(6)})
+            for target in (0, 1, -1, 3):
+                assert lift_classes(f, target, p, classes, mod) == \
+                    brute_lifts(f, target, p, classes, mod)
+
+    def test_five_thousand_term_coefficients(self):
+        # C and R of f = C*z + R in thousands of terms stay within the
+        # compiler's recursion limit
+        rng = random.Random(8)
+        f = MultiPoly([(rng.randint(-10 ** 30, 10 ** 30), (a, b, c))
+                       for a in range(60) for b in range(60) for c in (0, 1)])
+        assert len(f.terms) == 7200 and f.row_kernel()[0] == 2
+        for mod in (1, 4):
+            classes = [(1, 2, 3), (3, 0, 1)] if mod > 1 else [(0, 0, 0)]
+            assert lift_classes(f, 5, 3, classes, mod) == \
+                brute_lifts(f, 5, 3, classes, mod)
 
     def test_zero_form(self):
         zero = MultiPoly()
@@ -178,6 +226,34 @@ class TestLiftClasses:
                 "yes", p, depth, witness, fv, dv)
         assert [a[0] for a in PINNED_ANSWERS[name, target]] == [
             p for p in range(2, 110) if is_probable_prime(p)]
+
+
+# Every field of the answer at primes above PADIC_SEARCH_MAX_PRIME, where
+# one level is p**2 rows, as the row kernel that scanned every lift of z
+# gave them: (name, target, p, depth, witness, value_valuation,
+# derivative_valuation), each a "yes"
+LARGE_PRIME_ANSWERS = [
+    ("quartic", 1, 211, 1, (0, 1, 80), 1, 0),
+    ("quartic", 1, 223, 1, (0, 0, 46), 1, 0),
+    ("quartic", 1, 251, 1, (0, 1, 109), 1, 0),
+    ("quartic", -1, 211, 1, (0, 0, 11), 1, 0),
+    ("quartic", -1, 223, 1, (0, 1, 0), None, 0),
+    ("quartic", -1, 251, 1, (0, 0, 52), 2, 0),
+    ("cubic", 1, 211, 1, (0, 2, 119), 1, 0),
+    ("cubic", 1, 223, 1, (0, 0, 37), 1, 0),
+    ("cubic", 1, 251, 1, (0, 0, 174), 1, 0),
+    ("cubic", -1, 211, 1, (0, 2, 92), 1, 0),
+    ("cubic", -1, 223, 1, (0, 0, 118), 1, 0),
+    ("cubic", -1, 251, 1, (0, 0, 77), 1, 0),
+]
+
+
+@pytest.mark.parametrize("name,target,p,depth,witness,fv,dv",
+                         LARGE_PRIME_ANSWERS)
+def test_large_prime_answers_pinned(name, target, p, depth, witness, fv, dv):
+    f = load_instance(name).f
+    assert padic_solutions_exist(f, target, p) == SolubilityAnswer(
+        "yes", p, depth, witness, fv, dv)
 
 
 class TestRationalWitness:
