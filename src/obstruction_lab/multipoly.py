@@ -6,9 +6,10 @@ is exact; identity verification is by full expansion, never by sampling.
 
 Each form evaluates through one function, compiled on first use from its
 coefficients and exponents (`MultiPoly.evaluator`), and lifts residue
-classes through two more (`MultiPoly.row_kernel`): for the variable that
-the form holds in a single power, one lookup finds its lifts on a row of
-the other two.
+classes through two more (`MultiPoly.row_kernel`).  One function,
+`single_power_split`, picks the variable v that the form holds in a single
+power k and splits the form into C*v**k + R: the row kernel lifts v with
+one lookup per row of the other two, and the integer search solves for v.
 """
 
 from collections import namedtuple
@@ -181,15 +182,16 @@ class MultiPoly:
         solve for, and two functions, compiled once per form, that find the
         lifts of v where the form takes a target value t mod M.
 
-        v is the variable the form holds in a single power k, z before y
-        before x, so that the form is C*v**k + R with C and R in the other
-        two variables u, w (in the order x, y, z).  column(vs, M) maps each
+        v and the split of the form into C*v**k + R, with C and R in the
+        other two variables u, w (in the order x, y, z), are those of
+        `single_power_split`, which the integer search reads too; its masks
+        are built from these two functions.  column(vs, M) maps each
         value of v**k mod M, or of C*v**k mod M when C is a constant, to
         the values in vs that give it.  row(u, w, column, t, M) returns the
         values of v where the form is t mod M at (u, w): the ones stored
         under (t - R) mod M, or under (t - R)/C mod M when C is a unit mod
         M, and else those of the keys that pass C*key = t - R mod M.  With
-        no such variable, v is z, each column entry holds a value of z, the
+        no split, v is z, each column entry holds a value of z, the
         z-only part of the form and the powers of z whose coefficients vary,
         mod M, and row computes those coefficients at (x, y) once and keeps
         the values of z where the form is t, in one list comprehension."""
@@ -232,13 +234,10 @@ def _monomial_source(c, j, k):
     return MultiPoly([(c, tuple(exps))]).source()
 
 
-def _lookup_kernel_source(f, j, k):
-    """Source of the row kernel of f = C*v**k + R, v variable j."""
+def _lookup_kernel_source(j, k, coeff, rest):
+    """Source of the row kernel of f = coeff*v**k + rest, v variable j."""
     v = "xyz"[j]
     u, w = "xyz".replace(v, "")
-    coeff = MultiPoly((c, e[:j] + (0,) + e[j + 1:])
-                      for c, e in f.terms if e[j])
-    rest = MultiPoly((c, e) for c, e in f.terms if not e[j])
     target = "(t - (%s)) %% M" % rest.source()
     if len(coeff.terms) == 1 and coeff.terms[0][1] == (0, 0, 0):
         # a constant C joins the key, so every row is one lookup
@@ -287,18 +286,33 @@ def _scan_kernel_source(f):
 
 
 def _compile_row_kernel(f):
-    # z first: the lifts of z come out of each (x, y) row in lexicographic
-    # order, so sorting a level mostly merges runs
-    for j in (2, 1, 0):
-        powers = {e[j] for _, e in f.terms if e[j]}
-        if len(powers) == 1:
-            src = _lookup_kernel_source(f, j, powers.pop())
-            break
+    split = single_power_split(f)
+    if split:
+        j, src = split[0], _lookup_kernel_source(*split)
     else:
         j, src = 2, _scan_kernel_source(f)
     namespace = {}
     exec("\n".join(src), dict(SOURCE_GLOBALS, gcd=gcd, pow=pow), namespace)
     return j, namespace["column"], namespace["row"]
+
+
+def single_power_split(f):
+    """(j, k, C, R) with f = C*v**k + R, where v is variable j, the first of
+    z, y, x that f holds in a single power k, and C and R are forms in the
+    other two variables; None when each variable of f occurs in no power or
+    in several.
+
+    The row kernel lifts v and the integer search solves for it.  z comes
+    first: the lifts of z come out of each (x, y) row in lexicographic
+    order, so sorting a level of residue lifts mostly merges runs."""
+    for j in (2, 1, 0):
+        powers = {e[j] for _, e in f.terms if e[j]}
+        if len(powers) == 1:
+            coeff = MultiPoly((c, e[:j] + (0,) + e[j + 1:])
+                              for c, e in f.terms if e[j])
+            rest = MultiPoly((c, e) for c, e in f.terms if not e[j])
+            return j, powers.pop(), coeff, rest
+    return None
 
 
 class IdentityClaim(namedtuple("IdentityClaim", "summands")):

@@ -19,7 +19,7 @@ from .exactarith import (FACTOR_BOUND, FactorizationError, factor, jacobi,
                          primitive_normalize)
 from .localsymbols import (INV_HALF, INV_ZERO, Place, invariant_total,
                            local_invariant, symbol_at_prime)
-from .multipoly import SOURCE_GLOBALS, MultiPoly
+from .multipoly import SOURCE_GLOBALS, MultiPoly, single_power_split
 from .padicsolve import (lift_classes, padic_solutions_exist,
                          verify_rational_witness)
 
@@ -63,6 +63,12 @@ TABLE_MAX_EXPONENT = 8
 # The integer search walks a pair (u, w) only when f = target is soluble in
 # the third variable modulo each of these prime powers.
 SEARCH_MODULI = (16, 9, 25, 7, 11, 13, 17, 19, 23)
+
+# The largest search bound.  The search tabulates 2B + 1 roots and walks up
+# to (2B + 1)**2 pairs through (2B + 1)-bit masks: cubic t = -64, whose row
+# x = 1 holds a solution at every (y, 0), takes 1.2 s of CPU at B = 10**4 on
+# a Xeon core (Python 3.11), and 10**6 would take hours.
+SEARCH_MAX_BOUND = 10000
 
 # `verify` runs the p-adic search only at the rational witness's bad primes
 # up to this one: its first level alone solves p**2 rows, one lookup each
@@ -530,13 +536,12 @@ def square_mod_sampling(F, H_factors, trials, seed):
                                 tuple(skipped))
 
 
-def _solve_variable(f):
-    """Index of the first variable that occurs in exactly one term of f;
-    ValueError if there is no such variable."""
-    for i in range(3):
-        if sum(1 for _, e in f.terms if e[i]) == 1:
-            return i
-    raise ValueError("no variable of f is confined to a single term")
+def _search_split(f):
+    """f's `single_power_split`; ValueError when it has none."""
+    split = single_power_split(f)
+    if split is None:
+        raise ValueError("no variable of f occurs in a single power")
+    return split
 
 
 def _canonical_solutions(f, sols):
@@ -564,74 +569,51 @@ def naive_integer_search(f, target, B):
     return _canonical_solutions(f, sols)
 
 
-def _admissible_rows(f, target, q, i, others):
-    """The residues mod q of the enumerated pair (u, w) = (x_others[0],
-    x_others[1]) at which some v = x_i mod q solves f = target.
-
-    One q-bit mask per residue u: bit r is set when target - rest(u, r)
-    lies in c*u^a*r^b * {v^k} mod q, where c*u^a*w^b*v^k is the one term
-    of f containing v and rest(u, w) is f without it."""
-    (c, e), = [t for t in f.terms if t[1][i]]
-    kth = {pow(v, e[i], q) for v in range(q)}
-    reach = [{x * p % q for p in kth} for x in range(q)]
-    ui, wi = others
-    rest = [(cr, er[ui], er[wi]) for cr, er in f.terms if not er[i]]
-    rows = []
-    for u in range(q):
-        row = 0
-        for r in range(q):
-            value = sum(cr * u ** eu * r ** ew for cr, eu, ew in rest)
-            if (target - value) % q in reach[c * u ** e[ui] * r ** e[wi] % q]:
-                row |= 1 << r
-        rows.append(row)
-    return rows
-
-
 def integer_search(f, target, B):
     """All primitive integer solutions of f = target in the cube [-B, B]^3,
     enumerating two coordinates (u, w) and solving exactly for the third, v.
 
-    v is the first variable that appears in exactly one term of f, so that
-    its pure power can be recovered by exact division and a table lookup;
-    u and w each range over the whole of [-B, B], and `_canonical_solutions`
-    folds the antipodal pairs of an even-degree f.
+    f = C*v**k + R is f's `single_power_split`, C and R forms in u and w,
+    so that at each pair v**k is (target - R)/C, found by exact division
+    and a table lookup; u and w each range over the whole of [-B, B], and
+    `_canonical_solutions` folds the antipodal pairs of an even-degree f.
 
     A pair (u, w) is walked only when it is admissible modulo each q in
     SEARCH_MODULI: some v mod q solves f = target there (a necessary
-    condition, so no solution is lost).  Per q, each residue of u gets one
-    int bitmask over the w range, bit j set when (u, w_j) is admissible;
-    a row ANDs its masks, is skipped when nothing is left, and otherwise
-    walks the set bits from the top (each removed bit shortens the int).
-    Building the masks costs q^2 residue operations per q, whatever B is.
+    condition, so no solution is lost), which is a nonempty row of f's
+    `MultiPoly.row_kernel` over the column of all v mod q.  Per q, each
+    residue of u gets one int bitmask over the w range, bit i set when
+    (u, w_i) is admissible; a row ANDs its masks and walks the set bits
+    from the top (each removed bit shortens the int).  Building the masks
+    costs q^2 row calls per q, whatever B is.
 
-    The v side is tabulated once: r^k -> r for every admissible |r| <= B
-    (r >= 0 for even k), so a k-th root is one dictionary lookup.
+    The v side is tabulated once: r^k -> r for every |r| <= B (r >= 0 for
+    even k), so a k-th root is one dictionary lookup.
     """
-    if B < 0:
-        raise ValueError("search bound must be >= 0, got %d" % B)
-    i = _solve_variable(f)
-    others = [j for j in range(3) if j != i]
-    c_lead, exps = next((c, e) for c, e in f.terms if e[i] > 0)
-    k = exps[i]
-    ea, eb = (exps[j] for j in others)
-    # rest as coefficients of powers of w, each a polynomial in u
-    w_groups = {}
-    for c, e in f.terms:
-        if e[i] == 0:
-            w_groups.setdefault(e[others[1]], []).append((c, e[others[0]]))
+    if not 0 <= B <= SEARCH_MAX_BOUND:
+        raise ValueError("search bound must be from 0 to %d, got %d"
+                         % (SEARCH_MAX_BOUND, B))
+    j, k, C, R = _search_split(f)
+    at = eval("lambda %s, %s: (%s, %s)" % (
+        *"xyz".replace("xyz"[j], ""), C.source(), R.source()), SOURCE_GLOBALS)
+    _, column, row = f.row_kernel()
 
     w0 = -B
     n = 2 * B + 1
     full = (1 << n) - 1
     masks = []
     for q in SEARCH_MODULI:
+        col = column(range(q), q)
         # each row's q bits rotated to start at residue w0, then repeated
         # over the n bits of the w range
         tile = ((1 << q * -(-n // q)) - 1) // ((1 << q) - 1)
         shift = w0 % q
-        masks.append((q, [((row | row << q) >> shift & (1 << q) - 1) * tile
-                          & full for row in
-                          _admissible_rows(f, target, q, i, others)]))
+        rows = []
+        for u in range(q):
+            bits = sum(1 << w for w in range(q) if row(u, w, col, target, q))
+            rows.append(((bits | bits << q) >> shift & (1 << q) - 1) * tile
+                        & full)
+        masks.append((q, rows))
 
     roots_of = {r ** k: r for r in range(0 if k % 2 == 0 else -B, B + 1)}
     sols = []
@@ -639,41 +621,31 @@ def integer_search(f, target, B):
         mask = full
         for q, rows in masks:
             mask &= rows[u % q]
-        if not mask:
-            continue
-        coeffs = [(d, sum(c * u ** eu for c, eu in grp))
-                  for d, grp in w_groups.items()]
-        cu = c_lead * u ** ea
         while mask:
-            j = mask.bit_length() - 1
-            mask ^= 1 << j
-            w = w0 + j
-            bval = 0
-            for d, cc in coeffs:
-                bval += cc * w ** d
-            aval = cu * w ** eb
-            num = target - bval
-            if aval == 0:
+            i = mask.bit_length() - 1
+            mask ^= 1 << i
+            w = w0 + i
+            c, r = at(u, w)
+            num = target - r
+            if c == 0:
                 if num == 0:
-                    for v in range(-B, B + 1):
-                        sols.append(_assemble(i, others, v, u, w))
+                    sols.extend(_assemble(j, v, u, w)
+                                for v in range(-B, B + 1))
                 continue
-            if num % aval:
+            if num % c:
                 continue
-            r = roots_of.get(num // aval)
-            if r is None:
+            v = roots_of.get(num // c)
+            if v is None:
                 continue
-            roots = {r, -r} if (k % 2 == 0 and r != 0) else {r}
-            for root in roots:
-                sols.append(_assemble(i, others, root, u, w))
+            for root in {v, -v} if k % 2 == 0 else (v,):
+                sols.append(_assemble(j, root, u, w))
     return _canonical_solutions(f, sols)
 
 
-def _assemble(i, others, vi, u, w):
-    out = [0, 0, 0]
-    out[i] = vi
-    out[others[0]] = u
-    out[others[1]] = w
+def _assemble(j, v, u, w):
+    """The point with v at index j and u, w at the other two."""
+    out = [u, w]
+    out.insert(j, v)
     return tuple(out)
 
 
@@ -693,9 +665,10 @@ class ObstructionInstance(namedtuple(
                 type(x) is not int or x == 0 for x in t):
             raise ValueError("targets must be a nonempty list of nonzero "
                              "ints, got %r" % (t,))
-        if type(self.search_bound) is not int or self.search_bound < 0:
-            raise ValueError("search_bound must be an int >= 0, got %r"
-                             % (self.search_bound,))
+        if type(self.search_bound) is not int or not (
+                0 <= self.search_bound <= SEARCH_MAX_BOUND):
+            raise ValueError("search_bound must be an int from 0 to %d, "
+                             "got %r" % (SEARCH_MAX_BOUND, self.search_bound))
         # the 2-adic table certifies a sieve class at the class's own level
         # or a later one, and at levels below TABLE_MAX_EXPONENT
         m = self.sieve_modulus
@@ -739,7 +712,7 @@ def obstruction_verdict(instance, seed=DEFAULT_SEED):
     alg = instance.algebra
     # before any work, refuse an f the integer search cannot solve and a
     # factor too large for the odd-place scan
-    _solve_variable(f)
+    _search_split(f)
     check_odd_scan_factors(f, alg, ODD_BOUND)
     steps = {}
 

@@ -199,6 +199,25 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out)["1"]["solutions"] == []
 
+    def test_search_solves_a_variable_in_several_terms(self, capsys,
+                                                       quartic_path):
+        # z occurs only as z^2, in three terms: f = (x^2 + 3xy - y^2) z^2
+        # + x^4 - 5y^4 + xy^3 is searched for z with C = x^2 + 3xy - y^2
+        path, doc = quartic_path
+        doc["poly"] = [[1, 2, 0, 2], [3, 1, 1, 2], [-1, 0, 2, 2],
+                       [1, 4, 0, 0], [-5, 0, 4, 0], [1, 1, 3, 0]]
+        doc["targets"] = [2, 9, -5, 3]
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "search", str(path), "-B", "5")
+        assert (code, err) == (0, "")
+        f = cli.MultiPoly.from_term_list(doc["poly"])
+        assert json.loads(out) == {
+            str(t): {"bound": 5, "solutions": [
+                list(s) for s in obstruction.naive_integer_search(f, t, 5)]}
+            for t in doc["targets"]}
+        assert json.loads(out)["2"]["solutions"] == [
+            [1, 0, -1], [1, 0, 1], [4, 3, -1], [4, 3, 1]]
+
 
 class TestStageRecords:
     @pytest.mark.parametrize("name", ["quartic", "cubic"])
@@ -442,16 +461,37 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    # an empty search box is no evidence: no report, no verdict; and
+    # an empty search box is no evidence: no report, no verdict; a bound
+    # above 10,000 (SEARCH_MAX_BOUND) would run for hours as B grows; and
     # --target goes through the instance checks, where 0 is no target
     @pytest.mark.parametrize("argv", [("verify", "quartic", "--bound", "-1"),
                                       ("search", "quartic", "-B", "-1"),
-                                      ("verify", "quartic", "--target", "0")])
+                                      ("verify", "quartic", "--target", "0"),
+                                      ("verify", "quartic", "--bound",
+                                       "10001"),
+                                      ("search", "quartic", "-B", "10001")])
     def test_negative_bound_is_usage_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_largest_search_bound_runs(self, capsys, quartic_path):
+        # 10,000 is the largest bound that --bound, -B or an instance's
+        # search_bound may give (10,001 is refused with the negative ones)
+        path, doc = quartic_path
+        doc["search_bound"] = 10000
+        path.write_text(json.dumps(doc))
+        for argv in (("verify", "quartic", "--bound", "10000"),
+                     ("search", "quartic", "-B", "10000"),
+                     ("search", str(path))):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, "")
+            doc = json.loads(out)
+            if argv[0] == "verify":
+                assert doc["verdict"] == "OBSTRUCTED"
+                doc = doc["steps"]["integer_search"]
+            assert doc == {"1": {"bound": 10000, "solutions": []}}
 
     @pytest.mark.parametrize("m", ["1", "257"])
     def test_sieve_modulus_out_of_range_is_usage_error(self, capsys, m):
@@ -504,7 +544,7 @@ class TestExitCodes:
         ("sampling.prime_min", 3.0), ("sampling.prime_max", False),
         # a bool in a term list: true would read as the int 1
         ("poly.0.0", True), ("algebra.first.0.1", True),
-        ("algebra.factors.first.0.0.0", True)])
+        ("algebra.factors.first.0.0.0", True), ("search_bound", 10001)])
     def test_bad_targets_or_search_bound_is_usage_error(
             self, capsys, tmp_path, quartic_path, monkeypatch, key, value):
         # refused at load, before any stage runs, also when --bound
@@ -589,9 +629,9 @@ class TestExitCodes:
     def test_unsearchable_poly_usage_error(self, capsys, tmp_path,
                                            quartic_path, monkeypatch,
                                            first, second):
-        # every variable of f occurs in three terms, so the integer search
-        # has no variable to solve for: refused before any stage runs,
-        # whatever the algebra would do
+        # every variable of f occurs in two powers, 4 and 2, so the integer
+        # search has no variable to solve for: refused before any stage
+        # runs, whatever the algebra would do
         def stage(*args):
             raise AssertionError("a stage ran")
 
@@ -606,8 +646,7 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "verify", str(path), "--bound", "5")
         assert code == 1
         assert out == ""
-        assert err == ("error: no variable of f is confined to a single "
-                       "term\n")
+        assert err == "error: no variable of f occurs in a single power\n"
 
     def test_unfactored_reciprocity_exit_three(self, capsys):
         # (10^9 + 7)(10^9 + 9) survives trial division and is not prime

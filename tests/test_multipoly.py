@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from obstruction_lab.multipoly import IdentityClaim, MultiPoly, verify_identity
+from obstruction_lab.multipoly import (IdentityClaim, MultiPoly,
+                                      single_power_split, verify_identity)
 
 
 def random_poly(rng, nterms=4, maxdeg=3, maxc=20):
@@ -181,6 +182,30 @@ class TestEvaluator:
             q._evaluator = None
         with pytest.raises(AttributeError):
             q.terms = ()
+
+    def test_single_power_split(self, fq, fc):
+        # quartic is split at z, cubic at y with C = z
+        assert single_power_split(fq)[:2] == (2, 4)
+        z = MultiPoly([(1, (0, 0, 1))])
+        assert single_power_split(fc)[:3] == (1, 2, z)
+        rng = random.Random(30)
+        split = 0
+        for _ in range(300):
+            p = random_poly(rng, nterms=rng.randint(1, 5))
+            held = [j for j in (2, 1, 0)
+                    if len({e[j] for _, e in p.terms if e[j]}) == 1]
+            got = single_power_split(p)
+            if not held:
+                assert got is None
+                continue
+            split += 1
+            j, k, C, R = got
+            assert j == held[0]
+            assert all(e[j] == 0 for _, e in C.terms + R.terms)
+            exps = [0, 0, 0]
+            exps[j] = k
+            assert C * MultiPoly([(1, tuple(exps))]) + R == p
+        assert split > 100
 
     def test_gradient_and_z_coefficients(self):
         rng = random.Random(21)

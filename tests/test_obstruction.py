@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from obstruction_lab import exactarith, obstruction
@@ -15,7 +15,7 @@ from obstruction_lab.exactarith import (FactorizationError, factor,
                                         is_probable_prime)
 from obstruction_lab.localsymbols import (Place, hilbert_symbol,
                                           solubility_oracle, symbol_at_prime)
-from obstruction_lab.multipoly import MultiPoly
+from obstruction_lab.multipoly import MultiPoly, single_power_split
 from obstruction_lab.obstruction import (DEFAULT_SEED, INCONCLUSIVE,
                                          NOT_OBSTRUCTED, OBSTRUCTED,
                                          PADIC_SEARCH_MAX_PRIME,
@@ -798,48 +798,63 @@ class TestIntegerSearch:
 
     @pytest.mark.parametrize("q", [9, 16, 25])
     def test_admissible_rows_match_brute_force(self, q, fq, fc):
+        # the search's mask row of u mod q has bit w set when the row
+        # kernel finds some v mod q at (u, w), over the column of all v mod q
         lead18 = MultiPoly([(18, (0, 4, 0)), (1, (4, 0, 0)), (1, (1, 0, 3)),
                             (-1, (0, 0, 4))])
         toy = MultiPoly([(1, (4, 0, 0)), (1, (0, 4, 0)), (-2, (0, 0, 4))])
-        # (f, target, index of v, indices of (u, w)); v occurs in one term
-        cases = [(fq, 1, 1, (0, 2)), (fq, -1, 1, (2, 0)), (fc, 1, 1, (0, 2)),
-                 (fc, -64, 1, (2, 0)), (lead18, 18, 1, (0, 2)),
-                 (lead18, 32, 1, (2, 0)), (toy, 80, 0, (1, 2)),
-                 (toy, 7, 2, (0, 1))]
-        for f, target, i, others in cases:
-            want = []
+        # z^2 in three terms, C = x^2 + 3xy - y^2 a unit on some rows only
+        several = MultiPoly([(1, (2, 0, 2)), (3, (1, 1, 2)), (-1, (0, 2, 2)),
+                             (1, (4, 0, 0)), (-5, (0, 4, 0)), (1, (1, 3, 0))])
+        # x^2 in two terms, C = y + 2z; y and z each in several powers
+        across_x = MultiPoly([(1, (2, 1, 0)), (2, (2, 0, 1)), (1, (0, 3, 0)),
+                              (1, (0, 1, 2)), (-1, (0, 0, 3))])
+        # (f, target, index of v): quartic is solved for z
+        cases = [(fq, 1, 2), (fq, -1, 2), (fc, 1, 1), (fc, -64, 1),
+                 (lead18, 18, 1), (lead18, 32, 1), (toy, 80, 2), (toy, 7, 2),
+                 (several, 3, 2), (several, -5, 2), (across_x, 1, 0),
+                 (across_x, 6, 0)]
+        for f, target, i in cases:
+            j, column, row = f.row_kernel()
+            assert j == i
+            col = column(range(q), q)
             for u in range(q):
-                row = 0
+                got = sum(1 << w for w in range(q)
+                          if row(u, w, col, target, q))
+                want = 0
                 for w in range(q):
-                    point = [0, 0, 0]
-                    point[others[0]], point[others[1]] = u, w
                     for v in range(q):
-                        point[i] = v
+                        point = [u, w]
+                        point.insert(i, v)
                         if (f.evaluate_mod(tuple(point), q) - target) % q == 0:
-                            row |= 1 << w
+                            want |= 1 << w
                             break
-                want.append(row)
-            assert obstruction._admissible_rows(f, target, q, i, others) == \
-                want
+                assert got == want
 
     @settings(deadline=None, max_examples=150)
-    @given(st.integers(0, 2), st.integers(1, 4), st.integers(-3, 3).filter(bool),
-           st.integers(0, 2), st.integers(0, 2),
+    @given(st.integers(0, 2), st.integers(1, 4),
+           st.lists(st.tuples(st.integers(-3, 3).filter(bool),
+                              st.integers(0, 2), st.integers(0, 2)),
+                    min_size=1, max_size=3),
            st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 4),
                               st.integers(0, 4)), max_size=4),
            st.integers(0, 5), st.tuples(*[st.integers(-5, 5)] * 3),
            st.integers(-1, 1))
-    def test_matches_naive_on_random_polynomials(self, i, k, c, a, b, rest,
+    def test_matches_naive_on_random_polynomials(self, i, k, lead, rest,
                                                  B, pt, offset):
-        # variable i occurs only in the term c * u^a * w^b * v_i^k
+        # variable i occurs only in the power k, times C(u, w), the sum of
+        # the terms c * u^a * w^b in lead
         def term(coeff, ei, eu, ew):
             e = [eu, ew]
             e.insert(i, ei)
             return coeff, tuple(e)
-        a = min(a, 4 - k)
-        b = min(b, 4 - k - a)
-        f = MultiPoly([term(c, k, a, b)] +
-                      [term(cr, 0, eu, min(ew, 4 - eu)) for cr, eu, ew in rest])
+        terms = [term(cr, 0, eu, min(ew, 4 - eu)) for cr, eu, ew in rest]
+        for c, a, b in lead:
+            a = min(a, 4 - k)
+            terms.append(term(c, k, a, min(b, 4 - k - a)))
+        f = MultiPoly(terms)
+        # the terms of C may cancel, leaving no variable to solve for
+        assume(single_power_split(f) is not None)
         # near a value f takes in the box, so that solutions often exist
         target = f.evaluate_int(tuple(max(-B, min(B, v)) for v in pt)) + offset
         assert integer_search(f, target, B) == naive_integer_search(f, target, B)
