@@ -188,13 +188,14 @@ class MultiPoly:
         are built from these two functions.  column(vs, M) maps each
         value of v**k mod M, or of C*v**k mod M when C is a constant, to
         the values in vs that give it.  row(u, w, column, t, M) returns the
-        values of v where the form is t mod M at (u, w): the ones stored
-        under (t - R) mod M, or under (t - R)/C mod M when C is a unit mod
-        M, and else those of the keys that pass C*key = t - R mod M.  With
-        no split, v is z, each column entry holds a value of z, the
-        z-only part of the form and the powers of z whose coefficients vary,
-        mod M, and row computes those coefficients at (x, y) once and keeps
-        the values of z where the form is t, in one list comprehension."""
+        values of v where the form is t mod M at (u, w), in ascending
+        order: the ones stored under (t - R) mod M, or under (t - R)/C mod M
+        when C is a unit mod M, and else those of the keys that pass
+        C*key = t - R mod M, sorted.  With no split, v is z, each column
+        entry holds a value of z, the z-only part of the form and the
+        powers of z whose coefficients vary, mod M, and row computes those
+        coefficients at (x, y) once and keeps the values of z where the
+        form is t, in one list comprehension."""
         return self._derived("_row_kernel", _compile_row_kernel)
 
     def partial(self, var):
@@ -249,8 +250,8 @@ def _lookup_kernel_source(j, k, coeff, rest):
                 "    r = " + target,
                 "    if gcd(c, M) == 1:",
                 "        return col.get(r * pow(c, -1, M) % M, ())",
-                "    return [%s for key, %ss in col.items()"
-                " if (c * key - r) %% M == 0 for %s in %ss]" % (v, v, v, v)]
+                "    return sorted([%s for key, %ss in col.items()"
+                " if (c * key - r) %% M == 0 for %s in %ss])" % (v, v, v, v)]
     return ["def column(%ss, M):" % v,
             "    col = {}",
             "    for %s in %ss:" % (v, v),
@@ -292,7 +293,8 @@ def _compile_row_kernel(f):
     else:
         j, src = 2, _scan_kernel_source(f)
     namespace = {}
-    exec("\n".join(src), dict(SOURCE_GLOBALS, gcd=gcd, pow=pow), namespace)
+    exec("\n".join(src),
+         dict(SOURCE_GLOBALS, gcd=gcd, pow=pow, sorted=sorted), namespace)
     return j, namespace["column"], namespace["row"]
 
 
@@ -304,7 +306,9 @@ def single_power_split(f):
 
     The row kernel lifts v and the integer search solves for it.  z comes
     first: the lifts of z come out of each (x, y) row in lexicographic
-    order, so sorting a level of residue lifts mostly merges runs."""
+    order, so sorting a level of residue lifts mostly merges runs, and
+    level 1 of the p-adic search stops at its first Newton point without
+    building the level."""
     for j in (2, 1, 0):
         powers = {e[j] for _, e in f.terms if e[j]}
         if len(powers) == 1:

@@ -71,9 +71,11 @@ SEARCH_MODULI = (16, 9, 25, 7, 11, 13, 17, 19, 23)
 SEARCH_MAX_BOUND = 10000
 
 # `verify` runs the p-adic search only at the rational witness's bad primes
-# up to this one: its first level alone solves p**2 rows, one lookup each
-# (0.004-0.014 s at p = 101 on the bundled forms, 0.02-0.07 s at p = 211).
-# A larger bad prime stays uncovered.
+# up to this one.  Its first level is p**2 rows, one lookup each.  A form
+# whose row kernel solves for z stops at the first Newton point, a few rows
+# in on quartic (under 0.1 ms at p = 211, 1 ms at 4001); a form that solves
+# for y or x, or a level with no Newton point, walks them all (0.014 s at
+# p = 101 and 0.07 s at 211 on cubic).  A larger bad prime stays uncovered.
 PADIC_SEARCH_MAX_PRIME = 101
 
 

@@ -45,24 +45,34 @@ def _newton_at(fn, partials, point, target, p):
     return ok, fv, best
 
 
-def lift_classes(f, target, p, classes, mod):
-    """The sorted lifts mod p*mod of the residue triples mod mod in classes
-    at which the form f takes the target value mod p*mod.
+def _lift_rows(f, target, p, classes, mod):
+    """Yield (u, w, vs) for each row of the lifts mod p*mod of the residue
+    triples mod mod in classes: the lift (u, w) of the two variables f's
+    `MultiPoly.row_kernel` does not solve for, and the lifts vs of its
+    variable v, in ascending order, at which f takes the target value.
 
-    Each class is solved row by row through f's `MultiPoly.row_kernel`:
-    the column of the p lifts of its variable v is prepared once, and one
-    row call per lift (u, w) of the other two returns the lifts of v where
-    f = target."""
+    The column of the p lifts of v is prepared once per class; the rows of
+    a class come with (u, w) in lexicographic order."""
     j, column, row = f.row_kernel()
     top = p * mod
-    nxt = []
     for cls in classes:
         u, w = cls[:j] + cls[j + 1:]
         col = column(range(cls[j], cls[j] + top, mod), top)
         for u2 in range(u, u + top, mod):
             for w2 in range(w, w + top, mod):
-                for v in row(u2, w2, col, target, top):
-                    nxt.append((u2, w2, v))
+                yield u2, w2, row(u2, w2, col, target, top)
+
+
+def lift_classes(f, target, p, classes, mod):
+    """The sorted lifts mod p*mod of the residue triples mod mod in classes
+    at which the form f takes the target value mod p*mod.
+
+    Each class is solved row by row (`_lift_rows`): one row call per lift
+    (u, w) of the two variables that f's `MultiPoly.row_kernel` does not
+    solve for returns the lifts of the third, v, where f = target."""
+    nxt = [(u, w, v) for u, w, vs in _lift_rows(f, target, p, classes, mod)
+           for v in vs]
+    j = f.row_kernel()[0]
     if j < 2:  # (u, w, v) back to (x, y, z)
         nxt = list(map(itemgetter(*((2, 0, 1), (0, 2, 1))[j]), nxt))
     nxt.sort()
@@ -79,6 +89,16 @@ def padic_solutions_exist(f, target, p, maxdepth=None):
     v_p(f - target) > 2 * v_p(partial); it is pruned when f - target is not
     divisible by the level modulus.  Lexicographic traversal, so identical
     inputs always report the identical witness class.
+
+    When the row kernel solves for z, level 1 is walked row by row and the
+    search stops at the first lift that passes: the rows (x, y) of the
+    class mod 1 come in lexicographic order with their z ascending, so that
+    lift is the first Newton point of the sorted level, on the bundled
+    quartic a few rows into the p**2.  A level 1 with no Newton point (so
+    any "no" or "inconclusive" answer) and every form that solves for y or
+    x still build the whole level: p**2 rows, and about p**2 lifts held at
+    once (10**8 at p = 10**4).  The levels after the first go through
+    `lift_classes`.
     """
     if maxdepth is None:
         maxdepth = 8 if p == 2 else 4
@@ -89,16 +109,22 @@ def padic_solutions_exist(f, target, p, maxdepth=None):
 
     frontier, mod = [(0, 0, 0)], 1
     for level in range(1, maxdepth + 1):
-        frontier = lift_classes(f, target, p, frontier, mod)
-        mod *= p
-        for pt in frontier:
+        if level == 1 and f.row_kernel()[0] == 2:
+            lifts = ((x, y, z) for x, y, zs in
+                     _lift_rows(f, target, p, frontier, mod) for z in zs)
+        else:
+            lifts = lift_classes(f, target, p, frontier, mod)
+        frontier = []
+        for pt in lifts:
             ok, fv, dv = _newton_at(fn, partials, pt, target, p)
             if ok:
                 return SolubilityAnswer("yes", p, level, witness=pt,
                                         value_valuation=fv,
                                         derivative_valuation=dv)
+            frontier.append(pt)
         if not frontier:
             return SolubilityAnswer("no", p, level)
+        mod *= p
     return SolubilityAnswer("inconclusive", p, maxdepth)
 
 

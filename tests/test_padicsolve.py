@@ -26,6 +26,34 @@ def brute_lifts(f, target, p, classes, mod):
                   % top == 0)
 
 
+def reference_search(f, target, p, maxdepth):
+    """The answer of `padic_solutions_exist` from whole levels: each level
+    built with `brute_lifts` and sorted, and its first point that meets
+    Newton's inequality the witness."""
+    fn = f.evaluator()
+    partials = [d.evaluator() for d in f.gradient()]
+
+    def v(n):
+        k = 0
+        while n % p == 0:
+            n, k = n // p, k + 1
+        return k
+
+    classes, mod = [(0, 0, 0)], 1
+    for level in range(1, maxdepth + 1):
+        classes = brute_lifts(f, target, p, classes, mod)
+        mod *= p
+        for pt in classes:
+            value = fn(*pt) - target
+            fv = v(value) if value else None
+            dvs = [v(d) for d in (g(*pt) for g in partials) if d]
+            if dvs and (fv is None or fv > 2 * min(dvs)):
+                return SolubilityAnswer("yes", p, level, pt, fv, min(dvs))
+        if not classes:
+            return SolubilityAnswer("no", p, level)
+    return SolubilityAnswer("inconclusive", p, maxdepth)
+
+
 @st.composite
 def small_forms(draw):
     """A form of at most six terms of degree at most 4 in each variable:
@@ -254,6 +282,86 @@ def test_large_prime_answers_pinned(name, target, p, depth, witness, fv, dv):
     f = load_instance(name).f
     assert padic_solutions_exist(f, target, p) == SolubilityAnswer(
         "yes", p, depth, witness, fv, dv)
+
+
+@st.composite
+def z_kernel_forms(draw):
+    """A form whose row kernel lifts z: C*z**k + R with a constant C (which
+    p may divide), or with a C in x and y that vanishes at (0, 0), so that
+    it is no unit on some rows; or x, y and z each in powers 1 and 2 and
+    maybe more, so that the kernel scans z."""
+    shape = draw(st.sampled_from(("constant C", "varying C", "scan")))
+    coeff = st.integers(-20, 20).filter(bool)
+    xy = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    terms = {(a, b, 0): c for (a, b), c in
+             draw(st.dictionaries(xy, coeff, max_size=4)).items()}
+    k = draw(st.integers(1, 4))
+    if shape == "constant C":
+        terms[0, 0, k] = draw(coeff)
+    elif shape == "varying C":
+        c_terms = draw(st.dictionaries(xy.filter(any), coeff, min_size=1,
+                                       max_size=3))
+        terms.update(((a, b, k), c) for (a, b), c in c_terms.items())
+    else:
+        exps = st.tuples(*[st.integers(0, 3)] * 3)
+        terms.update(draw(st.dictionaries(exps, coeff, max_size=3)))
+        for e in ((1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 2, 0), (0, 0, 1),
+                  (0, 0, 2)):
+            terms[e] = draw(coeff)
+    return MultiPoly((c, e) for e, c in terms.items())
+
+
+class TestEarlyExit:
+    """Level 1 of the search walks the rows of a form whose row kernel
+    lifts z and stops at the first lift that meets Newton's inequality."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(z_kernel_forms(), st.integers(-30, 30),
+           st.sampled_from((2, 3, 5, 7)), st.integers(1, 3))
+    def test_matches_whole_levels(self, f, target, p, maxdepth):
+        assert f.row_kernel()[0] == 2
+        assert padic_solutions_exist(f, target, p, maxdepth) == \
+            reference_search(f, target, p, maxdepth)
+
+    # (target, p, witness, value_valuation) on quartic, as the search
+    # that sorted the whole of level 1 gave them
+    @pytest.mark.parametrize("target,p,witness,fv", [
+        (1, 1009, (0, 1, 386), 1), (-1, 1009, (0, 1, 0), None),
+        (1, 4001, (0, 4, 487), 1), (-1, 4001, (0, 1, 0), None)])
+    def test_level_one_stops_within_p_rows(self, monkeypatch, target, p,
+                                           witness, fv):
+        # the whole of level 1 is p**2 row calls
+        kernel = MultiPoly.row_kernel
+        calls = []
+
+        def counted(f):
+            j, column, row = kernel(f)
+
+            def counted_row(*args):
+                calls.append(args[:2])
+                return row(*args)
+            return j, column, counted_row
+
+        monkeypatch.setattr(MultiPoly, "row_kernel", counted)
+        f = load_instance("quartic").f
+        ans = padic_solutions_exist(f, target, p)
+        assert ans == SolubilityAnswer("yes", p, 1, witness, fv, 0)
+        assert 0 < len(calls) <= p
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(small_forms(), z_kernel_forms()),
+           st.sampled_from((2, 3, 5, 7)), st.integers(1, 4))
+    def test_rows_ascending(self, f, p, other):
+        # a row lists its lifts of v in ascending order, also where C is
+        # not a unit mod M
+        _, column, row = f.row_kernel()
+        top = p * other
+        col = column(range(top), top)
+        for u in range(top):
+            for w in range(top):
+                for target in range(top):
+                    vs = row(u, w, col, target, top)
+                    assert list(vs) == sorted(vs)
 
 
 class TestRationalWitness:
