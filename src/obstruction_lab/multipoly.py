@@ -10,6 +10,7 @@ classes through two more (`MultiPoly.row_kernel`).  One function,
 `single_power_split`, picks the variable v that the form holds in a single
 power k and splits the form into C*v**k + R: the row kernel lifts v with
 one lookup per row of the other two, and the integer search solves for v.
+A form with no such variable is refused there, with a ValueError.
 """
 
 from collections import namedtuple
@@ -42,13 +43,6 @@ def _term_source(c, exps):
     if abs(c) != 1 or not mono:
         mono.insert(0, "%d" % abs(c))
     return "*".join(mono)
-
-
-def _chained_sum(chunks):
-    """Source of the sum of the chunk sources, each a chain of at most
-    _SUM_CHUNK terms."""
-    return ("sum((%s,))" % ", ".join(chunks) if len(chunks) > 1
-            else chunks[0] if chunks else "0")
 
 
 # The globals of compiled sources: no builtins but the one `sum` they call.
@@ -142,7 +136,8 @@ class MultiPoly:
                     src = "-"
                 src += _term_source(c, exps)
             chunks.append(src)
-        return _chained_sum(chunks)
+        return ("sum((%s,))" % ", ".join(chunks) if len(chunks) > 1
+                else chunks[0] if chunks else "0")
 
     def evaluator(self):
         """The form as a function of (x, y, z), compiled once per form: its
@@ -191,11 +186,7 @@ class MultiPoly:
         values of v where the form is t mod M at (u, w), in ascending
         order: the ones stored under (t - R) mod M, or under (t - R)/C mod M
         when C is a unit mod M, and else those of the keys that pass
-        C*key = t - R mod M, sorted.  With no split, v is z, each column
-        entry holds a value of z, the z-only part of the form and the
-        powers of z whose coefficients vary, mod M, and row computes those
-        coefficients at (x, y) once and keeps the values of z where the
-        form is t, in one list comprehension."""
+        C*key = t - R mod M, sorted."""
         return self._derived("_row_kernel", _compile_row_kernel)
 
     def partial(self, var):
@@ -260,38 +251,9 @@ def _lookup_kernel_source(j, k, coeff, rest):
             "def row(%s, %s, col, t, M):" % (u, w)] + body
 
 
-def _scan_kernel_source(f):
-    """Source of the row kernel that scans the values of z."""
-    fixed, varying = [], []  # z-only terms; (k, source) of the rest
-    for k, c in enumerate(f.z_coefficients()):
-        rest = [(a, e) for a, e in c.terms if e != (0, 0, 0)]
-        fixed.extend((a, (0, 0, k)) for a, e in c.terms if e == (0, 0, 0))
-        if rest:
-            varying.append((k, MultiPoly(rest).source()))
-    powers = [k for k, _ in varying if k]
-    entry = ["z", "(%s) %% M" % MultiPoly(fixed).source()]
-    entry += ["%s %% M" % _monomial_source(1, 2, k) for k in powers]
-    terms = ["g"] + ["a%d * z%d" % (k, k) for k in powers]
-    total = _chained_sum([" + ".join(terms[j:j + _SUM_CHUNK])
-                          for j in range(0, len(terms), _SUM_CHUNK)])
-    test = "(%s) %% M == r" % total if powers else "g == r"
-    offset = "".join(" - (%s)" % src for k, src in varying if not k)
-    src = ["def column(zs, M):",
-           "    return [(%s) for z in zs]" % ", ".join(entry),
-           "def row(x, y, col, t, M):",
-           "    r = (t%s) %% M" % offset]
-    src += ["    a%d = (%s) %% M" % (k, s) for k, s in varying if k]
-    src.append("    return [z for %s in col if %s]"
-               % (", ".join(["z", "g"] + ["z%d" % k for k in powers]), test))
-    return src
-
-
 def _compile_row_kernel(f):
-    split = single_power_split(f)
-    if split:
-        j, src = split[0], _lookup_kernel_source(*split)
-    else:
-        j, src = 2, _scan_kernel_source(f)
+    j, k, coeff, rest = single_power_split(f)
+    src = _lookup_kernel_source(j, k, coeff, rest)
     namespace = {}
     exec("\n".join(src),
          dict(SOURCE_GLOBALS, gcd=gcd, pow=pow, sorted=sorted), namespace)
@@ -301,10 +263,12 @@ def _compile_row_kernel(f):
 def single_power_split(f):
     """(j, k, C, R) with f = C*v**k + R, where v is variable j, the first of
     z, y, x that f holds in a single power k, and C and R are forms in the
-    other two variables; None when each variable of f occurs in no power or
-    in several.
+    other two variables.  ValueError when each variable of f occurs in no
+    power or in several.
 
-    The row kernel lifts v and the integer search solves for it.  z comes
+    The row kernel lifts v and the integer search solves for it, so this is
+    the rule a form must pass to be searched; an `ObstructionInstance`
+    checks it when it loads.  z comes
     first: the lifts of z come out of each (x, y) row in lexicographic
     order, so sorting a level of residue lifts mostly merges runs, and
     level 1 of the p-adic search stops at its first Newton point without
@@ -316,7 +280,7 @@ def single_power_split(f):
                               for c, e in f.terms if e[j])
             rest = MultiPoly((c, e) for c, e in f.terms if not e[j])
             return j, powers.pop(), coeff, rest
-    return None
+    raise ValueError("no variable of f occurs in a single power")
 
 
 class IdentityClaim(namedtuple("IdentityClaim", "summands")):

@@ -51,9 +51,11 @@ CURVE_POINT_TRIES = 64
 SQUARE_FRUITLESS_DRAWS = 100000
 
 # The largest modulus `residue_sieve` takes: it lifts its classes one prime
-# factor of m at a time, one lookup per row of a class (`lift_classes`):
-# 0.08-0.24 s per target on the bundled forms at m = 256 (eight levels at
-# p = 2) and 0.05-0.11 s at m = 251 (one level of m**2 rows).
+# factor of m at a time, one lookup per row of a class (`lift_classes`).
+# Per target on the bundled forms (process CPU, best of 3, 2-vCPU Xeon,
+# Python 3.11): at m = 256 (eight levels at p = 2) cubic 0.09 s, quartic
+# 0.24-0.30 s at t = 1 and 0.53-0.59 s at t = -1; at m = 251 (one level
+# of m**2 rows) 0.06-0.13 s.
 SIEVE_MAX_MODULUS = 256
 
 # The 2-adic table tries the levels below this one before it leaves a class
@@ -538,14 +540,6 @@ def square_mod_sampling(F, H_factors, trials, seed):
                                 tuple(skipped))
 
 
-def _search_split(f):
-    """f's `single_power_split`; ValueError when it has none."""
-    split = single_power_split(f)
-    if split is None:
-        raise ValueError("no variable of f occurs in a single power")
-    return split
-
-
 def _canonical_solutions(f, sols):
     """Primitive representatives, canonically signed when f is invariant under
     the antipodal flip, deduplicated and sorted."""
@@ -595,7 +589,7 @@ def integer_search(f, target, B):
     if not 0 <= B <= SEARCH_MAX_BOUND:
         raise ValueError("search bound must be from 0 to %d, got %d"
                          % (SEARCH_MAX_BOUND, B))
-    j, k, C, R = _search_split(f)
+    j, k, C, R = single_power_split(f)
     at = eval("lambda %s, %s: (%s, %s)" % (
         *"xyz".replace("xyz"[j], ""), C.source(), R.source()), SOURCE_GLOBALS)
     _, column, row = f.row_kernel()
@@ -662,6 +656,9 @@ class ObstructionInstance(namedtuple(
             raise ValueError("name must be a string, got %r" % (self.name,))
         if self.f.homogeneous_degree() is None:
             raise ValueError("instance polynomial must be homogeneous")
+        # every residue lift and the integer search solve for the variable
+        # of this split, so a form without one is refused here
+        single_power_split(self.f)
         t = self.targets
         if type(t) is not tuple or not t or any(
                 type(x) is not int or x == 0 for x in t):
@@ -712,9 +709,8 @@ def obstruction_verdict(instance, seed=DEFAULT_SEED):
     step.  The sampling stages draw from seeds derived from `seed`."""
     f = instance.f
     alg = instance.algebra
-    # before any work, refuse an f the integer search cannot solve and a
-    # factor too large for the odd-place scan
-    _search_split(f)
+    # before any work, refuse a factor too large for the odd-place scan
+    # (the instance refused an f the integer search cannot solve)
     check_odd_scan_factors(f, alg, ODD_BOUND)
     steps = {}
 

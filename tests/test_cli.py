@@ -629,24 +629,35 @@ class TestExitCodes:
     def test_unsearchable_poly_usage_error(self, capsys, tmp_path,
                                            quartic_path, monkeypatch,
                                            first, second):
-        # every variable of f occurs in two powers, 4 and 2, so the integer
-        # search has no variable to solve for: refused before any stage
+        # every variable of the sextic-term quartic occurs in two powers, 4
+        # and 2, and the constant form holds none: the residue lifts and
+        # the integer search have no variable to solve for, so every
+        # command that loads the instance refuses it before any stage
         # runs, whatever the algebra would do
         def stage(*args):
             raise AssertionError("a stage ran")
 
-        monkeypatch.setattr(obstruction, "residue_sieve", stage)
+        for name in ("obstruction_verdict", "padic_answer_record",
+                     "residue_sieve", "class_invariant_table",
+                     "point_invariant_profile", "search_record"):
+            monkeypatch.setattr(cli, name, stage)
         _, doc = quartic_path
-        doc["poly"] = [[1, 4, 0, 0], [1, 0, 4, 0], [1, 0, 0, 4],
-                       [1, 2, 2, 0], [1, 0, 2, 2], [1, 2, 0, 2]]
         doc["algebra"] = {"first": first, "second": second}
         doc["rational_witness"] = None
         path = tmp_path / "unsearchable.json"
-        path.write_text(json.dumps(doc))
-        code, out, err = run_cli(capsys, "verify", str(path), "--bound", "5")
-        assert code == 1
-        assert out == ""
-        assert err == "error: no variable of f occurs in a single power\n"
+        for poly in ([[1, 4, 0, 0], [1, 0, 4, 0], [1, 0, 0, 4],
+                      [1, 2, 2, 0], [1, 0, 2, 2], [1, 2, 0, 2]],
+                     [[1, 0, 0, 0]]):
+            doc["poly"] = poly
+            path.write_text(json.dumps(doc))
+            for argv in (["verify", "--bound", "5"], ["search", "-B", "5"],
+                         ["local", "-p", "3"], ["sieve"], ["table"],
+                         ["profile", "-P", "1,2,3"]):
+                code, out, err = run_cli(capsys, argv[0], str(path),
+                                         *argv[1:])
+                assert (code, out, err) == (
+                    1, "", "error: no variable of f occurs in a single "
+                    "power\n"), (poly, argv)
 
     def test_unfactored_reciprocity_exit_three(self, capsys):
         # (10^9 + 7)(10^9 + 9) survives trial division and is not prime
@@ -763,12 +774,15 @@ class TestExitCodes:
         assert report["steps"]["square_sampling"]["counterexamples"] == []
 
     def test_five_thousand_term_poly(self, quartic_path):
-        # the compiled evaluator of a degree-99 form with 5,000 terms stays
-        # within the compiler's recursion limit
+        # the compiled evaluator and row kernel of z*C(x, y) + R(x, y) of
+        # degree 2,500, with 5,000 terms, stay within the compiler's
+        # recursion limit: a form of degree n with a single-power variable
+        # has at most 2n + 1 terms
         path, doc = quartic_path
         rng = random.Random(5)
-        doc["poly"] = [[rng.randint(-10 ** 30, 10 ** 30), a, b, 99 - a - b]
-                       for a in range(100) for b in range(100 - a)][:5000]
+        n = 2500
+        doc["poly"] = [[rng.randint(-10 ** 30, 10 ** 30), a, n - e - a, e]
+                       for e in (0, 1) for a in range(n + 1 - e)][:5000]
         path.write_text(json.dumps(doc))
         done = run_child("local", str(path), "-p", "3")
         assert done.returncode == 0

@@ -194,12 +194,12 @@ class TestEvaluator:
             p = random_poly(rng, nterms=rng.randint(1, 5))
             held = [j for j in (2, 1, 0)
                     if len({e[j] for _, e in p.terms if e[j]}) == 1]
-            got = single_power_split(p)
             if not held:
-                assert got is None
+                with pytest.raises(ValueError, match="single power"):
+                    single_power_split(p)
                 continue
             split += 1
-            j, k, C, R = got
+            j, k, C, R = single_power_split(p)
             assert j == held[0]
             assert all(e[j] == 0 for _, e in C.terms + R.terms)
             exps = [0, 0, 0]

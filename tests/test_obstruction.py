@@ -34,6 +34,7 @@ from obstruction_lab.obstruction import (DEFAULT_SEED, INCONCLUSIVE,
                                          point_invariant_profile,
                                          real_unramified_scan, residue_sieve,
                                          square_mod_sampling)
+from obstruction_lab.padicsolve import lift_classes, padic_solutions_exist
 
 
 def first_classes(sieve, n):
@@ -854,7 +855,10 @@ class TestIntegerSearch:
             terms.append(term(c, k, a, min(b, 4 - k - a)))
         f = MultiPoly(terms)
         # the terms of C may cancel, leaving no variable to solve for
-        assume(single_power_split(f) is not None)
+        try:
+            single_power_split(f)
+        except ValueError:
+            assume(False)
         # near a value f takes in the box, so that solutions often exist
         target = f.evaluate_int(tuple(max(-B, min(B, v)) for v in pt)) + offset
         assert integer_search(f, target, B) == naive_integer_search(f, target, B)
@@ -873,10 +877,18 @@ class TestIntegerSearch:
                           "2818d51ec40a4477589d4abd0c3f1372")
 
     def test_no_solvable_variable_rejected(self):
-        f = MultiPoly([(1, (2, 1, 0)), (1, (1, 2, 0)), (1, (1, 0, 2)),
-                       (1, (0, 2, 1)), (1, (2, 0, 1)), (1, (0, 1, 2))])
-        with pytest.raises(ValueError):
-            integer_search(f, 1, 5)
+        # each variable in powers 1 and 2, or in powers 2 and 4: the
+        # integer search and the residue lifts have no variable to solve for
+        for f in (MultiPoly([(1, (2, 1, 0)), (1, (1, 2, 0)), (1, (1, 0, 2)),
+                             (1, (0, 2, 1)), (1, (2, 0, 1)), (1, (0, 1, 2))]),
+                  MultiPoly([(1, (4, 0, 0)), (1, (0, 4, 0)), (1, (0, 0, 4)),
+                             (1, (2, 2, 0)), (1, (0, 2, 2)), (1, (2, 0, 2))])):
+            with pytest.raises(ValueError, match="single power"):
+                integer_search(f, 1, 5)
+            with pytest.raises(ValueError, match="single power"):
+                lift_classes(f, 1, 3, [(0, 0, 0)], 1)
+            with pytest.raises(ValueError, match="single power"):
+                padic_solutions_exist(f, 1, 3)
 
 
 class TestVerdict:
@@ -898,6 +910,19 @@ class TestVerdict:
         assert report["verdict"] == NOT_OBSTRUCTED
         search = report["steps"]["integer_search"]["-1"]
         assert [0, 1, 0] in search["solutions"]
+
+    def test_instance_refuses_unsplit_form(self, quartic_instance):
+        # x^4 + y^4 + z^4 + x^2y^2 + y^2z^2 + z^2x^2 is homogeneous, but
+        # no variable occurs in a single power
+        f = MultiPoly([(1, (4, 0, 0)), (1, (0, 4, 0)), (1, (0, 0, 4)),
+                       (1, (2, 2, 0)), (1, (0, 2, 2)), (1, (2, 0, 2))])
+        inst = quartic_instance
+        with pytest.raises(ValueError, match="^no variable of f occurs in "
+                           "a single power$"):
+            ObstructionInstance(inst.name, f, inst.targets, inst.algebra,
+                                inst.sieve_modulus, None, 10)
+        with pytest.raises(ValueError, match="single power"):
+            inst._replace(f=MultiPoly([(1, (0, 0, 0))]))
 
     @pytest.mark.parametrize("m", [2, 4])
     def test_quartic_small_sieve_modulus_obstructed(self, quartic_instance,

@@ -3,12 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from obstruction_lab.cli import load_instance
 from obstruction_lab.exactarith import is_probable_prime
-from obstruction_lab.multipoly import MultiPoly
+from obstruction_lab.multipoly import MultiPoly, single_power_split
 from obstruction_lab.padicsolve import (SolubilityAnswer, lift_classes,
                                         padic_solutions_exist,
                                         verify_rational_witness)
@@ -54,11 +54,20 @@ def reference_search(f, target, p, maxdepth):
     return SolubilityAnswer("inconclusive", p, maxdepth)
 
 
+def has_split(f):
+    try:
+        single_power_split(f)
+    except ValueError:
+        return False
+    return True
+
+
 @st.composite
 def small_forms(draw):
     """A form of at most six terms of degree at most 4 in each variable:
     any shape, without z, in z alone, or with a constant z-coefficient
-    next to varying ones."""
+    next to varying ones; only forms with a variable in a single power,
+    the forms an instance accepts."""
     shape = draw(st.sampled_from(("any", "no z", "z only", "fixed z")))
     exps = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
     terms = draw(st.lists(st.tuples(st.integers(-20, 20), exps),
@@ -72,7 +81,9 @@ def small_forms(draw):
         k = draw(st.integers(0, 3))
         terms += [(draw(st.integers(1, 9)), (0, 0, k)),
                   (draw(st.integers(1, 9)), (1, 1, k + 1))]
-    return MultiPoly(terms)
+    f = MultiPoly(terms)
+    assume(has_split(f))
+    return f
 
 
 # (p, depth, witness, value_valuation, derivative_valuation) of the "yes"
@@ -209,9 +220,6 @@ class TestLiftClasses:
         ([(3, (0, 2, 1)), (1, (3, 0, 0)), (-7, (0, 0, 3))], 1),
         ([(6, (2, 1, 0)), (2, (2, 0, 1)), (1, (0, 3, 0)), (1, (0, 1, 1)),
           (1, (0, 0, 3))], 0),
-        # no variable in a single power: the scan over z
-        ([(1, (4, 0, 0)), (1, (0, 4, 0)), (1, (0, 0, 4)), (1, (2, 2, 0)),
-          (1, (0, 2, 2)), (1, (2, 0, 2))], 2),
     ])
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_each_kernel_shape(self, terms, var, p):
@@ -239,11 +247,13 @@ class TestLiftClasses:
                 brute_lifts(f, 5, 3, classes, mod)
 
     def test_zero_form(self):
+        # the zero form holds no variable, so it has no split to lift
         zero = MultiPoly()
         assert zero.z_coefficients() == ()
-        assert lift_classes(zero, 0, 2, [(1, 0, 1)], 2) == \
-            brute_lifts(zero, 0, 2, [(1, 0, 1)], 2)
-        assert lift_classes(zero, 1, 3, [(0, 0, 0)], 1) == []
+        with pytest.raises(ValueError, match="single power"):
+            lift_classes(zero, 0, 2, [(1, 0, 1)], 2)
+        with pytest.raises(ValueError, match="single power"):
+            padic_solutions_exist(zero, 1, 3)
 
     @pytest.mark.parametrize("name,target", [("quartic", 1), ("cubic", 1),
                                              ("cubic", -1)])
@@ -288,9 +298,9 @@ def test_large_prime_answers_pinned(name, target, p, depth, witness, fv, dv):
 def z_kernel_forms(draw):
     """A form whose row kernel lifts z: C*z**k + R with a constant C (which
     p may divide), or with a C in x and y that vanishes at (0, 0), so that
-    it is no unit on some rows; or x, y and z each in powers 1 and 2 and
-    maybe more, so that the kernel scans z."""
-    shape = draw(st.sampled_from(("constant C", "varying C", "scan")))
+    it is no unit on some rows.  (A form with no variable in a single power
+    has no row kernel.)"""
+    shape = draw(st.sampled_from(("constant C", "varying C")))
     coeff = st.integers(-20, 20).filter(bool)
     xy = st.tuples(st.integers(0, 3), st.integers(0, 3))
     terms = {(a, b, 0): c for (a, b), c in
@@ -298,16 +308,10 @@ def z_kernel_forms(draw):
     k = draw(st.integers(1, 4))
     if shape == "constant C":
         terms[0, 0, k] = draw(coeff)
-    elif shape == "varying C":
+    else:
         c_terms = draw(st.dictionaries(xy.filter(any), coeff, min_size=1,
                                        max_size=3))
         terms.update(((a, b, k), c) for (a, b), c in c_terms.items())
-    else:
-        exps = st.tuples(*[st.integers(0, 3)] * 3)
-        terms.update(draw(st.dictionaries(exps, coeff, max_size=3)))
-        for e in ((1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 2, 0), (0, 0, 1),
-                  (0, 0, 2)):
-            terms[e] = draw(coeff)
     return MultiPoly((c, e) for e, c in terms.items())
 
 
