@@ -9,8 +9,9 @@ coefficients and exponents (`MultiPoly.evaluator`), and lifts residue
 classes through two more (`MultiPoly.row_kernel`).  One function,
 `single_power_split`, picks the variable v that the form holds in a single
 power k and splits the form into C*v**k + R: the row kernel lifts v with
-one lookup per row of the other two, and the integer search solves for v.
-A form with no such variable is refused there, with a ValueError.
+one lookup per row (u, w) of the other two and one call per slice of the
+rows of one u, and the integer search solves for v.  A form with no such
+variable is refused there, with a ValueError.
 """
 
 from collections import namedtuple
@@ -43,6 +44,24 @@ def _term_source(c, exps):
     if abs(c) != 1 or not mono:
         mono.insert(0, "%d" % abs(c))
     return "*".join(mono)
+
+
+def _sum_source(parts):
+    """Source of the sum of parts, each (negative, text) with text the
+    source of the term's absolute value, in chained sums of at most
+    _SUM_CHUNK terms added by sum() over a tuple."""
+    chunks = []
+    for k in range(0, len(parts), _SUM_CHUNK):
+        src = ""
+        for negative, text in parts[k:k + _SUM_CHUNK]:
+            if src:
+                src += " - " if negative else " + "
+            elif negative:
+                src = "-"
+            src += text
+        chunks.append(src)
+    return ("sum((%s,))" % ", ".join(chunks) if len(chunks) > 1
+            else chunks[0] if chunks else "0")
 
 
 # The globals of compiled sources: no builtins but the one `sum` they call.
@@ -126,18 +145,8 @@ class MultiPoly:
         built from its int coefficients and exponents only.  It calls no
         name but `sum`: `evaluator` compiles it, and callers may compile it
         into a larger function with globals SOURCE_GLOBALS."""
-        chunks = []
-        for k in range(0, len(self.terms), _SUM_CHUNK):
-            src = ""
-            for c, exps in self.terms[k:k + _SUM_CHUNK]:
-                if src:
-                    src += " - " if c < 0 else " + "
-                elif c < 0:
-                    src = "-"
-                src += _term_source(c, exps)
-            chunks.append(src)
-        return ("sum((%s,))" % ", ".join(chunks) if len(chunks) > 1
-                else chunks[0] if chunks else "0")
+        return _sum_source([(c < 0, _term_source(c, exps))
+                            for c, exps in self.terms])
 
     def evaluator(self):
         """The form as a function of (x, y, z), compiled once per form: its
@@ -173,7 +182,7 @@ class MultiPoly:
         return self._derived("_z_coefficients", _split_by_z)
 
     def row_kernel(self):
-        """(j, column, row): the index j of the variable v the residue lifts
+        """(j, column, rows): the index j of the variable v the residue lifts
         solve for, and two functions, compiled once per form, that find the
         lifts of v where the form takes a target value t mod M.
 
@@ -182,11 +191,16 @@ class MultiPoly:
         `single_power_split`, which the integer search reads too; its masks
         are built from these two functions.  column(vs, M) maps each
         value of v**k mod M, or of C*v**k mod M when C is a constant, to
-        the values in vs that give it.  row(u, w, column, t, M) returns the
-        values of v where the form is t mod M at (u, w), in ascending
-        order: the ones stored under (t - R) mod M, or under (t - R)/C mod M
-        when C is a unit mod M, and else those of the keys that pass
-        C*key = t - R mod M, sorted."""
+        the values in vs that give it.  rows(u, ws, column, t, M, inverses,
+        append) solves the slice of rows (u, w) for each w of ws in turn:
+        it computes the coefficients of the powers of w in C and R that
+        vary with u once, and passes append each point (x, y, z) whose v
+        makes the form t mod M at (u, w), each row's v in ascending order:
+        the ones stored under (t - R) mod M, or under (t - R)/C mod M when
+        C is a unit mod M, and else those of the keys that pass
+        C*key = t - R mod M, sorted.  inverses is a dict that keeps, per
+        value of C mod M, its inverse or 0 when it is no unit; the calls of
+        one modulus M may share it."""
         return self._derived("_row_kernel", _compile_row_kernel)
 
     def partial(self, var):
@@ -219,45 +233,88 @@ def _split_by_z(f):
     return tuple(MultiPoly(grp) for grp in by_z)
 
 
-def _monomial_source(c, j, k):
-    """Source of c times the k-th power of variable j."""
+def _power_exps(j, k):
+    """The exponents of the k-th power of variable j."""
     exps = [0, 0, 0]
     exps[j] = k
-    return MultiPoly([(c, tuple(exps))]).source()
+    return tuple(exps)
 
 
-def _lookup_kernel_source(j, k, coeff, rest):
-    """Source of the row kernel of f = coeff*v**k + rest, v variable j."""
+def _hoisted_parts(g, i, name, lines):
+    """Parts (see `_sum_source`) of g as a sum over the powers e of variable
+    i: a coefficient of i**e that is a number is written into its term, and
+    one that varies with the other variables is assigned once, to name<e>,
+    by a line appended to lines."""
+    by_power = {}
+    for c, exps in g.terms:
+        by_power.setdefault(exps[i], []).append(
+            (c, exps[:i] + (0,) + exps[i + 1:]))
+    parts = []
+    for e, terms in sorted(by_power.items()):
+        power = _power_exps(i, e)
+        if len(terms) == 1 and terms[0][1] == (0, 0, 0):
+            c = terms[0][0]
+            parts.append((c < 0, _term_source(c, power)))
+        else:
+            coeff = "%s%d" % (name, e)
+            lines.append("    %s = %s" % (coeff, MultiPoly(terms).source()))
+            parts.append((False, coeff + "*" + _term_source(1, power)
+                          if e else coeff))
+    return parts
+
+
+def _slice_kernel_source(j, k, coeff, rest):
+    """Source of the kernel of f = coeff*v**k + rest, v variable j."""
     v = "xyz"[j]
     u, w = "xyz".replace(v, "")
-    target = "(t - (%s)) %% M" % rest.source()
+    iw = "xyz".index(w)
+    power = _power_exps(j, k)
+    # the part of R free of w is folded into the target once per slice
+    head = ["def rows(%s, %ss, col, t, M, inverses, append):" % (u, w),
+            "    s = t - (%s)" % MultiPoly(
+                (c, e) for c, e in rest.terms if not e[iw]).source()]
+    target = "(s - (%s)) %% M" % _sum_source(_hoisted_parts(
+        MultiPoly((c, e) for c, e in rest.terms if e[iw]), iw, "a", head))
+    emit = "append((x, y, z))"
     if len(coeff.terms) == 1 and coeff.terms[0][1] == (0, 0, 0):
         # a constant C joins the key, so every row is one lookup
-        key = _monomial_source(coeff.terms[0][0], j, k)
-        body = ["    return col.get(%s, ())" % target]
+        key = MultiPoly([(coeff.terms[0][0], power)]).source()
+        body = ["    get = col.get",
+                "    for %s in %ss:" % (w, w),
+                "        for %s in get(%s, ()):" % (v, target),
+                "            " + emit]
     else:
-        key = _monomial_source(1, j, k)
-        body = ["    c = (%s) %% M" % coeff.source(),
-                "    r = " + target,
-                "    if gcd(c, M) == 1:",
-                "        return col.get(r * pow(c, -1, M) % M, ())",
-                "    return sorted([%s for key, %ss in col.items()"
-                " if (c * key - r) %% M == 0 for %s in %ss])" % (v, v, v, v)]
+        key = _term_source(1, power)
+        c = _sum_source(_hoisted_parts(coeff, iw, "b", head))
+        body = ["    for %s in %ss:" % (w, w),
+                "        r = " + target,
+                "        c = (%s) %% M" % c,
+                "        i = inverses.get(c)",
+                "        if i is None:",
+                "            i = inverses[c] = (pow(c, -1, M)"
+                " if gcd(c, M) == 1 else 0)",
+                "        if i:",
+                "            for %s in col.get(r * i %% M, ()):" % v,
+                "                " + emit,
+                "        else:",
+                "            for %s in sorted([%s for key, %ss in col.items()"
+                " if (c * key - r) %% M == 0 for %s in %ss]):"
+                % (v, v, v, v, v),
+                "                " + emit]
     return ["def column(%ss, M):" % v,
             "    col = {}",
             "    for %s in %ss:" % (v, v),
             "        col.setdefault((%s) %% M, []).append(%s)" % (key, v),
-            "    return col",
-            "def row(%s, %s, col, t, M):" % (u, w)] + body
+            "    return col"] + head + body
 
 
 def _compile_row_kernel(f):
     j, k, coeff, rest = single_power_split(f)
-    src = _lookup_kernel_source(j, k, coeff, rest)
+    src = _slice_kernel_source(j, k, coeff, rest)
     namespace = {}
     exec("\n".join(src),
          dict(SOURCE_GLOBALS, gcd=gcd, pow=pow, sorted=sorted), namespace)
-    return j, namespace["column"], namespace["row"]
+    return j, namespace["column"], namespace["rows"]
 
 
 def single_power_split(f):
@@ -268,11 +325,13 @@ def single_power_split(f):
 
     The row kernel lifts v and the integer search solves for it, so this is
     the rule a form must pass to be searched; an `ObstructionInstance`
-    checks it when it loads.  z comes
-    first: the lifts of z come out of each (x, y) row in lexicographic
-    order, so sorting a level of residue lifts mostly merges runs, and
-    level 1 of the p-adic search stops at its first Newton point without
-    building the level."""
+    checks it when it loads.  The kernel solves for v a slice of rows
+    (u, w) of one u at a time, with the coefficients of C and R that vary
+    with u computed once per slice.  z comes first: the lifts of z come
+    out of the (x, y) rows in lexicographic order, so sorting a level of
+    residue lifts mostly merges runs, and level 1 of the p-adic search,
+    which walks those rows one kernel call each, stops at its first Newton
+    point without building the level."""
     for j in (2, 1, 0):
         powers = {e[j] for _, e in f.terms if e[j]}
         if len(powers) == 1:

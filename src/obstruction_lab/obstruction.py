@@ -51,11 +51,11 @@ CURVE_POINT_TRIES = 64
 SQUARE_FRUITLESS_DRAWS = 100000
 
 # The largest modulus `residue_sieve` takes: it lifts its classes one prime
-# factor of m at a time, one lookup per row of a class (`lift_classes`).
-# Per target on the bundled forms (process CPU, best of 3, 2-vCPU Xeon,
-# Python 3.11): at m = 256 (eight levels at p = 2) cubic 0.09 s, quartic
-# 0.24-0.30 s at t = 1 and 0.53-0.59 s at t = -1; at m = 251 (one level
-# of m**2 rows) 0.06-0.13 s.
+# factor of m at a time, one lookup per row of a class and one kernel call
+# per slice of p rows (`lift_classes`).  Per target on the bundled forms
+# (process CPU, best of 3, 2-vCPU Xeon, Python 3.11): at m = 256 (eight
+# levels at p = 2) cubic 0.05 s, quartic 0.21 s at t = 1 and 0.45 s at
+# t = -1; at m = 251 (one level of m**2 rows) 0.04-0.07 s.
 SIEVE_MAX_MODULUS = 256
 
 # The 2-adic table tries the levels below this one before it leaves a class
@@ -581,7 +581,8 @@ def integer_search(f, target, B):
     residue of u gets one int bitmask over the w range, bit i set when
     (u, w_i) is admissible; a row ANDs its masks and walks the set bits
     from the top (each removed bit shortens the int).  Building the masks
-    costs q^2 row calls per q, whatever B is.
+    costs q slice calls per q, one per residue of u over every residue of
+    w, whatever B is.
 
     The v side is tabulated once: r^k -> r for every |r| <= B (r >= 0 for
     even k), so a k-th root is one dictionary lookup.
@@ -592,7 +593,8 @@ def integer_search(f, target, B):
     j, k, C, R = single_power_split(f)
     at = eval("lambda %s, %s: (%s, %s)" % (
         *"xyz".replace("xyz"[j], ""), C.source(), R.source()), SOURCE_GLOBALS)
-    _, column, row = f.row_kernel()
+    _, column, rows = f.row_kernel()
+    iw = 1 if j == 2 else 2  # the index of w in a lifted triple
 
     w0 = -B
     n = 2 * B + 1
@@ -604,19 +606,22 @@ def integer_search(f, target, B):
         # over the n bits of the w range
         tile = ((1 << q * -(-n // q)) - 1) // ((1 << q) - 1)
         shift = w0 % q
-        rows = []
+        inverses = {}
+        by_u = []
         for u in range(q):
-            bits = sum(1 << w for w in range(q) if row(u, w, col, target, q))
-            rows.append(((bits | bits << q) >> shift & (1 << q) - 1) * tile
+            lifts = []
+            rows(u, range(q), col, target, q, inverses, lifts.append)
+            bits = sum(1 << w for w in {pt[iw] for pt in lifts})
+            by_u.append(((bits | bits << q) >> shift & (1 << q) - 1) * tile
                         & full)
-        masks.append((q, rows))
+        masks.append((q, by_u))
 
     roots_of = {r ** k: r for r in range(0 if k % 2 == 0 else -B, B + 1)}
     sols = []
     for u in range(-B, B + 1):
         mask = full
-        for q, rows in masks:
-            mask &= rows[u % q]
+        for q, by_u in masks:
+            mask &= by_u[u % q]
         while mask:
             i = mask.bit_length() - 1
             mask ^= 1 << i

@@ -7,7 +7,6 @@ because a p-adic solution would reduce to a solution at every finite level.
 
 from collections import namedtuple
 from fractions import Fraction
-from operator import itemgetter
 
 from .exactarith import factor, valuation
 
@@ -45,38 +44,46 @@ def _newton_at(fn, partials, point, target, p):
     return ok, fv, best
 
 
-def _lift_rows(f, target, p, classes, mod):
-    """Yield (u, w, vs) for each row of the lifts mod p*mod of the residue
-    triples mod mod in classes: the lift (u, w) of the two variables f's
-    `MultiPoly.row_kernel` does not solve for, and the lifts vs of its
-    variable v, in ascending order, at which f takes the target value.
-
-    The column of the p lifts of v is prepared once per class; the rows of
-    a class come with (u, w) in lexicographic order."""
-    j, column, row = f.row_kernel()
-    top = p * mod
-    for cls in classes:
-        u, w = cls[:j] + cls[j + 1:]
-        col = column(range(cls[j], cls[j] + top, mod), top)
-        for u2 in range(u, u + top, mod):
-            for w2 in range(w, w + top, mod):
-                yield u2, w2, row(u2, w2, col, target, top)
-
-
 def lift_classes(f, target, p, classes, mod):
     """The sorted lifts mod p*mod of the residue triples mod mod in classes
     at which the form f takes the target value mod p*mod.
 
-    Each class is solved row by row (`_lift_rows`): one row call per lift
-    (u, w) of the two variables that f's `MultiPoly.row_kernel` does not
-    solve for returns the lifts of the third, v, where f = target."""
-    nxt = [(u, w, v) for u, w, vs in _lift_rows(f, target, p, classes, mod)
-           for v in vs]
-    j = f.row_kernel()[0]
-    if j < 2:  # (u, w, v) back to (x, y, z)
-        nxt = list(map(itemgetter(*((2, 0, 1), (0, 2, 1))[j]), nxt))
-    nxt.sort()
-    return nxt
+    f's `MultiPoly.row_kernel` solves for one variable v: each class
+    prepares the column of the p lifts of v once, then makes one slice call
+    per lift u of the first of the other two variables, which solves the
+    rows (u, w) for every lift w of the second; the units inverted on the
+    way are shared by the whole call."""
+    j, column, rows = f.row_kernel()
+    top = p * mod
+    lifts = []
+    append = lifts.append
+    inverses = {}
+    for cls in classes:
+        u, w = cls[:j] + cls[j + 1:]
+        col = column(range(cls[j], cls[j] + top, mod), top)
+        ws = range(w, w + top, mod)
+        for u2 in range(u, u + top, mod):
+            rows(u2, ws, col, target, top, inverses, append)
+    lifts.sort()
+    return lifts
+
+
+def _first_level_rows(f, target, p):
+    """Yield the lifts mod p of f = target row by row, one kernel call per
+    row, for a form f whose `MultiPoly.row_kernel` solves for z: the rows
+    (x, y) in lexicographic order, each with its z ascending, so in the
+    order of the sorted level."""
+    _, column, rows = f.row_kernel()
+    col = column(range(p), p)
+    found = []
+    append = found.append
+    inverses = {}
+    for x in range(p):
+        for y in range(p):
+            rows(x, (y,), col, target, p, inverses, append)
+            if found:
+                yield from found
+                found.clear()
 
 
 def padic_solutions_exist(f, target, p, maxdepth=None):
@@ -90,15 +97,15 @@ def padic_solutions_exist(f, target, p, maxdepth=None):
     divisible by the level modulus.  Lexicographic traversal, so identical
     inputs always report the identical witness class.
 
-    When the row kernel solves for z, level 1 is walked row by row and the
-    search stops at the first lift that passes: the rows (x, y) of the
-    class mod 1 come in lexicographic order with their z ascending, so that
-    lift is the first Newton point of the sorted level, on the bundled
-    quartic a few rows into the p**2.  A level 1 with no Newton point (so
-    any "no" or "inconclusive" answer) and every form that solves for y or
-    x still build the whole level: p**2 rows, and about p**2 lifts held at
-    once (10**8 at p = 10**4).  The levels after the first go through
-    `lift_classes`.
+    When the row kernel solves for z, level 1 is walked row by row, one
+    kernel call per row, and the search stops at the first lift that
+    passes: the rows (x, y) of the class mod 1 come in lexicographic order
+    with their z ascending, so that lift is the first Newton point of the
+    sorted level, on the bundled quartic a few rows into the p**2.  A level
+    1 with no Newton point (so any "no" or "inconclusive" answer) and every
+    form that solves for y or x (cubic) still build the whole level: p**2
+    rows in p slice calls, and about p**2 lifts held at once (10**8 at
+    p = 10**4).  The levels after the first go through `lift_classes`.
     """
     if maxdepth is None:
         maxdepth = 8 if p == 2 else 4
@@ -110,8 +117,7 @@ def padic_solutions_exist(f, target, p, maxdepth=None):
     frontier, mod = [(0, 0, 0)], 1
     for level in range(1, maxdepth + 1):
         if level == 1 and f.row_kernel()[0] == 2:
-            lifts = ((x, y, z) for x, y, zs in
-                     _lift_rows(f, target, p, frontier, mod) for z in zs)
+            lifts = _first_level_rows(f, target, p)
         else:
             lifts = lift_classes(f, target, p, frontier, mod)
         frontier = []

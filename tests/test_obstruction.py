@@ -799,8 +799,9 @@ class TestIntegerSearch:
 
     @pytest.mark.parametrize("q", [9, 16, 25])
     def test_admissible_rows_match_brute_force(self, q, fq, fc):
-        # the search's mask row of u mod q has bit w set when the row
-        # kernel finds some v mod q at (u, w), over the column of all v mod q
+        # the search's mask row of u mod q has bit w set when the kernel's
+        # slice of u finds some v mod q at (u, w), over the column of all
+        # v mod q
         lead18 = MultiPoly([(18, (0, 4, 0)), (1, (4, 0, 0)), (1, (1, 0, 3)),
                             (-1, (0, 0, 4))])
         toy = MultiPoly([(1, (4, 0, 0)), (1, (0, 4, 0)), (-2, (0, 0, 4))])
@@ -816,12 +817,14 @@ class TestIntegerSearch:
                  (several, 3, 2), (several, -5, 2), (across_x, 1, 0),
                  (across_x, 6, 0)]
         for f, target, i in cases:
-            j, column, row = f.row_kernel()
+            j, column, rows = f.row_kernel()
             assert j == i
             col = column(range(q), q)
             for u in range(q):
-                got = sum(1 << w for w in range(q)
-                          if row(u, w, col, target, q))
+                lifts = []
+                rows(u, range(q), col, target, q, {}, lifts.append)
+                got = sum(1 << w for w in {(pt[:i] + pt[i + 1:])[1]
+                                           for pt in lifts})
                 want = 0
                 for w in range(q):
                     for v in range(q):

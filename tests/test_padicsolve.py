@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from obstruction_lab.cli import load_instance
@@ -334,38 +334,86 @@ class TestEarlyExit:
         (1, 4001, (0, 4, 487), 1), (-1, 4001, (0, 1, 0), None)])
     def test_level_one_stops_within_p_rows(self, monkeypatch, target, p,
                                            witness, fv):
-        # the whole of level 1 is p**2 row calls
+        # the whole of level 1 is p**2 rows
         kernel = MultiPoly.row_kernel
-        calls = []
+        walked = []
 
         def counted(f):
-            j, column, row = kernel(f)
+            j, column, rows = kernel(f)
 
-            def counted_row(*args):
-                calls.append(args[:2])
-                return row(*args)
-            return j, column, counted_row
+            def counted_rows(u, ws, *args):
+                walked.extend((u, w) for w in ws)
+                return rows(u, ws, *args)
+            return j, column, counted_rows
 
         monkeypatch.setattr(MultiPoly, "row_kernel", counted)
         f = load_instance("quartic").f
         ans = padic_solutions_exist(f, target, p)
         assert ans == SolubilityAnswer("yes", p, 1, witness, fv, 0)
-        assert 0 < len(calls) <= p
+        assert 0 < len(walked) <= p
 
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(small_forms(), z_kernel_forms()),
            st.sampled_from((2, 3, 5, 7)), st.integers(1, 4))
     def test_rows_ascending(self, f, p, other):
-        # a row lists its lifts of v in ascending order, also where C is
-        # not a unit mod M
-        _, column, row = f.row_kernel()
+        # a slice lists its rows in the order of its ws, and each row its
+        # lifts of v in ascending order, also where C is not a unit mod M
+        j, column, rows = f.row_kernel()
         top = p * other
         col = column(range(top), top)
         for u in range(top):
-            for w in range(top):
-                for target in range(top):
-                    vs = row(u, w, col, target, top)
-                    assert list(vs) == sorted(vs)
+            for target in range(top):
+                lifts = []
+                rows(u, range(top), col, target, top, {}, lifts.append)
+                order = [_row_order(j, pt) for pt in lifts]
+                assert order == sorted(order)
+
+
+def _row_order(j, pt):
+    """(u, w, v) of a lifted triple whose v is variable j."""
+    u, w = pt[:j] + pt[j + 1:]
+    return u, w, pt[j]
+
+
+class TestSliceKernel:
+    """One call of the kernel's rows solves the rows (u, w) of one u for
+    every w of a slice, as `lift_classes` calls it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(small_forms(), z_kernel_forms()),
+           st.sampled_from((2, 3, 5, 7)), st.integers(0, 2),
+           st.lists(st.tuples(*[st.integers(0, 48)] * 3), min_size=1,
+                    max_size=2))
+    # a constant C, solved for z (quartic); C = z, which p divides on some
+    # rows, solved for y (cubic); C = y + 2z, solved for x
+    @example(MultiPoly([(-2, (4, 0, 0)), (-1, (0, 4, 0)), (18, (0, 0, 4))]),
+             3, 1, [(1, 2, 0), (2, 0, 1)])
+    @example(MultiPoly([(-64, (3, 0, 0)), (-64, (2, 0, 1)), (-8, (1, 0, 2)),
+                        (1, (0, 2, 1)), (7, (0, 0, 3))]),
+             2, 2, [(1, 3, 2), (3, 0, 0)])
+    @example(MultiPoly([(1, (2, 1, 0)), (2, (2, 0, 1)), (1, (0, 3, 0)),
+                        (1, (0, 1, 2)), (-1, (0, 0, 3))]),
+             5, 1, [(2, 1, 3)])
+    def test_matches_brute_force(self, f, p, e, points):
+        j, column, rows = f.row_kernel()
+        mod = p ** e
+        top = p * mod
+        classes = sorted({tuple(c % mod for c in pt) for pt in points})
+        shared = {}
+        for target in range(top):
+            for cls in classes:
+                u, w = cls[:j] + cls[j + 1:]
+                col = column(range(cls[j], cls[j] + top, mod), top)
+                ws = range(w, w + top, mod)
+                fresh, again = [], []
+                inverses = {}
+                for u2 in range(u, u + top, mod):
+                    rows(u2, ws, col, target, top, inverses, fresh.append)
+                    rows(u2, ws, col, target, top, shared, again.append)
+                assert again == fresh
+                order = [_row_order(j, pt) for pt in fresh]
+                assert order == sorted(order)
+                assert sorted(fresh) == brute_lifts(f, target, p, [cls], mod)
 
 
 class TestRationalWitness:
