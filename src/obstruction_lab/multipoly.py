@@ -329,9 +329,10 @@ def single_power_split(f):
     (u, w) of one u at a time, with the coefficients of C and R that vary
     with u computed once per slice.  z comes first: the lifts of z come
     out of the (x, y) rows in lexicographic order, so sorting a level of
-    residue lifts mostly merges runs, and level 1 of the p-adic search,
-    which walks those rows one kernel call each, stops at its first Newton
-    point without building the level."""
+    residue lifts mostly merges runs.  Level 1 of the p-adic search walks
+    those rows one kernel call each, or, for y, sorts one x-slice at a
+    time, and stops at its first Newton point without building the level;
+    only a form solved for x builds it whole."""
     for j in (2, 1, 0):
         powers = {e[j] for _, e in f.terms if e[j]}
         if len(powers) == 1:

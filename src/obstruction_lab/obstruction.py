@@ -74,10 +74,11 @@ SEARCH_MAX_BOUND = 10000
 
 # `verify` runs the p-adic search only at the rational witness's bad primes
 # up to this one.  Its first level is p**2 rows, one lookup each.  A form
-# whose row kernel solves for z stops at the first Newton point, a few rows
-# in on quartic (under 0.1 ms at p = 211, 1 ms at 4001); a form that solves
-# for y or x, or a level with no Newton point, walks them all (0.014 s at
-# p = 101 and 0.07 s at 211 on cubic).  A larger bad prime stays uncovered.
+# whose row kernel solves for z or y stops at the first Newton point: a few
+# rows in on quartic (z; under 0.1 ms at p = 211, 1 ms at 4001), within the
+# first x-slice of p rows on cubic (y; 3 ms at p = 809, 14 ms at 4001).  A
+# form that solves for x, or a level with no Newton point, walks them all.
+# A larger bad prime stays uncovered.
 PADIC_SEARCH_MAX_PRIME = 101
 
 

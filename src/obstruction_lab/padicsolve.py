@@ -68,20 +68,28 @@ def lift_classes(f, target, p, classes, mod):
     return lifts
 
 
-def _first_level_rows(f, target, p):
-    """Yield the lifts mod p of f = target row by row, one kernel call per
-    row, for a form f whose `MultiPoly.row_kernel` solves for z: the rows
-    (x, y) in lexicographic order, each with its z ascending, so in the
-    order of the sorted level."""
-    _, column, rows = f.row_kernel()
+def _first_level_lifts(f, target, p):
+    """Yield the lifts mod p of f = target in the order of the sorted level,
+    x by x, for a form f whose `MultiPoly.row_kernel` solves for z or y.
+
+    Solved for z, the rows (x, y) come one kernel call each, in
+    lexicographic order and with their z ascending.  Solved for y, each x
+    is one slice call over every z, and its lifts are sorted by (y, z)
+    before they are yielded.  Either way the walk holds at most one slice
+    of lifts.  (Solved for x, no prefix of the rows is a prefix of the
+    sorted level.)"""
+    j, column, rows = f.row_kernel()
     col = column(range(p), p)
     found = []
     append = found.append
     inverses = {}
+    # for z one row (x, y) a call, which stops sooner than a whole slice;
+    # for y the slice of x, whose lifts leave (y, z) order and are sorted
     for x in range(p):
-        for y in range(p):
-            rows(x, (y,), col, target, p, inverses, append)
+        for ws in zip(range(p)) if j == 2 else (range(p),):
+            rows(x, ws, col, target, p, inverses, append)
             if found:
+                found.sort()
                 yield from found
                 found.clear()
 
@@ -97,15 +105,17 @@ def padic_solutions_exist(f, target, p, maxdepth=None):
     divisible by the level modulus.  Lexicographic traversal, so identical
     inputs always report the identical witness class.
 
-    When the row kernel solves for z, level 1 is walked row by row, one
-    kernel call per row, and the search stops at the first lift that
-    passes: the rows (x, y) of the class mod 1 come in lexicographic order
-    with their z ascending, so that lift is the first Newton point of the
-    sorted level, on the bundled quartic a few rows into the p**2.  A level
-    1 with no Newton point (so any "no" or "inconclusive" answer) and every
-    form that solves for y or x (cubic) still build the whole level: p**2
-    rows in p slice calls, and about p**2 lifts held at once (10**8 at
-    p = 10**4).  The levels after the first go through `lift_classes`.
+    When the row kernel solves for z or y, level 1 is walked x by x in the
+    order of the sorted level (`_first_level_lifts`), and the search stops
+    at the first lift that passes, which is the first Newton point of the
+    sorted level: on the bundled quartic (z) a few rows into the p**2, on
+    the bundled cubic (y) within the first x-slice of p rows.  A level 1
+    with no Newton point (so any "no" or "inconclusive" answer) still walks
+    all p**2 rows and keeps every lift, about p**2 of them (10**8 at
+    p = 10**4), as the classes of level 2.  A form that solves for x builds
+    the whole level through `lift_classes`, p**2 rows in p slice calls,
+    before it tests a lift.  The levels after the first go through
+    `lift_classes`.
     """
     if maxdepth is None:
         maxdepth = 8 if p == 2 else 4
@@ -116,8 +126,8 @@ def padic_solutions_exist(f, target, p, maxdepth=None):
 
     frontier, mod = [(0, 0, 0)], 1
     for level in range(1, maxdepth + 1):
-        if level == 1 and f.row_kernel()[0] == 2:
-            lifts = _first_level_rows(f, target, p)
+        if level == 1 and f.row_kernel()[0] != 0:
+            lifts = _first_level_lifts(f, target, p)
         else:
             lifts = lift_classes(f, target, p, frontier, mod)
         frontier = []

@@ -295,46 +295,68 @@ def test_large_prime_answers_pinned(name, target, p, depth, witness, fv, dv):
 
 
 @st.composite
-def z_kernel_forms(draw):
-    """A form whose row kernel lifts z: C*z**k + R with a constant C (which
-    p may divide), or with a C in x and y that vanishes at (0, 0), so that
-    it is no unit on some rows.  (A form with no variable in a single power
-    has no row kernel.)"""
+def kernel_forms(draw, j):
+    """A form whose row kernel lifts variable j, z (2) or y (1): C*v**k + R
+    with R in the other two variables, and with a constant C (which p may
+    divide) or a C in them that vanishes at (0, 0), so that it is no unit
+    on some rows.  A draw whose kernel would lift another variable (for y,
+    one with z in a single power) is rejected.  (A form with no variable
+    in a single power has no row kernel.)"""
+    def exps(a, b, e):
+        # a, b the exponents of the other two variables, e that of v
+        return (a, b, e) if j == 2 else (a, e, b)
+
     shape = draw(st.sampled_from(("constant C", "varying C")))
     coeff = st.integers(-20, 20).filter(bool)
-    xy = st.tuples(st.integers(0, 3), st.integers(0, 3))
-    terms = {(a, b, 0): c for (a, b), c in
-             draw(st.dictionaries(xy, coeff, max_size=4)).items()}
+    pair = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    terms = {exps(a, b, 0): c for (a, b), c in
+             draw(st.dictionaries(pair, coeff, max_size=4)).items()}
     k = draw(st.integers(1, 4))
     if shape == "constant C":
-        terms[0, 0, k] = draw(coeff)
+        terms[exps(0, 0, k)] = draw(coeff)
     else:
-        c_terms = draw(st.dictionaries(xy.filter(any), coeff, min_size=1,
+        c_terms = draw(st.dictionaries(pair.filter(any), coeff, min_size=1,
                                        max_size=3))
-        terms.update(((a, b, k), c) for (a, b), c in c_terms.items())
-    return MultiPoly((c, e) for e, c in terms.items())
+        terms.update((exps(a, b, k), c) for (a, b), c in c_terms.items())
+    f = MultiPoly((c, e) for e, c in terms.items())
+    assume(single_power_split(f)[0] == j)
+    return f
 
 
 class TestEarlyExit:
-    """Level 1 of the search walks the rows of a form whose row kernel
-    lifts z and stops at the first lift that meets Newton's inequality."""
+    """Level 1 of the search walks the lifts of a form whose row kernel
+    lifts z or y in the order of the sorted level, and stops at the first
+    lift that meets Newton's inequality; a form whose kernel lifts x builds
+    the whole level."""
 
     @settings(max_examples=200, deadline=None)
-    @given(z_kernel_forms(), st.integers(-30, 30),
-           st.sampled_from((2, 3, 5, 7)), st.integers(1, 3))
+    @given(st.one_of(kernel_forms(2), kernel_forms(1), small_forms()),
+           st.integers(-30, 30), st.sampled_from((2, 3, 5, 7)),
+           st.integers(1, 3))
     def test_matches_whole_levels(self, f, target, p, maxdepth):
-        assert f.row_kernel()[0] == 2
         assert padic_solutions_exist(f, target, p, maxdepth) == \
             reference_search(f, target, p, maxdepth)
 
-    # (target, p, witness, value_valuation) on quartic, as the search
-    # that sorted the whole of level 1 gave them
-    @pytest.mark.parametrize("target,p,witness,fv", [
-        (1, 1009, (0, 1, 386), 1), (-1, 1009, (0, 1, 0), None),
-        (1, 4001, (0, 4, 487), 1), (-1, 4001, (0, 1, 0), None)])
-    def test_level_one_stops_within_p_rows(self, monkeypatch, target, p,
-                                           witness, fv):
-        # the whole of level 1 is p**2 rows
+    # (instance, target, p, witness, value_valuation), as the search that
+    # sorted the whole of level 1 gave them
+    @pytest.mark.parametrize("name,target,p,witness,fv", [
+        pytest.param("quartic", 1, 1009, (0, 1, 386), 1,
+                     id="1-1009-witness0-1"),
+        pytest.param("quartic", -1, 1009, (0, 1, 0), None,
+                     id="-1-1009-witness1-None"),
+        pytest.param("quartic", 1, 4001, (0, 4, 487), 1,
+                     id="1-4001-witness2-1"),
+        pytest.param("quartic", -1, 4001, (0, 1, 0), None,
+                     id="-1-4001-witness3-None"),
+        pytest.param("cubic", 1, 1009, (0, 1, 676), 1, id="cubic-1-1009"),
+        pytest.param("cubic", -1, 1009, (0, 1, 333), 1, id="cubic--1-1009"),
+        pytest.param("cubic", 1, 4001, (0, 0, 19), 1, id="cubic-1-4001"),
+        pytest.param("cubic", -1, 4001, (0, 0, 3982), 1,
+                     id="cubic--1-4001")])
+    def test_level_one_stops_within_p_rows(self, monkeypatch, name, target,
+                                           p, witness, fv):
+        # the whole of level 1 is p**2 rows; quartic walks them one row a
+        # call, cubic one x-slice of p rows a call
         kernel = MultiPoly.row_kernel
         walked = []
 
@@ -347,13 +369,13 @@ class TestEarlyExit:
             return j, column, counted_rows
 
         monkeypatch.setattr(MultiPoly, "row_kernel", counted)
-        f = load_instance("quartic").f
+        f = load_instance(name).f
         ans = padic_solutions_exist(f, target, p)
         assert ans == SolubilityAnswer("yes", p, 1, witness, fv, 0)
         assert 0 < len(walked) <= p
 
     @settings(max_examples=100, deadline=None)
-    @given(st.one_of(small_forms(), z_kernel_forms()),
+    @given(st.one_of(small_forms(), kernel_forms(2)),
            st.sampled_from((2, 3, 5, 7)), st.integers(1, 4))
     def test_rows_ascending(self, f, p, other):
         # a slice lists its rows in the order of its ws, and each row its
@@ -380,7 +402,7 @@ class TestSliceKernel:
     every w of a slice, as `lift_classes` calls it."""
 
     @settings(max_examples=60, deadline=None)
-    @given(st.one_of(small_forms(), z_kernel_forms()),
+    @given(st.one_of(small_forms(), kernel_forms(2)),
            st.sampled_from((2, 3, 5, 7)), st.integers(0, 2),
            st.lists(st.tuples(*[st.integers(0, 48)] * 3), min_size=1,
                     max_size=2))
