@@ -1,14 +1,12 @@
-"""Exact integer/rational utilities: valuations, Jacobi symbols, k-th powers,
+"""Exact integer utilities: valuations, Jacobi symbols, k-th powers,
 primitive normalization, and bounded trial-division factoring.
 
-Everything here is pure integer arithmetic on Python ints and Fractions;
-no floating point is used anywhere.
+Everything here is pure arithmetic on Python ints; no floating point is
+used anywhere.
 """
 
 from array import array
 from bisect import bisect_right
-from collections import namedtuple
-from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt, prod
 
@@ -68,27 +66,17 @@ def require_prime(p):
         raise ValueError("not a prime: %r" % (p,))
 
 
-class ValuationResult(namedtuple("ValuationResult",
-                                 "valuation unit_part infinite",
-                                 defaults=(False,))):
-    """p-adic valuation together with the cofactor: n = p**valuation * unit_part.
-
-    ``infinite`` is set exactly when n = 0 (valuation and unit_part are then
-    meaningless and stored as 0).
-    """
-    __slots__ = ()
-
-
 def valuation(n, p):
-    """Return ValuationResult for n at the prime p.  p is trusted: the
-    engine's primes come from `factor`, `primes_up_to` or a constant."""
+    """The exponent of the prime p in the int n, or None for n = 0 (whose
+    valuation is infinite).  p is trusted: the engine's primes come from
+    `factor`, `primes_up_to` or a constant."""
     if n == 0:
-        return ValuationResult(0, 0, infinite=True)
+        return None
     v = 0
     while n % p == 0:
         n //= p
         v += 1
-    return ValuationResult(v, n)
+    return v
 
 
 def jacobi(a, n):
@@ -116,37 +104,16 @@ def jacobi(a, n):
 
 
 def primitive_normalize(v):
-    """Scale a nonzero triple of rationals to a primitive integer triple.
-
-    The output has gcd 1, is a positive rational multiple of the input, and
-    its first nonzero coordinate is positive.  An all-int triple takes one
-    gcd; rationals go through `Fraction`.
-    """
+    """The nonzero int triple v divided by plus or minus its gcd, the sign
+    chosen to make the first nonzero coordinate positive: a primitive int
+    triple."""
     x, y, z = v
-    if isinstance(x, int) and isinstance(y, int) and isinstance(z, int):
-        g = gcd(x, y, z)
-        if g == 0:
-            raise ValueError("cannot normalize the zero triple")
-        if (x or y or z) < 0:
-            g = -g
-        return (x // g, y // g, z // g)
-    v = tuple(Fraction(c) for c in v)
-    if all(c == 0 for c in v):
+    g = gcd(x, y, z)
+    if g == 0:
         raise ValueError("cannot normalize the zero triple")
-    lcm = 1
-    for c in v:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in v]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    ints = [c // g for c in ints]
-    for c in ints:
-        if c != 0:
-            if c < 0:
-                ints = [-t for t in ints]
-            break
-    return tuple(ints)
+    if (x or y or z) < 0:
+        g = -g
+    return (x // g, y // g, z // g)
 
 
 def ikth_root(n, k):

@@ -133,10 +133,7 @@ def _newton_ok(val, derivs, p):
     """Newton criterion: v_p(val) > 2 * v_p(d) for some derivative value d."""
     fv = valuation(val, p)
     for d in derivs:
-        if d == 0:
-            continue
-        dv = valuation(d, p)
-        if fv.infinite or fv.valuation > 2 * dv.valuation:
+        if d and (fv is None or fv > 2 * valuation(d, p)):
             return True
     return False
 
@@ -187,8 +184,7 @@ def _dehomog_search(a, b, fixed, p, maxdepth):
 def default_oracle_depth(a, b, p):
     """2 * v_p(4ab) + 6: comfortably past the Hensel threshold for ternary
     quadratic forms, including p = 2."""
-    v = valuation(4 * a * b, p)
-    return 2 * v.valuation + 6
+    return 2 * valuation(4 * a * b, p) + 6
 
 
 def solubility_oracle(a, b, place, depth=None):

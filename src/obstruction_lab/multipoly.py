@@ -6,12 +6,14 @@ is exact; identity verification is by full expansion, never by sampling.
 
 Each form evaluates through one function, compiled on first use from its
 coefficients and exponents (`MultiPoly.evaluator`), and lifts residue
-classes through two more (`MultiPoly.row_kernel`).  One function,
-`single_power_split`, picks the variable v that the form holds in a single
-power k and splits the form into C*v**k + R: the row kernel lifts v with
-one lookup per row (u, w) of the other two and one call per slice of the
-rows of one u, and the integer search solves for v.  A form with no such
-variable is refused there, with a ValueError.
+classes through two more (`MultiPoly.row_kernel`).  One method,
+`MultiPoly.coefficients`, splits a form by the powers of a variable, and
+one function, `single_power_split`, picks from those splits the variable
+v that the form holds in a single power k, so that the form is
+C*v**k + R: the row kernel lifts v with one lookup per row (u, w) of the
+other two and one call per slice of the rows of one u, and the integer
+search solves for v.  A form with no such variable is refused there, with
+a ValueError.
 """
 
 from collections import namedtuple
@@ -72,7 +74,7 @@ class MultiPoly:
     """Integer-coefficient polynomial in three variables."""
 
     # what a form derives from its terms, built on first use (`_derived`)
-    __slots__ = ("terms", "_evaluator", "_gradient", "_z_coefficients",
+    __slots__ = ("terms", "_evaluator", "_gradient", "_coefficients",
                  "_row_kernel")
 
     def __init__(self, terms=()):
@@ -176,10 +178,11 @@ class MultiPoly:
         """The partial derivatives in x, y and z, built once per form."""
         return self._derived("_gradient", _partials)
 
-    def z_coefficients(self):
-        """(c_0, ..., c_d) with self = sum c_k z^k, each c_k a form in x and
-        y, built once per form."""
-        return self._derived("_z_coefficients", _split_by_z)
+    def coefficients(self, j):
+        """(c_0, ..., c_d) with self = sum c_k v**k, v variable j, d the
+        degree of self in v (0 for the zero form) and each c_k a form free
+        of v.  The splits by x, y and z are built once per form."""
+        return self._derived("_coefficients", _splits)[j]
 
     def row_kernel(self):
         """(j, column, rows): the index j of the variable v the residue lifts
@@ -225,12 +228,15 @@ def _partials(f):
     return tuple(f.partial(i) for i in range(3))
 
 
-def _split_by_z(f):
-    by_z = [[] for _ in range(
-        max((e[2] for _, e in f.terms), default=-1) + 1)]
-    for c, (ex, ey, ez) in f.terms:
-        by_z[ez].append((c, (ex, ey, 0)))
-    return tuple(MultiPoly(grp) for grp in by_z)
+def _splits(f):
+    out = []
+    for j in range(3):
+        by_power = [[] for _ in range(
+            max((e[j] for _, e in f.terms), default=0) + 1)]
+        for c, e in f.terms:
+            by_power[e[j]].append((c, e[:j] + (0,) + e[j + 1:]))
+        out.append(tuple(MultiPoly(terms) for terms in by_power))
+    return out
 
 
 def _power_exps(j, k):
@@ -240,24 +246,23 @@ def _power_exps(j, k):
     return tuple(exps)
 
 
-def _hoisted_parts(g, i, name, lines):
-    """Parts (see `_sum_source`) of g as a sum over the powers e of variable
-    i: a coefficient of i**e that is a number is written into its term, and
-    one that varies with the other variables is assigned once, to name<e>,
-    by a line appended to lines."""
-    by_power = {}
-    for c, exps in g.terms:
-        by_power.setdefault(exps[i], []).append(
-            (c, exps[:i] + (0,) + exps[i + 1:]))
+def _hoisted_parts(g, i, name, lines, low=0):
+    """Parts (see `_sum_source`) of the terms of g in the powers e >= low
+    of variable i, as a sum over those powers: a coefficient of i**e that
+    is a number is written into its term, and one that varies with the
+    other variables is assigned once, to name<e>, by a line appended to
+    lines."""
     parts = []
-    for e, terms in sorted(by_power.items()):
+    for e, c in enumerate(g.coefficients(i)[low:], low):
+        if not c.terms:
+            continue
         power = _power_exps(i, e)
-        if len(terms) == 1 and terms[0][1] == (0, 0, 0):
-            c = terms[0][0]
-            parts.append((c < 0, _term_source(c, power)))
+        if c.homogeneous_degree() == 0:
+            n = c.terms[0][0]
+            parts.append((n < 0, _term_source(n, power)))
         else:
             coeff = "%s%d" % (name, e)
-            lines.append("    %s = %s" % (coeff, MultiPoly(terms).source()))
+            lines.append("    %s = %s" % (coeff, c.source()))
             parts.append((False, coeff + "*" + _term_source(1, power)
                           if e else coeff))
     return parts
@@ -271,12 +276,11 @@ def _slice_kernel_source(j, k, coeff, rest):
     power = _power_exps(j, k)
     # the part of R free of w is folded into the target once per slice
     head = ["def rows(%s, %ss, col, t, M, inverses, append):" % (u, w),
-            "    s = t - (%s)" % MultiPoly(
-                (c, e) for c, e in rest.terms if not e[iw]).source()]
+            "    s = t - (%s)" % rest.coefficients(iw)[0].source()]
     target = "(s - (%s)) %% M" % _sum_source(_hoisted_parts(
-        MultiPoly((c, e) for c, e in rest.terms if e[iw]), iw, "a", head))
+        rest, iw, "a", head, 1))
     emit = "append((x, y, z))"
-    if len(coeff.terms) == 1 and coeff.terms[0][1] == (0, 0, 0):
+    if coeff.homogeneous_degree() == 0:
         # a constant C joins the key, so every row is one lookup
         key = MultiPoly([(coeff.terms[0][0], power)]).source()
         body = ["    get = col.get",
@@ -334,12 +338,10 @@ def single_power_split(f):
     time, and stops at its first Newton point without building the level;
     only a form solved for x builds it whole."""
     for j in (2, 1, 0):
-        powers = {e[j] for _, e in f.terms if e[j]}
+        cs = f.coefficients(j)
+        powers = [k for k in range(1, len(cs)) if cs[k].terms]
         if len(powers) == 1:
-            coeff = MultiPoly((c, e[:j] + (0,) + e[j + 1:])
-                              for c, e in f.terms if e[j])
-            rest = MultiPoly((c, e) for c, e in f.terms if not e[j])
-            return j, powers.pop(), coeff, rest
+            return j, powers[0], cs[powers[0]], cs[0]
     raise ValueError("no variable of f occurs in a single power")
 
 

@@ -461,7 +461,7 @@ def _z_evaluators(H_factors):
     prime dividing it, every point would lie on H = 0)."""
     components = dict.fromkeys(_primitive_part(q) for q in H_factors
                                if q.homogeneous_degree() != 0)
-    return tuple(tuple(c.evaluator() for c in q.z_coefficients())
+    return tuple(tuple(c.evaluator() for c in q.coefficients(2))
                  for q in components)
 
 
@@ -551,7 +551,7 @@ def _canonical_solutions(f, sols):
             continue
         if flip_invariant:
             s = primitive_normalize(s)
-        out.add(tuple(int(c) for c in s))
+        out.add(s)
     return sorted(out)
 
 

@@ -28,14 +28,13 @@ def _newton_at(fn, partials, point, target, p):
     """Newton data at an integer triple: (ok, v(f - target), best v(partial)).
 
     fn and partials are the evaluators of f and of its partials."""
-    val = fn(*point) - target
-    fv = None if val == 0 else valuation(val, p).valuation  # None: infinite
+    fv = valuation(fn(*point) - target, p)  # None: infinite
     best = None
     for d in partials:
         dval = d(*point)
         if dval == 0:
             continue
-        dvv = valuation(dval, p).valuation
+        dvv = valuation(dval, p)
         if best is None or dvv < best:
             best = dvv
     if best is None:
@@ -89,7 +88,8 @@ def _first_level_lifts(f, target, p):
         for ws in zip(range(p)) if j == 2 else (range(p),):
             rows(x, ws, col, target, p, inverses, append)
             if found:
-                found.sort()
+                if j == 1:
+                    found.sort()
                 yield from found
                 found.clear()
 

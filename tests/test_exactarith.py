@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, prod
 
@@ -22,24 +21,23 @@ PRIMES_TO_100 = [p for p in range(2, 100) if is_probable_prime(p)]
 
 class TestValuation:
     def test_repeated_division(self):
-        r = valuation(48, 2)
-        assert (r.valuation, r.unit_part, r.infinite) == (4, 3, False)
+        assert valuation(48, 2) == 4
 
     def test_odd_input(self):
-        r = valuation(17, 2)
-        assert (r.valuation, r.unit_part) == (0, 17)
+        assert valuation(17, 2) == 0
 
     def test_zero(self):
-        assert valuation(0, 5).infinite
+        assert valuation(0, 5) is None
 
     def test_reconstruction_identity(self):
+        # p**v divides n, and what is left is a unit at p
         rng = random.Random(11)
         for _ in range(200):
             n = rng.randint(-10**9, 10**9) or 1
             p = rng.choice([2, 3, 5, 7, 13])
-            r = valuation(n, p)
-            assert n == p ** r.valuation * r.unit_part
-            assert r.unit_part % p != 0
+            v = valuation(n, p)
+            assert n % p ** v == 0
+            assert (n // p ** v) % p != 0
 
     def test_additivity(self):
         rng = random.Random(7)
@@ -47,8 +45,7 @@ class TestValuation:
             n = rng.randint(-10**6, 10**6) or 1
             m = rng.randint(-10**6, 10**6) or 1
             p = rng.choice([2, 3, 5, 11])
-            assert valuation(n * m, p).valuation == \
-                valuation(n, p).valuation + valuation(m, p).valuation
+            assert valuation(n * m, p) == valuation(n, p) + valuation(m, p)
 
 
 class TestJacobi:
@@ -130,14 +127,8 @@ class TestJacobi:
 
 
 class TestPrimitiveNormalize:
-    def test_clears_denominators(self):
-        assert primitive_normalize((Fraction(1, 2), 0, Fraction(1, 2))) == (1, 0, 1)
-
     def test_already_primitive(self):
         assert primitive_normalize((1, 0, 1)) == (1, 0, 1)
-
-    def test_scales_cubic_witness(self):
-        assert primitive_normalize((Fraction(1, 4), 1, 1)) == (1, 4, 4)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -147,32 +138,20 @@ class TestPrimitiveNormalize:
         assert primitive_normalize((-2, 4, -6)) == (1, -2, 3)
         assert primitive_normalize((0, -5, 10)) == (0, 1, -2)
 
-    @given(st.tuples(st.integers(-50, 50), st.integers(-50, 50),
-                     st.integers(-50, 50)).filter(lambda v: any(v)),
-           st.fractions(min_value=Fraction(-30), max_value=Fraction(30))
-           .filter(lambda q: q != 0))
-    def test_scale_invariant_and_idempotent(self, v, lam):
-        base = primitive_normalize(v)
-        assert primitive_normalize(base) == base
-        scaled = tuple(Fraction(c) * lam for c in v)
-        assert primitive_normalize(scaled) == base
-
-
     @given(st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
                      st.integers(-10**6, 10**6)).filter(any),
-           st.integers(1, 12), st.sampled_from([None, 0, 1, 2]))
-    @example((-4, 6, 0), 1, 0)
-    @example((0, -7, 14), 3, 0)
-    @example((0, 0, -5), 1, 0)
-    def test_int_path_matches_fraction_path(self, v, scale, zero):
-        # scaled, with one coordinate zeroed when that leaves a nonzero
-        # triple: negative leads and zero coordinates both occur
-        v = tuple(c * scale for c in v)
-        w = tuple(0 if i == zero else c for i, c in enumerate(v))
-        v = w if any(w) else v
-        got = primitive_normalize(v)
-        assert got == primitive_normalize(tuple(Fraction(c) for c in v))
-        assert all(type(c) is int for c in got)
+           st.integers(1, 30))
+    @example((-4, 6, 0), 1)
+    @example((0, -7, 14), 3)
+    @example((0, 0, -5), 1)
+    def test_scale_invariant_and_idempotent(self, v, lam):
+        base = primitive_normalize(v)
+        g = gcd(*v)
+        assert base in (tuple(c // g for c in v), tuple(-c // g for c in v))
+        assert all(type(c) is int for c in base) and gcd(*base) == 1
+        assert next(c for c in base if c) > 0
+        assert primitive_normalize(base) == base
+        assert primitive_normalize(tuple(c * lam for c in v)) == base
 
 
 class TestKthPower:

@@ -73,9 +73,8 @@ def jacobi_formula(a, b, p):
     symbols taken as Jacobi symbols (Serre, A Course in Arithmetic, III.1):
     (-1)^(alpha beta eps(p)) (u/p)^beta (v/p)^alpha for a = p^alpha u,
     b = p^beta v."""
-    va, vb = valuation(a, p), valuation(b, p)
-    alpha, u = va.valuation, va.unit_part
-    beta, v = vb.valuation, vb.unit_part
+    alpha, beta = valuation(a, p), valuation(b, p)
+    u, v = a // p ** alpha, b // p ** beta
     sign = -1 if (alpha * beta * ((p - 1) // 2)) % 2 else 1
     if beta % 2:
         sign *= jacobi(u % p, p)

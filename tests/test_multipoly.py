@@ -188,37 +188,42 @@ class TestEvaluator:
         assert single_power_split(fq)[:2] == (2, 4)
         z = MultiPoly([(1, (0, 0, 1))])
         assert single_power_split(fc)[:3] == (1, 2, z)
-        rng = random.Random(30)
-        split = 0
-        for _ in range(300):
-            p = random_poly(rng, nterms=rng.randint(1, 5))
-            held = [j for j in (2, 1, 0)
-                    if len({e[j] for _, e in p.terms if e[j]}) == 1]
-            if not held:
-                with pytest.raises(ValueError, match="single power"):
-                    single_power_split(p)
-                continue
-            split += 1
-            j, k, C, R = single_power_split(p)
-            assert j == held[0]
-            assert all(e[j] == 0 for _, e in C.terms + R.terms)
-            exps = [0, 0, 0]
-            exps[j] = k
-            assert C * MultiPoly([(1, tuple(exps))]) + R == p
-        assert split > 100
 
-    def test_gradient_and_z_coefficients(self):
+    def test_gradient(self):
         rng = random.Random(21)
-        z = MultiPoly([(1, (0, 0, 1))])
         for _ in range(100):
             p = random_poly(rng)
-            if p.is_zero():
-                continue
             assert p.gradient() == tuple(p.partial(i) for i in range(3))
-            total = MultiPoly()
-            for k, c in enumerate(p.z_coefficients()):
-                assert all(e[2] == 0 for _, e in c.terms)
-                for _ in range(k):
-                    c = c * z
-                total = total + c
+
+    @given(st.lists(st.tuples(st.integers(-20, 20).filter(bool),
+                              st.tuples(*[st.integers(0, 4)] * 3)),
+                    max_size=8).map(MultiPoly))
+    # no variable in a single power; split at y (z in two powers); split
+    # at x (z and y in two)
+    @example(MultiPoly.from_term_list([[1, 4, 0, 0], [1, 0, 4, 0],
+                                       [1, 0, 0, 4], [1, 2, 2, 0],
+                                       [1, 0, 2, 2], [1, 2, 0, 2]]))
+    @example(MultiPoly.from_term_list([[1, 0, 2, 1], [-3, 1, 0, 2]]))
+    @example(MultiPoly.from_term_list([[5, 3, 1, 1], [2, 3, 2, 0],
+                                       [-1, 0, 1, 2]]))
+    def test_coefficients_and_single_power_split(self, p):
+        # sum c_k v**k rebuilds p for every variable v, no c_k contains v
+        for j in range(3):
+            v = MultiPoly([(1, tuple(int(i == j) for i in range(3)))])
+            cs = p.coefficients(j)
+            assert cs is p.coefficients(j)
+            total, power = MultiPoly(), MultiPoly([(1, (0, 0, 0))])
+            for c in cs:
+                assert all(e[j] == 0 for _, e in c.terms)
+                total, power = total + c * power, power * v
             assert total == p
+        # the split is at the first of z, y, x that p holds in one power
+        held = [j for j in (2, 1, 0)
+                if len({e[j] for _, e in p.terms if e[j]}) == 1]
+        if not held:
+            with pytest.raises(ValueError, match="single power"):
+                single_power_split(p)
+            return
+        j, k, C, R = single_power_split(p)
+        assert (j, k) == (held[0], {e[j] for _, e in p.terms if e[j]}.pop())
+        assert (C, R) == (p.coefficients(j)[k], p.coefficients(j)[0])
