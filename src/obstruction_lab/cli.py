@@ -101,6 +101,15 @@ def parse_instance(doc):
     )
 
 
+def _decode(text, path):
+    """The JSON document of an instance file's text; a document nested too
+    deeply for the decoder is a SchemaError, like any other bad input."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise SchemaError("%s: nested too deeply to decode" % path) from None
+
+
 def load_instance(path):
     """Load an instance from a file path, or from the bundled instances when
     the bare name of one is given (e.g. 'quartic')."""
@@ -109,10 +118,10 @@ def load_instance(path):
         res = resources.files("obstruction_lab").joinpath(
             "instances/%s.json" % name)
         if res.is_file():
-            return parse_instance(json.loads(res.read_text()))
+            return parse_instance(_decode(res.read_text(), path))
         raise SchemaError("no such instance file: %s" % path)
     with open(path) as fh:
-        return parse_instance(json.load(fh))
+        return parse_instance(_decode(fh.read(), path))
 
 
 def _parse_number(text):
@@ -245,9 +254,7 @@ def _dispatch(args):
         defect = reciprocity_defect(a, b)
         _emit({"defect": str(defect)}, None)
         if defect != 0:
-            print("internal inconsistency: nonzero reciprocity defect",
-                  file=sys.stderr)
-            return EXIT_INCONSISTENT
+            raise InternalInconsistencyError("nonzero reciprocity defect")
         return EXIT_OK
 
     if cmd == "local":
@@ -287,9 +294,7 @@ def _dispatch(args):
                "sum": str(prof.total)}
         _emit(doc, None)
         if prof.total != 0:
-            print("internal inconsistency: nonzero invariant sum",
-                  file=sys.stderr)
-            return EXIT_INCONSISTENT
+            raise InternalInconsistencyError("nonzero invariant sum")
         return EXIT_OK
 
     if cmd == "search":

@@ -108,25 +108,29 @@ def invariant_total(invariants):
     return INV_HALF if sum(1 for iv in invariants if iv) % 2 else INV_ZERO
 
 
-def symbol_support(a, b):
-    """Places where (a, b) could be ramified: the real place and the primes
-    dividing 2 * num * den of either entry."""
-    primes = {2}
-    for r in (Fraction(a), Fraction(b)):
-        for n in (r.numerator, r.denominator):
-            primes.update(factor(n))
-    return [Place.real()] + [Place(p) for p in sorted(primes)]
+def place_invariants(a, b, primes):
+    """The (Place, invariant) pairs of (a, b), nonzero ints, at the real
+    place, at 2 and at each prime of primes, in ascending order, and their
+    sum in (1/2)Z/Z."""
+    places = [Place.real()] + [Place(p) for p in sorted({2, *primes})]
+    invs = tuple((pl, local_invariant(a, b, pl)) for pl in places)
+    return invs, invariant_total(iv for _, iv in invs)
 
 
 def reciprocity_defect(a, b):
-    """Sum of local invariants of (a, b) over its support, in (1/2)Z/Z.
+    """Sum of local invariants of (a, b) over the places where it could be
+    ramified, in (1/2)Z/Z: the real place and the primes dividing 2 * num *
+    den of either entry.
 
     Hilbert reciprocity says this is always 0; a nonzero value indicates a bug.
     """
     if a == 0 or b == 0:
         raise ValueError("entries must be nonzero")
-    return invariant_total(local_invariant(a, b, place)
-                           for place in symbol_support(a, b))
+    primes = set()
+    for r in (Fraction(a), Fraction(b)):
+        for n in (r.numerator, r.denominator):
+            primes.update(factor(n))
+    return place_invariants(*_to_square_free_pair(a, b), primes)[1]
 
 
 def _newton_ok(val, derivs, p):

@@ -14,11 +14,11 @@ from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd, prod
 
-from .exactarith import (FACTOR_BOUND, FactorizationError, factor, jacobi,
-                         poly_roots_mod, primes_up_to,
+from .exactarith import (FACTOR_BOUND, FactorizationError, factor,
+                         is_kth_power, jacobi, poly_roots_mod, primes_up_to,
                          primitive_normalize)
-from .localsymbols import (INV_HALF, INV_ZERO, Place, invariant_total,
-                           local_invariant, symbol_at_prime)
+from .localsymbols import (INV_HALF, INV_ZERO, Place, place_invariants,
+                           symbol_at_prime)
 from .multipoly import SOURCE_GLOBALS, MultiPoly, single_power_split
 from .padicsolve import (lift_classes, padic_solutions_exist,
                          verify_rational_witness)
@@ -66,10 +66,10 @@ TABLE_MAX_EXPONENT = 8
 # the third variable modulo each of these prime powers.
 SEARCH_MODULI = (16, 9, 25, 7, 11, 13, 17, 19, 23)
 
-# The largest search bound.  The search tabulates 2B + 1 roots and walks up
-# to (2B + 1)**2 pairs through (2B + 1)-bit masks: cubic t = -64, whose row
-# x = 1 holds a solution at every (y, 0), takes 1.2 s of CPU at B = 10**4 on
-# a Xeon core (Python 3.11), and 10**6 would take hours.
+# The largest search bound.  The search walks up to (2B + 1)**2 pairs
+# through (2B + 1)-bit masks: cubic t = -64, whose row x = 1 holds a solution
+# at every (y, 0), takes 1.2 s of CPU at B = 10**4 on a Xeon core (Python
+# 3.11), and 10**6 would take hours.
 SEARCH_MAX_BOUND = 10000
 
 # `verify` runs the p-adic search only at the rational witness's bad primes
@@ -260,13 +260,11 @@ def point_invariant_profile(alg, point):
     if a == 0 or b == 0:
         raise RamificationLocusError(
             "algebra entry vanishes at %r" % (point,))
-    primes = {2} | alg.constant_primes
+    primes = set(alg.constant_primes)
     for v in set(vals):
         primes.update(factor(v))
-    places = [Place.real()] + [Place(p) for p in sorted(primes)]
-    invs = tuple((pl, local_invariant(a, b, pl)) for pl in places)
-    return InvariantProfile(tuple(point), (a, b), invs,
-                            invariant_total(iv for _, iv in invs))
+    return InvariantProfile(tuple(point), (a, b),
+                            *place_invariants(a, b, primes))
 
 
 def _random_triples(seed, bound):
@@ -508,7 +506,6 @@ def square_mod_sampling(F, H_factors, trials, seed):
     whether F is a square there whenever it does not vanish.  Raises
     SquareSamplingError after SQUARE_FRUITLESS_DRAWS fruitless draws in a
     row."""
-    fn = F.evaluator()
     curve = _z_evaluators(H_factors)
     rng = random.Random(seed)
     accepted = 0
@@ -527,7 +524,7 @@ def square_mod_sampling(F, H_factors, trials, seed):
             skipped.append(p)
             fruitless += CURVE_POINT_TRIES
             continue
-        fval = fn(*q) % p
+        fval = F.evaluate_mod(q, p)
         if fval == 0:
             fruitless += 1
             continue
@@ -572,7 +569,8 @@ def integer_search(f, target, B):
 
     f = C*v**k + R is f's `single_power_split`, C and R forms in u and w,
     so that at each pair v**k is (target - R)/C, found by exact division
-    and a table lookup; u and w each range over the whole of [-B, B], and
+    and an exact k-th root (`is_kth_power`), kept when |v| <= B (with -v
+    for even k); u and w each range over the whole of [-B, B], and
     `_canonical_solutions` folds the antipodal pairs of an even-degree f.
 
     A pair (u, w) is walked only when it is admissible modulo each q in
@@ -584,9 +582,6 @@ def integer_search(f, target, B):
     from the top (each removed bit shortens the int).  Building the masks
     costs q slice calls per q, one per residue of u over every residue of
     w, whatever B is.
-
-    The v side is tabulated once: r^k -> r for every |r| <= B (r >= 0 for
-    even k), so a k-th root is one dictionary lookup.
     """
     if not 0 <= B <= SEARCH_MAX_BOUND:
         raise ValueError("search bound must be from 0 to %d, got %d"
@@ -617,7 +612,6 @@ def integer_search(f, target, B):
                         & full)
         masks.append((q, by_u))
 
-    roots_of = {r ** k: r for r in range(0 if k % 2 == 0 else -B, B + 1)}
     sols = []
     for u in range(-B, B + 1):
         mask = full
@@ -636,8 +630,8 @@ def integer_search(f, target, B):
                 continue
             if num % c:
                 continue
-            v = roots_of.get(num // c)
-            if v is None:
+            v = is_kth_power(num // c, k)
+            if v is None or abs(v) > B:
                 continue
             for root in {v, -v} if k % 2 == 0 else (v,):
                 sols.append(_assemble(j, root, u, w))
@@ -722,16 +716,9 @@ def obstruction_verdict(instance, seed=DEFAULT_SEED):
 
     # 1. rational witness
     if instance.rational_witness is not None:
-        chk = verify_rational_witness(instance.rational_witness, f,
-                                      instance.targets[0])
-        steps["rational_witness"] = {
-            "witness": [str(Fraction(c)) for c in instance.rational_witness],
-            "target": instance.targets[0],
-            "value": str(chk.value),
-            "matches": chk.matches,
-            "bad_primes": sorted(chk.bad_primes),
-        }
-        bad_primes = set(chk.bad_primes)
+        steps["rational_witness"] = verify_rational_witness(
+            instance.rational_witness, f, instance.targets[0])
+        bad_primes = set(steps["rational_witness"]["bad_primes"])
     else:
         steps["rational_witness"] = {"witness": None}
         bad_primes = set()

@@ -1,5 +1,5 @@
 """Certified p-adic solubility: a multivariable Newton-criterion residue
-search, and rational-witness bookkeeping.
+search, and the rational-witness check.
 
 All "yes" answers carry a replayable certificate; "no" answers are sound
 because a p-adic solution would reduce to a solution at every finite level.
@@ -144,19 +144,17 @@ def padic_solutions_exist(f, target, p, maxdepth=None):
     return SolubilityAnswer("inconclusive", p, maxdepth)
 
 
-class WitnessCheck(namedtuple("WitnessCheck", "matches value bad_primes")):
-    """Outcome of checking a rational witness: the exact value and the primes
-    at which the witness fails to be a p-adic integer."""
-    __slots__ = ()
-
-
 def verify_rational_witness(w, f, target):
-    """Check f(w) = target exactly and report the primes dividing any
-    coordinate denominator."""
+    """Check f(w) = target exactly, as the report's `rational_witness`
+    record: the witness, the target, the exact value, whether it matches,
+    and the sorted primes dividing a coordinate denominator, at which the
+    witness is no p-adic integer."""
     w = tuple(Fraction(c) for c in w)
     value = Fraction(f.evaluate_int(w))
     bad = set()
     for c in w:
         if c.denominator > 1:
             bad.update(factor(c.denominator))
-    return WitnessCheck(value == target, value, frozenset(bad))
+    return {"witness": [str(c) for c in w], "target": target,
+            "value": str(value), "matches": value == target,
+            "bad_primes": sorted(bad)}

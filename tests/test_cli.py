@@ -392,6 +392,14 @@ class TestExitCodes:
         assert code == 1
         assert "extra_knob" in err
 
+    def test_deeply_nested_instance_is_usage_error(self, capsys, tmp_path):
+        # past the decoder's recursion limit: one error line, no traceback
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000)
+        code, out, err = run_cli(capsys, "verify", str(deep))
+        assert (code, out) == (1, "")
+        assert err == "error: %s: nested too deeply to decode\n" % deep
+
     def test_schema_error_on_missing_key(self, capsys, tmp_path, quartic_path):
         _, doc = quartic_path
         del doc["sieve_modulus"]

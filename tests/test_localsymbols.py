@@ -6,12 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from obstruction_lab.exactarith import FactorizationError, jacobi, valuation
+from obstruction_lab.exactarith import (FactorizationError, factor, jacobi,
+                                        valuation)
 from obstruction_lab.localsymbols import (Place, default_oracle_depth,
                                           hilbert_symbol, local_invariant,
+                                          place_invariants,
                                           reciprocity_defect,
-                                          solubility_oracle, symbol_at_prime,
-                                          symbol_support)
+                                          solubility_oracle, symbol_at_prime)
 
 REAL = Place.real()
 SMALL_PLACES = [Place(p) for p in (2, 3, 5, 7, 11, 13)] + [REAL]
@@ -191,21 +192,26 @@ class TestReciprocity:
             assert reciprocity_defect(a, b) == 0
 
     def test_parity_total_is_the_fraction_sum(self):
-        # the defect counts the places with invariant 1/2; it must equal the
-        # sum of the same invariants in (1/2)Z/Z, as a Fraction
+        # the walk counts the places with invariant 1/2; its total must equal
+        # the sum of the same invariants in (1/2)Z/Z, as a Fraction, and the
+        # defect over the primes of a and b is that total
         rng = random.Random(64)
         checked = 0
         for _ in range(150):
             a, b = (rng.randint(1, 2 ** 64) * rng.choice((1, -1))
                     for _ in range(2))
             try:
-                places = symbol_support(a, b)
+                primes = {*factor(a), *factor(b)}
             except FactorizationError:
                 continue
-            total = sum((local_invariant(a, b, pl) for pl in places),
-                        Fraction(0)) % 1
+            invs, total = place_invariants(a, b, primes)
+            places = [pl.p for pl, _ in invs]
+            assert places == [None] + sorted(primes | {2})
+            assert all(iv == local_invariant(a, b, pl) for pl, iv in invs)
+            fraction_sum = sum((iv for _, iv in invs), Fraction(0)) % 1
             defect = reciprocity_defect(a, b)
-            assert type(defect) is Fraction and defect == total
+            assert type(total) is Fraction and total == fraction_sum
+            assert defect == total
             checked += 1
         assert checked > 50
 

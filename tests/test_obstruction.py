@@ -791,6 +791,26 @@ class TestIntegerSearch:
             assert integer_search(f, target, B) == \
                 naive_integer_search(f, target, B)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_roots_at_the_bound_and_past_it(self, k):
+        # f = x*z^k + y^(k+1), solved for z with C = x, whose row x = 0 has
+        # C = 0; the targets put exact k-th roots at |z| = B, kept, and at
+        # B + 1, refused
+        f = MultiPoly([(1, (1, 0, k)), (1, (0, k + 1, 0))])
+        B = 5
+        targets = [0, 2 ** (k + 1)]
+        for r in (B, B + 1):
+            targets += [r ** k, -r ** k, r ** k + 1, 2 * r ** k]
+        for target in targets:
+            assert integer_search(f, target, B) == \
+                naive_integer_search(f, target, B)
+        # (1, 0, B) up to the antipodal flip
+        assert any(abs(x) == 1 and y == 0 and abs(z) == B
+                   for x, y, z in integer_search(f, B ** k, B))
+        # the row x = 0 holds every z
+        assert {abs(z) for x, _, z in integer_search(f, 2 ** (k + 1), B)
+                if x == 0} == set(range(1, B + 1, 2))
+
     def test_cubic_solutions_found(self, fc):
         for B in (1000, 3000):
             assert (1, 1, 1) in integer_search(fc, -128, B)

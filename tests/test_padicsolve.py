@@ -439,23 +439,28 @@ class TestSliceKernel:
 
 
 class TestRationalWitness:
+    # the check is the report's rational_witness record
     def test_quartic_witness(self, fq):
-        chk = verify_rational_witness((Fraction(1, 2), 0, Fraction(1, 2)), fq, 1)
-        assert chk.matches and chk.bad_primes == {2}
+        rec = verify_rational_witness((Fraction(1, 2), 0, Fraction(1, 2)), fq, 1)
+        assert rec == {"witness": ["1/2", "0", "1/2"], "target": 1,
+                       "value": "1", "matches": True, "bad_primes": [2]}
+        assert list(rec) == ["witness", "target", "value", "matches",
+                             "bad_primes"]
 
     def test_cubic_witness(self, fc):
-        chk = verify_rational_witness((Fraction(1, 4), 1, 1), fc, 1)
-        assert chk.matches and chk.bad_primes == {2}
+        rec = verify_rational_witness((Fraction(1, 4), 1, 1), fc, 1)
+        assert rec["matches"] is True and rec["bad_primes"] == [2]
 
     def test_mismatch_reported(self, fq):
-        chk = verify_rational_witness((0, 1, 0), fq, 1)
-        assert not chk.matches and chk.value == -1
+        rec = verify_rational_witness((0, 1, 0), fq, 1)
+        assert rec["matches"] is False and rec["value"] == "-1"
+        assert rec["bad_primes"] == []
 
     def test_witness_consistency(self, fq):
         # the quartic witness covers every p except 2; searches at the small
         # remaining primes must certify solubility
-        chk = verify_rational_witness((Fraction(1, 2), 0, Fraction(1, 2)), fq, 1)
+        rec = verify_rational_witness((Fraction(1, 2), 0, Fraction(1, 2)), fq, 1)
         for p in range(3, 51):
-            if not is_probable_prime(p) or p in chk.bad_primes:
+            if not is_probable_prime(p) or p in rec["bad_primes"]:
                 continue
             assert padic_solutions_exist(fq, 1, p, 4).verdict == "yes"

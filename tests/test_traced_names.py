@@ -36,8 +36,9 @@ def test_traced_name_resolves(module, attr):
 
 
 def test_traced_primitives_see_engine_calls():
-    # square sampling's root finding and the p-adic search's valuations go
-    # through the traced names, so a traced run counts their work
+    # square sampling's root finding and values mod p, the p-adic search's
+    # valuations and the integer search's k-th roots go through the traced
+    # names, so a traced run counts their work
     quartic = cli.load_instance("quartic")
     alg = quartic.algebra
     tracer = load_tracer().Tracer()
@@ -45,7 +46,10 @@ def test_traced_primitives_see_engine_calls():
     try:
         obstruction.square_mod_sampling(alg.first, alg.second_factors, 5, 1)
         padicsolve.padic_solutions_exist(quartic.f, 1, 2)
+        # (0, 1, 0) is a solution of f = -1
+        obstruction.integer_search(quartic.f, -1, 2)
     finally:
         tracer.uninstall()
-    assert tracer.stats["exactarith.poly_roots_mod"].calls > 0
-    assert tracer.stats["exactarith.valuation"].calls > 0
+    for name in ("exactarith.poly_roots_mod", "exactarith.valuation",
+                 "exactarith.is_kth_power", "multipoly.MultiPoly.evaluate_mod"):
+        assert tracer.stats[name].calls > 0, name
