@@ -191,8 +191,8 @@ class MultiPoly:
 
         v and the split of the form into C*v**k + R, with C and R in the
         other two variables u, w (in the order x, y, z), are those of
-        `single_power_split`, which the integer search reads too; its masks
-        are built from these two functions.  column(vs, M) maps each
+        `single_power_split`, which the integer search reads too.  Only
+        `padicsolve` calls the two functions.  column(vs, M) maps each
         value of v**k mod M, or of C*v**k mod M when C is a constant, to
         the values in vs that give it.  rows(u, ws, column, t, M, inverses,
         append) solves the slice of rows (u, w) for each w of ws in turn:

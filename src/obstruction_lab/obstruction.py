@@ -575,13 +575,12 @@ def integer_search(f, target, B):
 
     A pair (u, w) is walked only when it is admissible modulo each q in
     SEARCH_MODULI: some v mod q solves f = target there (a necessary
-    condition, so no solution is lost), which is a nonempty row of f's
-    `MultiPoly.row_kernel` over the column of all v mod q.  Per q, each
-    residue of u gets one int bitmask over the w range, bit i set when
-    (u, w_i) is admissible; a row ANDs its masks and walks the set bits
-    from the top (each removed bit shortens the int).  Building the masks
-    costs q slice calls per q, one per residue of u over every residue of
-    w, whatever B is.
+    condition, so no solution is lost), which is the (u, w) of a lift of
+    the class mod 1 to mod q (`lift_classes`).  Per q, each residue of u
+    gets one int bitmask over the w range, bit i set when (u, w_i) is
+    admissible; a row ANDs its masks and walks the set bits from the top
+    (each removed bit shortens the int).  The masks cost one lift per q,
+    whatever B is.
     """
     if not 0 <= B <= SEARCH_MAX_BOUND:
         raise ValueError("search bound must be from 0 to %d, got %d"
@@ -589,28 +588,22 @@ def integer_search(f, target, B):
     j, k, C, R = single_power_split(f)
     at = eval("lambda %s, %s: (%s, %s)" % (
         *"xyz".replace("xyz"[j], ""), C.source(), R.source()), SOURCE_GLOBALS)
-    _, column, rows = f.row_kernel()
-    iw = 1 if j == 2 else 2  # the index of w in a lifted triple
+    iu, iw = (i for i in range(3) if i != j)  # u, w in a lifted triple
 
     w0 = -B
     n = 2 * B + 1
     full = (1 << n) - 1
     masks = []
     for q in SEARCH_MODULI:
-        col = column(range(q), q)
+        by_u = [0] * q
+        for pt in lift_classes(f, target, q, [(0, 0, 0)], 1):
+            by_u[pt[iu]] |= 1 << pt[iw]
         # each row's q bits rotated to start at residue w0, then repeated
         # over the n bits of the w range
         tile = ((1 << q * -(-n // q)) - 1) // ((1 << q) - 1)
         shift = w0 % q
-        inverses = {}
-        by_u = []
-        for u in range(q):
-            lifts = []
-            rows(u, range(q), col, target, q, inverses, lifts.append)
-            bits = sum(1 << w for w in {pt[iw] for pt in lifts})
-            by_u.append(((bits | bits << q) >> shift & (1 << q) - 1) * tile
-                        & full)
-        masks.append((q, by_u))
+        masks.append((q, [((bits | bits << q) >> shift & (1 << q) - 1)
+                          * tile & full for bits in by_u]))
 
     sols = []
     for u in range(-B, B + 1):

@@ -47,6 +47,11 @@ def lift_classes(f, target, p, classes, mod):
     """The sorted lifts mod p*mod of the residue triples mod mod in classes
     at which the form f takes the target value mod p*mod.
 
+    The step p may be any integer >= 2, prime or not: the sieve, the
+    2-adic table and the p-adic search lift by a prime a level, and the
+    integer search lifts the class mod 1 to each of its moduli, 16, 9 and
+    25 among them, in one step.  This is the one lister of residue classes.
+
     f's `MultiPoly.row_kernel` solves for one variable v: each class
     prepares the column of the p lifts of v once, then makes one slice call
     per lift u of the first of the other two variables, which solves the

@@ -819,9 +819,8 @@ class TestIntegerSearch:
 
     @pytest.mark.parametrize("q", [9, 16, 25])
     def test_admissible_rows_match_brute_force(self, q, fq, fc):
-        # the search's mask row of u mod q has bit w set when the kernel's
-        # slice of u finds some v mod q at (u, w), over the column of all
-        # v mod q
+        # the search's mask row of u mod q has bit w set when some lift of
+        # the class mod 1 to mod q has (u, w) as its other two coordinates
         lead18 = MultiPoly([(18, (0, 4, 0)), (1, (4, 0, 0)), (1, (1, 0, 3)),
                             (-1, (0, 0, 4))])
         toy = MultiPoly([(1, (4, 0, 0)), (1, (0, 4, 0)), (-2, (0, 0, 4))])
@@ -837,14 +836,12 @@ class TestIntegerSearch:
                  (several, 3, 2), (several, -5, 2), (across_x, 1, 0),
                  (across_x, 6, 0)]
         for f, target, i in cases:
-            j, column, rows = f.row_kernel()
-            assert j == i
-            col = column(range(q), q)
+            assert single_power_split(f)[0] == i
+            iu, iw = (n for n in range(3) if n != i)
+            got = [0] * q
+            for pt in lift_classes(f, target, q, [(0, 0, 0)], 1):
+                got[pt[iu]] |= 1 << pt[iw]
             for u in range(q):
-                lifts = []
-                rows(u, range(q), col, target, q, {}, lifts.append)
-                got = sum(1 << w for w in {(pt[:i] + pt[i + 1:])[1]
-                                           for pt in lifts})
                 want = 0
                 for w in range(q):
                     for v in range(q):
@@ -853,7 +850,7 @@ class TestIntegerSearch:
                         if (f.evaluate_mod(tuple(point), q) - target) % q == 0:
                             want |= 1 << w
                             break
-                assert got == want
+                assert got[u] == want
 
     @settings(deadline=None, max_examples=150)
     @given(st.integers(0, 2), st.integers(1, 4),

@@ -233,6 +233,12 @@ class TestLiftClasses:
             for target in (0, 1, -1, 3):
                 assert lift_classes(f, target, p, classes, mod) == \
                     brute_lifts(f, target, p, classes, mod)
+        # a composite step from the class mod 1, as the integer search
+        # lifts to its moduli 16, 9 and 25
+        step = 16 if p == 2 else p * p
+        for target in (0, 1, -1, 3):
+            assert lift_classes(f, target, step, [(0, 0, 0)], 1) == \
+                brute_lifts(f, target, step, [(0, 0, 0)], 1)
 
     def test_five_thousand_term_coefficients(self):
         # C and R of f = C*z + R in thousands of terms stay within the
