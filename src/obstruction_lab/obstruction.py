@@ -27,10 +27,9 @@ from .padicsolve import (lift_classes, padic_solutions_exist,
 # own seed from it.
 DEFAULT_SEED = 20070907
 
-# Sizes of the sampled evidence: points of the real scan, points of the
-# odd-place scan and the bound on their coordinates, accepted points of
+# Sizes of the sampled evidence: points of the odd-place scan, which reads
+# the real place too, and the bound on their coordinates, accepted points of
 # square sampling and the window its primes are drawn from.
-REAL_SAMPLES = 10000
 ODD_SAMPLES = 10000
 ODD_BOUND = 1000
 SQUARE_TRIALS = 500
@@ -291,9 +290,9 @@ def _random_triples(seed, bound):
 
 def real_unramified_scan(alg, nsamples, seed):
     """Sample rational points of the plane and flag any where both algebra
-    entries are negative (real invariant 1/2), as the scan's report record.
-    Signs at rational points are exact, so every reported violation is a
-    genuine ramified real point."""
+    entries are negative (real invariant 1/2), as the scan's report record;
+    signs are exact.  `verify` no longer calls it: it is the reference that
+    `odd_place_scan`'s real record equals at bound 1000 and the same seed."""
     values = alg.factor_values
     triples = _random_triples(seed, 1000)
     violations = []
@@ -332,9 +331,11 @@ def check_odd_scan_factors(f, alg, bound):
 
 
 def odd_place_scan(f, alg, nsamples, bound, seed):
-    """Sample primitive integer triples and check that the algebra is split at
+    """Sample primitive integer triples, check that the algebra is split at
     every odd prime p dividing an entry value but not f (those points reduce
-    into the open variety at p); returns the scan's report record.
+    into the open variety at p), and return the real place's record (the
+    raw draws where both entries, of even degree, are negative; normalizing
+    keeps their signs) and the scan's own.
 
     Such a p divides the value of an algebra factor other than f.  Each
     distinct nonconstant factor is evaluated once per point
@@ -372,14 +373,14 @@ def odd_place_scan(f, alg, nsamples, bound, seed):
     base = {2} | alg.constant_primes
     values = alg.factor_values
     triples = _random_triples(seed, bound)
-    violations = []
+    real, violations = [], []
     checked = 0
     done = 0
     while done < nsamples:
-        pt = next(triples)
-        if pt == (0, 0, 0):
+        draw = next(triples)
+        if draw == (0, 0, 0):
             continue
-        pt = primitive_normalize(pt)
+        pt = primitive_normalize(draw)
         a, b, vals = values(pt)
         if a == 0 or b == 0:
             continue
@@ -390,6 +391,8 @@ def odd_place_scan(f, alg, nsamples, bound, seed):
         fval = f.evaluate_int(pt) if f_at is None else vals[f_at]
         # places where the algebra ramifies; reciprocity makes this even
         ramified = a < 0 and b < 0
+        if ramified:
+            real.append(list(draw))
         # n: |f(P)| with the primes of S divided out as they are walked (a
         # zero f(P) stays 0, and every p divides it)
         n = abs(fval)
@@ -413,10 +416,9 @@ def odd_place_scan(f, alg, nsamples, bound, seed):
         if ramified % 2:
             raise InternalInconsistencyError(
                 "nonzero invariant sum 1/2 at %r" % (pt,))
-    return {"samples": nsamples, "bound": bound,
-            "checked_prime_conditions": checked,
-            # no sample is skipped, since every factor value other than f(P)
-            # is factored completely; the key stays for readers of the report
+    return {"samples": nsamples, "violations": real}, {"samples": nsamples,
+            "bound": bound, "checked_prime_conditions": checked,
+            # always 0 (every value but f(P) is factored); reports keep the key
             "skipped_unfactored": 0,
             "violations": violations}
 
@@ -697,9 +699,9 @@ def padic_answer_record(f, target, p, depth=None):
 
 
 def obstruction_verdict(instance, seed=DEFAULT_SEED):
-    """Run the full verification pipeline on an instance and return its
-    report: name, verdict and flags (from `decide`), and one record per
-    step.  The sampling stages draw from seeds derived from `seed`."""
+    """Run the full pipeline on an instance and return its report: name,
+    verdict and flags (from `decide`), and one record per step.  Samplers
+    draw from seeds derived from `seed`; the real and odd places share one."""
     f = instance.f
     alg = instance.algebra
     # before any work, refuse a factor too large for the odd-place scan
@@ -735,11 +737,9 @@ def obstruction_verdict(instance, seed=DEFAULT_SEED):
     steps["invariant_table"] = {t: class_invariant_table(f, int(t), alg, s)
                                 for t, s in steps["sieve"].items()}
 
-    # 5-6. real and odd-place scans
-    steps["real_scan"] = real_unramified_scan(alg, REAL_SAMPLES,
-                                              seed * 7 + 1)
-    steps["odd_place_scan"] = odd_place_scan(f, alg, ODD_SAMPLES, ODD_BOUND,
-                                             seed * 7 + 2)
+    # 5-6. the real and the odd places, on one sample of points
+    steps["real_scan"], steps["odd_place_scan"] = odd_place_scan(
+        f, alg, ODD_SAMPLES, ODD_BOUND, seed * 7 + 2)
 
     # 7. square-certificate sampling on the algebra pair
     sm = square_mod_sampling(alg.first, alg.second_factors, SQUARE_TRIALS,

@@ -68,6 +68,16 @@ def cubic_algebra(fc):
 
 
 @pytest.fixture(scope="session")
+def perturbed_cubic_algebra(fc):
+    """Cubic with (z f, -z (4x - z)): ramified along z = 0 (residue -16x^2),
+    with violations at the real place and at odd places."""
+    z = MultiPoly([(1, (0, 0, 1))])
+    return algebra_from_factors(
+        (z, fc), (MultiPoly([(-1, (0, 0, 0))]), z,
+                  MultiPoly([(4, (1, 0, 0)), (-1, (0, 0, 1))])))
+
+
+@pytest.fixture(scope="session")
 def quartic_instance():
     return load_instance("quartic")
 

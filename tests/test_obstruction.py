@@ -424,15 +424,32 @@ class TestScans:
         record = real_unramified_scan(alg, 100, 1)
         assert len(record["violations"]) == 100
 
+    @pytest.mark.parametrize("which", ["quartic", "cubic", "toy", "perturbed"])
+    def test_shared_pass_real_record(self, which, fq, fc, quartic_algebra,
+                                     cubic_algebra, perturbed_cubic_algebra):
+        # the odd-place scan reads the real place on its own draws: at
+        # bound 1000 its real record is the real scan's at the same seed
+        if which == "toy":
+            f = MultiPoly([(1, (2, 0, 0)), (1, (0, 2, 0)), (1, (0, 0, 2))])
+            alg = real_toy_algebra()
+        else:
+            f = fq if which == "quartic" else fc
+            alg = {"quartic": quartic_algebra, "cubic": cubic_algebra,
+                   "perturbed": perturbed_cubic_algebra}[which]
+        real, _ = odd_place_scan(f, alg, 2000, 1000, 5)
+        assert real == real_unramified_scan(alg, 2000, 5)
+        assert real["violations"] == real_scan_points(alg, 2000, 5)
+        assert bool(real["violations"]) == (which in ("toy", "perturbed"))
+
     def test_quartic_odd_scan_empty(self, fq, quartic_algebra):
-        record = odd_place_scan(fq, quartic_algebra, 2000, 1000, 2)
+        _, record = odd_place_scan(fq, quartic_algebra, 2000, 1000, 2)
         assert (record["samples"], record["bound"]) == (2000, 1000)
         assert record["violations"] == []
         assert record["checked_prime_conditions"] > 0
         assert record["skipped_unfactored"] == 0
 
     def test_cubic_odd_scan_empty(self, fc, cubic_algebra):
-        record = odd_place_scan(fc, cubic_algebra, 2000, 1000, 2)
+        _, record = odd_place_scan(fc, cubic_algebra, 2000, 1000, 2)
         assert record["violations"] == []
         assert record["checked_prime_conditions"] > 0
 
@@ -482,7 +499,7 @@ class TestScans:
             alg = QuaternionAlgebraSpec(math.prod(first), math.prod(second),
                                         first, second)
         bound, nsamples, seed = 30, 300, 4
-        record = odd_place_scan(f, alg, nsamples, bound, seed)
+        _, record = odd_place_scan(f, alg, nsamples, bound, seed)
         if which == "shared":
             shared = 0
             for pt, _, _ in scan_points(alg, nsamples, bound, seed):
@@ -518,9 +535,10 @@ def primes_of(n):
 
 
 class TestRandomTriples:
-    """Both scans draw their points through `_random_triples`, which must
-    draw what three `randint(-bound, bound)` calls draw, or every report
-    changes."""
+    """The odd-place scan, whose draws give the real record too, and the
+    reference real scan draw their points through `_random_triples`, which
+    must draw what three `randint(-bound, bound)` calls draw, or every
+    report changes."""
 
     @pytest.mark.parametrize("bound", [1, 30, 1000])
     @pytest.mark.parametrize("seed", [0, 4, 9, DEFAULT_SEED * 7 + 1,
@@ -921,6 +939,26 @@ class TestVerdict:
         report = obstruction_verdict(cubic_instance)
         assert report["verdict"] == OBSTRUCTED
         assert "hasse_over_Z" in report["flags"]
+
+    def test_perturbed_cubic_inconclusive(self, cubic_instance,
+                                          perturbed_cubic_algebra):
+        # ramified along z = 0, and at real and odd places: the real place
+        # is read on the odd-place scan's draws, at its seed, and the odd
+        # record is pinned (7,472 violations in 29,229 prime conditions)
+        report = obstruction_verdict(
+            cubic_instance._replace(algebra=perturbed_cubic_algebra))
+        steps = report["steps"]
+        assert report["verdict"] == INCONCLUSIVE
+        assert list(steps)[4:6] == ["real_scan", "odd_place_scan"]
+        assert steps["real_scan"] == real_unramified_scan(
+            perturbed_cubic_algebra, 10000, DEFAULT_SEED * 7 + 2)
+        assert steps["real_scan"]["violations"]
+        odd = steps["odd_place_scan"]
+        assert len(odd["violations"]) == 7472
+        digest = hashlib.sha256(
+            json.dumps(odd, sort_keys=True).encode()).hexdigest()
+        assert digest == ("88a97edf52b7507ece85d85bac8720f3"
+                          "710c97c280ec2ceaf51ccd39469d0090")
 
     def test_quartic_target_minus_one(self, quartic_instance):
         inst = quartic_instance
